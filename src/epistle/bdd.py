@@ -58,7 +58,10 @@ def default_node_capacity() -> int:
     raw = os.environ.get(NODE_LIMIT_ENV)
     if raw is None:
         return DEFAULT_NODE_CAPACITY
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{NODE_LIMIT_ENV} must be an integer, got {raw!r}") from None
     if value < 2:
         raise ValueError(f"{NODE_LIMIT_ENV} must be at least 2, got {value}")
     return value

@@ -7,13 +7,14 @@ two backends disagree.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import click
 
 from .backends import contradictory, explicit_label, get_checker, symbolic_label
-from .bdd import DdStore
+from .bdd import DdStore, default_node_capacity
 from .dsl import parse_formula, print_formula
 from .errors import BackendMismatch, EpistleError, GenerationStall, SizeLimit
 from .formula import Atom, Knows, KnowsWhether, Not, Or, conj, disj
@@ -85,6 +86,11 @@ def _parse_dsl(text: str, n: int):
 @click.group()
 def main():
     """Epistemic-logic model checking and entailment-dataset generation."""
+    try:
+        default_node_capacity()
+    except ValueError as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
 
 
 @main.command()
@@ -117,6 +123,9 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    out_dir = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
+        raise click.UsageError(f"cannot write to directory {out_dir!r}")
     try:
         instances = generate_balanced(cfg, checker=get_checker(backend))
     except GenerationStall as exc:
@@ -125,7 +134,14 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     except BackendMismatch as exc:
         click.echo(f"backend mismatch: {exc}", err=True)
         sys.exit(EXIT_MISMATCH)
-    written = write_jsonl(map(record_from_instance, instances), out)
+    # write beside the target and rename, so a failure leaves no partial file
+    tmp = os.path.join(out_dir, f".{os.path.basename(out)}.{os.getpid()}.tmp")
+    try:
+        written = write_jsonl(map(record_from_instance, instances), tmp)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     click.echo(f"wrote {written} records to {out}")
 
 
@@ -192,6 +208,13 @@ def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
             click.echo("--explain requires the explicit backend", err=True)
 
 
+def _nearest_rank(ordered: list[float], pct: int) -> float:
+    """The ``pct``-th percentile of a sorted, non-empty list: the sample at
+    rank ``ceil(pct * N / 100)``, counting from 1, in exact integer
+    arithmetic."""
+    return ordered[max(1, -(-pct * len(ordered) // 100)) - 1]
+
+
 @main.command()
 @click.option("--count", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -225,10 +248,8 @@ def crosscheck(count, seed):
     for name, times in (("explicit", explicit_times), ("symbolic", symbolic_times)):
         if times:
             times = sorted(times)
-            p = lambda q: times[min(len(times) - 1, int(q * len(times)))] * 1000.0
-            click.echo(
-                f"{name} label ms: p50={p(0.50):.3f} p90={p(0.90):.3f} p99={p(0.99):.3f}"
-            )
+            p50, p90, p99 = (_nearest_rank(times, pct) * 1000.0 for pct in (50, 90, 99))
+            click.echo(f"{name} label ms: p50={p50:.3f} p90={p90:.3f} p99={p99:.3f}")
     if mismatches:
         sys.exit(EXIT_MISMATCH)
 
@@ -263,7 +284,7 @@ def puzzle(n, rounds, backend):
             click.echo(f"size limit: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         model = announce(model, existential)
-        click.echo(f"announced: someone is muddy; {len(model.live)} worlds remain")
+        click.echo(f"announced: someone is muddy; {model.mask.bit_count()} worlds remain")
         done = label(model, [], everyone_knows)
         k = 0
         while not done and k < limit and evaluate(model, actual, ignorance):
@@ -272,7 +293,7 @@ def puzzle(n, rounds, backend):
             done = label(model, [], everyone_knows)
             click.echo(
                 f"round {k}: nobody knew their own status; "
-                f"{len(model.live)} worlds remain; everyone knows: {'yes' if done else 'no'}"
+                f"{model.mask.bit_count()} worlds remain; everyone knows: {'yes' if done else 'no'}"
             )
     else:
         store = DdStore()

@@ -1,15 +1,19 @@
-"""Explicit-state S5 model checking.
+"""Explicit-state S5 model checking over bitsets.
 
 Worlds are integers: bit ``j`` of a world gives the truth of proposition
-``j``.  Agent ``i`` cannot distinguish two live worlds that agree on every
-proposition it observes, which makes each agent's relation an equivalence
-relation by construction.  A public announcement keeps exactly the worlds
-where the announced formula holds.
+``j``.  A set of worlds is one ``int`` with bit ``w`` for world ``w``, so
+each subformula is evaluated once for all worlds with a few big-integer
+operations.  Agent ``i`` cannot distinguish two live worlds that agree on
+every proposition it observes, which makes each agent's relation an
+equivalence relation by construction; ``K_i f`` fails wherever flipping the
+propositions ``i`` does not observe reaches a live world without ``f``.  A
+public announcement keeps exactly the worlds where it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import ContradictoryPremise, DeadWorld, SizeLimit
 from .formula import (
@@ -36,8 +40,8 @@ __all__ = [
     "label",
 ]
 
-# Explicit enumeration over 2^n worlds; larger problems belong to the
-# symbolic backend.
+# A world set is a 2^n-bit integer (128 KiB at n=20); larger problems
+# belong to the symbolic backend.
 MAX_EXPLICIT_AGENTS = 20
 
 
@@ -87,11 +91,32 @@ class ObservabilityMatrix:
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """Immutable set of live worlds plus the observability structure."""
+    """Immutable set of live worlds plus the observability structure; bit
+    ``w`` of ``mask`` is set iff world ``w`` is live."""
 
     n_agents: int
-    live: frozenset[int]
+    mask: int
     obs: ObservabilityMatrix
+
+    @property
+    def live(self) -> frozenset[int]:
+        """The live worlds, as a read-only view of ``mask``."""
+        bits = bin(self.mask)[:1:-1]  # bit 0 first
+        return frozenset(w for w, bit in enumerate(bits) if bit == "1")
+
+
+@lru_cache(maxsize=None)
+def _atom_masks(n: int) -> tuple[int, ...]:
+    """Entry ``j`` has bit ``w`` set iff proposition ``j`` holds at world ``w``."""
+    masks = []
+    for j in range(n):
+        width = 1 << j
+        mask, span = ((1 << width) - 1) << width, width << 1
+        while span < 1 << n:  # repeat the pattern by doubling
+            mask |= mask << span
+            span <<= 1
+        masks.append(mask)
+    return tuple(masks)
 
 
 def build_initial_model(n: int, obs: ObservabilityMatrix) -> KripkeModel:
@@ -102,59 +127,74 @@ def build_initial_model(n: int, obs: ObservabilityMatrix) -> KripkeModel:
         )
     if obs.n != n:
         raise ValueError(f"observability matrix is {obs.n}x{obs.n}, expected {n}x{n}")
-    return KripkeModel(n, frozenset(range(1 << n)), obs)
+    return KripkeModel(n, (1 << (1 << n)) - 1, obs)
 
 
 def evaluate(m: KripkeModel, w: int, f: Formula) -> bool:
     """Truth of ``f`` at world ``w``; ``w`` must still be live."""
-    if w not in m.live:
+    if w < 0 or not (m.mask >> w) & 1:
         raise DeadWorld(f"world {w:0{m.n_agents}b} is not in the model")
-    return _eval(m, w, f)
+    return bool((_eval(m, m.mask, f) >> w) & 1)
 
 
-def _eval(m: KripkeModel, w: int, f: Formula) -> bool:
+def _blur(m: KripkeModel, agent: int, bad: int) -> int:
+    """Worlds ``agent`` cannot tell from some world in ``bad``: ``bad``
+    closed under flipping each proposition the agent does not observe."""
+    atoms = _atom_masks(m.n_agents)
+    for j, seen in enumerate(m.obs.rows[agent]):
+        if not seen and bad:
+            high, shift = bad & atoms[j], 1 << j
+            bad |= (high >> shift) | ((bad ^ high) << shift)
+    return bad
+
+
+def _eval(m: KripkeModel, live: int, f: Formula) -> int:
+    """Worlds in ``live`` where ``f`` holds, with ``live`` as the model."""
     if isinstance(f, Atom):
-        return bool((w >> f.prop) & 1)
+        return live & _atom_masks(m.n_agents)[f.prop]
     if isinstance(f, Not):
-        return not _eval(m, w, f.child)
+        return live ^ _eval(m, live, f.child)
     if isinstance(f, And):
-        return all(_eval(m, w, c) for c in f.children)
+        out = live
+        for c in f.children:
+            out &= _eval(m, live, c)
+            if not out:
+                break
+        return out
     if isinstance(f, Or):
-        return any(_eval(m, w, c) for c in f.children)
+        out = 0
+        for c in f.children:
+            out |= _eval(m, live, c)
+        return out
     if isinstance(f, Implies):
-        return (not _eval(m, w, f.left)) or _eval(m, w, f.right)
+        return (live ^ _eval(m, live, f.left)) | _eval(m, live, f.right)
     if isinstance(f, Knows):
-        mask = m.obs.agent_mask(f.agent)
-        ref = w & mask
-        return all(_eval(m, v, f.child) for v in m.live if v & mask == ref)
+        return live & ~_blur(m, f.agent, live ^ _eval(m, live, f.child))
     if isinstance(f, KnowsWhether):
-        return _eval(m, w, Knows(f.agent, f.child)) or _eval(
-            m, w, Knows(f.agent, Not(f.child))
-        )
+        holds = _eval(m, live, f.child)
+        return live & ~(_blur(m, f.agent, live ^ holds) & _blur(m, f.agent, holds))
     if isinstance(f, Announced):
-        if not _eval(m, w, f.announcement):
-            return True
-        return _eval(announce(m, f.announcement), w, f.continuation)
+        survivors = _eval(m, live, f.announcement)
+        return (live ^ survivors) | _eval(m, survivors, f.continuation)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def announce(m: KripkeModel, psi: Formula) -> KripkeModel:
     """Restrict the model to the worlds where ``psi`` holds; may be empty."""
-    survivors = frozenset(w for w in m.live if _eval(m, w, psi))
-    return replace(m, live=survivors)
+    return replace(m, mask=_eval(m, m.mask, psi))
 
 
 def worlds_where(m: KripkeModel, f: Formula) -> frozenset[int]:
     """Live worlds satisfying ``f``."""
-    return frozenset(w for w in m.live if _eval(m, w, f))
+    return announce(m, f).live
 
 
 def is_contradictory(m0: KripkeModel, anns: list[Formula]) -> bool:
     """True iff announcing ``anns`` in order empties the model at some step."""
-    m = m0
+    live = m0.mask
     for a in anns:
-        m = announce(m, a)
-        if not m.live:
+        live = _eval(m0, live, a)
+        if not live:
             return True
     return False
 
@@ -164,9 +204,9 @@ def label(m0: KripkeModel, anns: list[Formula], hyp: Formula) -> bool:
 
     Raises ``ContradictoryPremise`` when some announcement empties the model.
     """
-    m = m0
+    live = m0.mask
     for i, a in enumerate(anns):
-        m = announce(m, a)
-        if not m.live:
+        live = _eval(m0, live, a)
+        if not live:
             raise ContradictoryPremise(f"announcement {i + 1} eliminates every world")
-    return all(_eval(m, w, hyp) for w in m.live)
+    return _eval(m0, live, hyp) == live

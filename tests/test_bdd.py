@@ -196,3 +196,8 @@ class TestCapacity:
         assert DdStore().capacity == 123
         monkeypatch.delenv("EPISTLE_NODE_LIMIT")
         assert default_node_capacity() == DEFAULT_NODE_CAPACITY
+
+    def test_env_override_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("EPISTLE_NODE_LIMIT", "abc")
+        with pytest.raises(ValueError, match="must be an integer, got 'abc'"):
+            default_node_capacity()

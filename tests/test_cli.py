@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import epistle
 import epistle.cli as cli
 from epistle.backends import explicit_label, symbolic_label
 from epistle.dsl import parse_formula
@@ -23,6 +28,19 @@ EXPECTED_KEYS = [
     "index",
 ]
 
+# sha256 of the shipped dataset, ``epistle generate --seed 7``
+DEFAULT_DATASET_SHA256 = "b32783b3ba329e0e57bd51f5d3a9df7bd77d0b42760403b0c8fd6b700251feda"
+
+
+def run_cli(*args, **env):
+    """Run ``python -m epistle`` in a fresh interpreter; returns the process."""
+    src = os.path.dirname(os.path.dirname(epistle.__file__))
+    full_env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run(
+        [sys.executable, "-m", "epistle", *args],
+        env=full_env, capture_output=True, text=True, timeout=60,
+    )
+
 
 class TestRecords:
     def test_key_order_and_label_strings(self):
@@ -42,6 +60,12 @@ class TestRecords:
         loaded = read_jsonl(str(path))
         assert len(loaded) == len(records)
         assert loaded[0]["premise"] == records[0].premise
+
+    def test_default_dataset_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        instances = generate_balanced(GenConfig(seed=7))
+        assert write_jsonl(map(record_from_instance, instances), str(path)) == 1600
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_DATASET_SHA256
 
     def test_records_reverify_from_serialized_formulas(self):
         cfg = GenConfig(seed=43, per_setup_count=4)
@@ -106,6 +130,43 @@ class TestGenerateCommand:
             ["generate", "--setups", "nonsense", "--out", str(tmp_path / "x.jsonl")],
         )
         assert result.exit_code == 2
+
+    def test_missing_output_directory_exits_2_before_generating(self, tmp_path, monkeypatch):
+        def never(cfg, checker):
+            raise AssertionError("generated before checking the output path")
+
+        monkeypatch.setattr(cli, "generate_balanced", never)
+        out = tmp_path / "missing" / "x.jsonl"
+        result = CliRunner().invoke(cli.main, ["generate", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot write to directory" in result.output
+        proc = run_cli("generate", "--per-setup", "2", "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail_midway(records, path):
+            with open(path, "w") as fh:
+                fh.write(next(iter(records)).to_json())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_jsonl", fail_midway)
+        out = tmp_path / "x.jsonl"
+        result = CliRunner().invoke(
+            cli.main, ["generate", "--per-setup", "2", "--out", str(out)]
+        )
+        assert isinstance(result.exception, OSError)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        out.write_text("old\n")
+        result = CliRunner().invoke(
+            cli.main, ["generate", "--per-setup", "2", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(read_jsonl(str(out))) == 8
+        assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
 
     def test_stall_exits_3(self, tmp_path, monkeypatch):
         from epistle.errors import GenerationStall
@@ -208,7 +269,26 @@ class TestCheckCommand:
         assert result.output.strip() == "False"
 
 
+    def test_bad_node_limit_env_exits_2_without_traceback(self):
+        proc = run_cli(
+            "check", "--n", "2", "--hyp", "p0", "--backend", "symbolic",
+            EPISTLE_NODE_LIMIT="abc",
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == (
+            "configuration error: EPISTLE_NODE_LIMIT must be an integer, got 'abc'"
+        )
+
+
 class TestCrosscheckCommand:
+    def test_nearest_rank_median_of_even_count_is_lower_middle(self):
+        assert cli._nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        assert cli._nearest_rank([1.0, 2.0, 3.0, 4.0], 99) == 4.0
+        assert cli._nearest_rank([5.0], 50) == 5.0
+        assert cli._nearest_rank(list(range(1, 11)), 90) == 9
+        assert cli._nearest_rank(list(range(1, 5001)), 99) == 4950
+
     def test_small_run_reports_zero_mismatches(self):
         result = CliRunner().invoke(
             cli.main, ["crosscheck", "--count", "60", "--seed", "1"]

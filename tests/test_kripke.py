@@ -1,5 +1,6 @@
 import pytest
 
+from epistle.backends import contradictory, explicit_label, symbolic_label
 from epistle.dsl import parse_formula
 from epistle.errors import ContradictoryPremise, DeadWorld, SizeLimit
 from epistle.formula import (
@@ -22,7 +23,9 @@ from epistle.kripke import (
     label,
     worlds_where,
 )
+from epistle.generator import sample_observability
 from epistle.rng import SplitMix64
+from epistle.setups import ALL_SETUPS
 
 from support import oracle_eval, oracle_label, random_boolean_formula, random_formula
 
@@ -39,6 +42,14 @@ def mirror(n):
 
 def thirst(n):
     return build_initial_model(n, ObservabilityMatrix.identity(n))
+
+
+def random_observability(rng, n):
+    """A matrix of one of the four setups, or uniformly random rows."""
+    kind = rng.below(len(ALL_SETUPS) + 1)
+    if kind < len(ALL_SETUPS):
+        return sample_observability(ALL_SETUPS[kind], n, rng)
+    return ObservabilityMatrix.from_rows([[rng.chance(0.5) for _ in range(n)] for _ in range(n)])
 
 
 def classes(m, agent):
@@ -114,6 +125,25 @@ class TestEvaluate:
                         assert evaluate(m, w, f) == oracle_eval(
                             list(m.live), rows, w, f
                         )
+
+
+    def test_agrees_with_independent_evaluator_on_restricted_models(self):
+        rng = SplitMix64(0x5EEE)
+        for _ in range(60):
+            n = 2 + rng.below(4)
+            m = build_initial_model(n, random_observability(rng, n))
+            restriction = (
+                random_boolean_formula(rng, n, 2)
+                if rng.chance(0.5)
+                else random_formula(rng, n, depth=2)
+            )
+            m = announce(m, restriction)
+            live = sorted(m.live)
+            assert m.mask.bit_count() == len(live)
+            for _ in range(4):
+                f = random_formula(rng, n, depth=3)
+                for w in live:
+                    assert evaluate(m, w, f) == oracle_eval(live, m.obs.rows, w, f)
 
 
 class TestAnnounce:
@@ -244,19 +274,25 @@ class TestLabel:
                 assert reduced_valid is True
 
     def test_agrees_with_independent_label_oracle(self):
+        """Both backends, labels and contradiction tests, against the oracle
+        on every setup's matrices and random rows at n=2..5."""
         rng = SplitMix64(0x77)
-        for _ in range(100):
-            n = 2 + rng.below(2)
-            obs = ObservabilityMatrix.ones_minus_identity(n)
-            m = build_initial_model(n, obs)
+        for _ in range(240):
+            n = 2 + rng.below(4)
+            obs = random_observability(rng, n)
             anns = [random_formula(rng, n, depth=2) for _ in range(rng.below(3))]
+            if rng.chance(0.5):  # shrink the live set before the epistemic ones
+                anns.insert(0, random_boolean_formula(rng, n, 2))
             hyp = random_formula(rng, n, depth=2)
             expected = oracle_label(n, obs.rows, anns, hyp)
-            if expected is None:
-                with pytest.raises(ContradictoryPremise):
-                    label(m, anns, hyp)
-            else:
-                assert label(m, anns, hyp) == expected
+            for backend in ("explicit", "symbolic"):
+                assert contradictory(obs, anns, backend) is (expected is None)
+            for checker in (explicit_label, symbolic_label):
+                if expected is None:
+                    with pytest.raises(ContradictoryPremise):
+                        checker(obs, anns, hyp)
+                else:
+                    assert checker(obs, anns, hyp) == expected
 
 
 class TestS5Axioms:

@@ -14,8 +14,8 @@ from epistle.formula import (
     expand_whether,
 )
 from epistle.kripke import (
-    KripkeModel,
     ObservabilityMatrix,
+    announce,
     build_initial_model,
     is_contradictory,
     label,
@@ -71,9 +71,7 @@ class TestTranslate:
                 if rng.chance(0.5):
                     restriction = random_boolean_formula(rng, n, 2)
                     ks = announce_symbolic(ks, restriction)
-                    model = KripkeModel(
-                        n, worlds_where(model, restriction), matrix
-                    )
+                    model = announce(model, restriction)
                 for _ in range(100):
                     f = random_formula(rng, n, depth=3)
                     node = store.and_(ks.state_law, translate(ks, f))
