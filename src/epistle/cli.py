@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Exit codes: 2 for usage or formula-syntax errors, 3 when generation stalls,
-4 for a contradictory premise (without --allow-contradiction), 5 when the
-two backends disagree.
+Exit codes: 2 for usage or formula-syntax errors and for resource limits, 3
+when generation stalls, 4 for a contradictory premise (without
+--allow-contradiction), 5 when the two backends disagree.  A resource limit is
+a problem too large for the explicit backend (``SizeLimit``) or a
+decision-diagram store that outgrows ``EPISTLE_NODE_LIMIT``
+(``StoreCapacity``); every command reports it as one line on stderr.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -16,7 +20,7 @@ import click
 from .backends import contradictory, explicit_label, get_checker, symbolic_label
 from .bdd import DdStore, default_node_capacity
 from .dsl import parse_formula, print_formula
-from .errors import BackendMismatch, EpistleError, GenerationStall, SizeLimit
+from .errors import BackendMismatch, EpistleError, GenerationStall, SizeLimit, StoreCapacity
 from .formula import Atom, Knows, KnowsWhether, Not, Or, conj, disj
 from .generator import GenConfig, generate_balanced, iter_problems
 from .kripke import (
@@ -83,6 +87,21 @@ def _parse_dsl(text: str, n: int):
         raise click.UsageError(f"cannot parse {text!r}: {exc}")
 
 
+def _exit_on_resource_limit(command):
+    """Turn a resource limit raised anywhere in ``command`` into one line on
+    stderr and exit code 2."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (SizeLimit, StoreCapacity) as exc:
+            click.echo(f"resource limit: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+
+    return wrapper
+
+
 @click.group()
 def main():
     """Epistemic-logic model checking and entailment-dataset generation."""
@@ -107,6 +126,7 @@ def main():
     help="Checker used to label instances.",
 )
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
+@_exit_on_resource_limit
 def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     """Write a balanced JSON-Lines dataset."""
     try:
@@ -164,8 +184,11 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
 )
 @click.option("--explain", is_flag=True, help="Print surviving worlds (explicit only).")
 @click.option("--allow-contradiction", is_flag=True)
+@_exit_on_resource_limit
 def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
     """Label one problem given in the formula language."""
+    if n < 1:
+        raise click.UsageError("--n must be at least 1")
     matrix = _parse_obs(obs, n)
     ann_formulas = [_parse_dsl(text, n) for text in announcements]
     hyp_formula = _parse_dsl(hyp, n)
@@ -174,9 +197,6 @@ def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
         if contradictory(matrix, ann_formulas, backend):
             click.echo("Contradictory")
             sys.exit(0 if allow_contradiction else EXIT_CONTRADICTION)
-    except SizeLimit as exc:
-        click.echo(f"size limit: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
     except BackendMismatch as exc:
         click.echo(f"backend mismatch: {exc}", err=True)
         sys.exit(EXIT_MISMATCH)
@@ -218,6 +238,7 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 @main.command()
 @click.option("--count", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
+@_exit_on_resource_limit
 def crosscheck(count, seed):
     """Label random instances with both backends and report disagreements."""
     cfg = GenConfig(seed=seed)
@@ -263,6 +284,7 @@ def crosscheck(count, seed):
     default="explicit",
     show_default=True,
 )
+@_exit_on_resource_limit
 def puzzle(n, rounds, backend):
     """Run the classic muddy-children scenario: everyone muddy, the
     existential announcement, then repeated joint ignorance while it is true."""
@@ -278,12 +300,7 @@ def puzzle(n, rounds, backend):
     limit = rounds if rounds is not None else n
 
     if backend == "explicit":
-        try:
-            model = build_initial_model(n, obs)
-        except SizeLimit as exc:
-            click.echo(f"size limit: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        model = announce(model, existential)
+        model = announce(build_initial_model(n, obs), existential)
         click.echo(f"announced: someone is muddy; {model.mask.bit_count()} worlds remain")
         done = label(model, [], everyone_knows)
         k = 0

@@ -14,6 +14,12 @@ Grammar (ASCII, whitespace between tokens is ignored)::
 
 Precedence, tightest first: the prefix operators (``~``, ``K``, ``Kw``,
 ``[! ]``), then ``&``, then ``|``, then ``->``.
+
+Nesting is capped at ``MAX_NESTING`` levels, each a prefix operator, a
+parenthesis, an announcement or the right side of an implication; deeper
+input is a ``ParseError``.  The cap keeps the parser, the printer and both
+evaluators, which all recurse over the formula, well inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .formula import (
     Or,
 )
 
-__all__ = ["parse_formula", "print_formula"]
+__all__ = ["MAX_NESTING", "parse_formula", "print_formula"]
+
+MAX_NESTING = 100
 
 _ATOM = "atom"
 _INT = "int"
@@ -114,53 +122,55 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Formula:
-        f = self.implication()
+        f = self.implication(0)
         kind, _, offset = self.peek()
         if kind != _EOF:
             raise ParseError("trailing input", offset)
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def implication(self, depth: int) -> Formula:
+        left = self.disjunction(depth)
         if self.accept("->"):
-            return Implies(left, self.implication())
+            return Implies(left, self.implication(depth + 1))
         return left
 
-    def disjunction(self) -> Formula:
-        items = [self.conjunction()]
+    def disjunction(self, depth: int) -> Formula:
+        items = [self.conjunction(depth)]
         while self.accept("|"):
-            items.append(self.conjunction())
+            items.append(self.conjunction(depth))
         if len(items) == 1:
             return items[0]
         return Or(tuple(items))
 
-    def conjunction(self) -> Formula:
-        items = [self.unary()]
+    def conjunction(self, depth: int) -> Formula:
+        items = [self.unary(depth)]
         while self.accept("&"):
-            items.append(self.unary())
+            items.append(self.unary(depth))
         if len(items) == 1:
             return items[0]
         return And(tuple(items))
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         kind, val, offset = self.peek()
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", offset)
         if kind == _PUNCT and val == "~":
             self.advance()
-            return Not(self.unary())
+            return Not(self.unary(depth + 1))
         if kind == _NAME:
             self.advance()
             agent = self.agent_index()
-            child = self.unary()
+            child = self.unary(depth + 1)
             return Knows(agent, child) if val == "K" else KnowsWhether(agent, child)
         if kind == _PUNCT and val == "[":
             self.advance()
             self.expect("!")
-            announcement = self.implication()
+            announcement = self.implication(depth + 1)
             self.expect("]")
-            return Announced(announcement, self.unary())
+            return Announced(announcement, self.unary(depth + 1))
         if kind == _PUNCT and val == "(":
             self.advance()
-            f = self.implication()
+            f = self.implication(depth + 1)
             self.expect(")")
             return f
         if kind == _ATOM:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Union
 
 __all__ = [
@@ -187,8 +188,12 @@ def modal_depth(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@lru_cache(maxsize=None)
 def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula:
     """Rewrite a quantified subject to a plain boolean formula over ``n`` atoms.
+
+    Cached: there are ``(n + 4) * 2`` distinct calls per agent count, and
+    the result is immutable, so every caller shares one tree per key.
 
     With the per-agent literal ``l_i`` (``p_i``, or ``~p_i`` when
     ``negate_predicate``):

@@ -4,7 +4,9 @@ Determinism contract: every candidate draw runs on its own substream keyed by
 (master seed, setup bucket, draw index), so the emitted dataset is a pure
 function of the configuration.  Within one draw the sampling order is fixed:
 setup, agent count, names, observability, extra-announcement count, the extra
-announcements in order, then the hypothesis.
+announcements in order, then the hypothesis.  The hypothesis is drawn only
+for draws that pass the contradiction filter; it is the last value drawn from
+the substream, so skipping it on a rejected draw changes no other draw.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .backends import Checker, explicit_label
 from .errors import GenerationStall
-from .formula import Formula, Quantifier
+from .formula import Formula, Quantifier, desugar_subject
 from .kripke import (
     ObservabilityMatrix,
     build_initial_model,
@@ -149,8 +151,7 @@ def sample_statement(
     idx = rng.below(n + len(_QUANTIFIERS))
     subject = idx if idx < n else _QUANTIFIERS[idx - n]
     spec = StatementSpec(subject, rng.chance(negation_prob))
-    expr = ExpressionSpec((), spec)
-    return expr.to_formula(n), spec
+    return desugar_subject(subject, spec.negated, n), spec
 
 
 def sample_announcement(
@@ -207,11 +208,11 @@ def make_problem(
         formula, spec = sample_announcement(rng, n, cfg)
         specs.append(spec)
         ann_formulas.append(formula)
-    hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order, cfg.p_negate_other)
 
     model = build_initial_model(n, obs)
     if is_contradictory(model, ann_formulas):
         return Rejected("contradictory", draw_index)
+    hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order, cfg.p_negate_other)
     verdict = checker(obs, ann_formulas, hyp_formula)
 
     announcements = tuple(

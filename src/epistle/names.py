@@ -7,6 +7,7 @@ alternate tags, starting from a randomly chosen one.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .rng import SplitMix64
@@ -66,12 +67,20 @@ class NamePool:
         """Draw ``n`` distinct names, alternating gender tags."""
         if n > min(len(self.feminine), len(self.masculine)) * 2:
             raise ValueError(f"cannot draw {n} names from this pool")
-        pools = [list(self.feminine), list(self.masculine)]
+        pools = (self.feminine, self.masculine)
+        taken: tuple[list[int], list[int]] = ([], [])  # ascending indices
         side = 0 if rng.chance(0.5) else 1
         picked: list[str] = []
         for _ in range(n):
-            pool = pools[side]
-            picked.append(pool.pop(rng.below(len(pool))))
+            pool, used = pools[side], taken[side]
+            # the k-th untaken name: step past each taken index at or below k
+            k = rng.below(len(pool) - len(used))
+            for t in used:
+                if t > k:
+                    break
+                k += 1
+            insort(used, k)
+            picked.append(pool[k])
             side = 1 - side
         return tuple(picked)
 

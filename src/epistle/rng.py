@@ -18,8 +18,10 @@ from typing import Sequence, TypeVar
 
 __all__ = ["SplitMix64", "split_seed", "substream"]
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_UNIT = 2.0 ** -53  # spacing of the 53-bit floats in [0, 1)
 
 T = TypeVar("T")
 
@@ -39,18 +41,22 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix(self._state)
+        # _mix, inlined: this is the innermost call of every draw
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return (self.next_u64() >> 11) * _UNIT
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n); rejection sampling avoids modulo bias."""
-        if n <= 0:
-            raise ValueError(f"need a positive bound, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        """Uniform integer in [0, n), for ``1 <= n <= 2**64``; rejection
+        sampling avoids modulo bias."""
+        if not 0 < n <= _TWO64:
+            raise ValueError(f"need a bound in [1, 2**64], got {n}")
+        limit = _TWO64 - _TWO64 % n
         while True:
             u = self.next_u64()
             if u < limit:
@@ -60,8 +66,8 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
     def chance(self, p: float) -> bool:
-        """True with probability ``p``."""
-        return self.random() < p
+        """True with probability ``p``; the same float as ``random()``."""
+        return (self.next_u64() >> 11) * _UNIT < p
 
 
 def split_seed(seed: int, index: int) -> int:

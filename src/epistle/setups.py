@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .kripke import ObservabilityMatrix
 
@@ -35,8 +36,10 @@ def setup_ordinal(kind: SetupKind) -> int:
     return ALL_SETUPS.index(kind)
 
 
+@lru_cache(maxsize=None)
 def fixed_observability(kind: SetupKind, n: int) -> ObservabilityMatrix:
-    """Deterministic matrix for the non-random setups."""
+    """Deterministic matrix for the non-random setups; cached, as the matrix
+    is immutable and depends on nothing else."""
     if kind is SetupKind.FOREHEAD_MUD:
         return ObservabilityMatrix.ones_minus_identity(n)
     if kind is SetupKind.FOREHEAD_MUD_MIRROR:

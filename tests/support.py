@@ -176,3 +176,23 @@ def random_formula(
             rng, n_agents, depth - 1, modal_budget, announce_budget - 1 - left_budget
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference name sampler (the list-copy-and-pop form of ``NamePool.sample``)
+
+
+def reference_sample_names(pool, rng: SplitMix64, n: int) -> tuple[str, ...]:
+    """Draw ``n`` distinct names from ``pool`` by copying each tag's names
+    into a list and popping the drawn index; the same draws as
+    ``NamePool.sample``, in the same order."""
+    if n > min(len(pool.feminine), len(pool.masculine)) * 2:
+        raise ValueError(f"cannot draw {n} names from this pool")
+    lists = [list(pool.feminine), list(pool.masculine)]
+    side = 0 if rng.chance(0.5) else 1
+    picked: list[str] = []
+    for _ in range(n):
+        names = lists[side]
+        picked.append(names.pop(rng.below(len(names))))
+        side = 1 - side
+    return tuple(picked)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import epistle
 import epistle.cli as cli
 from epistle.backends import explicit_label, symbolic_label
-from epistle.dsl import parse_formula
+from epistle.dsl import MAX_NESTING, parse_formula
 from epistle.generator import GenConfig, generate_balanced
 from epistle.records import read_jsonl, record_from_instance, write_jsonl
 
@@ -40,6 +40,14 @@ def run_cli(*args, **env):
         [sys.executable, "-m", "epistle", *args],
         env=full_env, capture_output=True, text=True, timeout=60,
     )
+
+
+def assert_one_line_exit_2(proc, prefix):
+    """A clean failure: exit code 2 and a single stderr line, no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(prefix)
 
 
 class TestRecords:
@@ -168,6 +176,25 @@ class TestGenerateCommand:
         assert len(read_jsonl(str(out))) == 8
         assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
 
+    def test_explicit_size_limit_in_filter_exits_2_without_traceback(self, tmp_path):
+        # labeling is symbolic, but the contradiction filter is explicit
+        out = tmp_path / "big.jsonl"
+        proc = run_cli(
+            "generate", "--n-agents", "25", "--backend", "symbolic",
+            "--per-setup", "2", "--out", str(out),
+        )
+        assert_one_line_exit_2(proc, "resource limit: explicit backend handles 1..20 agents")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_node_limit_exits_2_without_traceback(self, tmp_path):
+        out = tmp_path / "small.jsonl"
+        proc = run_cli(
+            "generate", "--backend", "symbolic", "--per-setup", "2", "--out", str(out),
+            EPISTLE_NODE_LIMIT="10",
+        )
+        assert_one_line_exit_2(proc, "resource limit: node store exceeded 10 nodes")
+        assert list(tmp_path.iterdir()) == []
+
     def test_stall_exits_3(self, tmp_path, monkeypatch):
         from epistle.errors import GenerationStall
 
@@ -245,6 +272,32 @@ class TestCheckCommand:
     def test_index_error_exit_2(self):
         result = self._check("--n", "2", "--hyp", "K[5] p0")
         assert result.exit_code == 2
+
+    def test_n_below_one_is_a_usage_error(self):
+        result = self._check("--n", "0", "--hyp", "p0")
+        assert result.exit_code == 2
+        assert "--n must be at least 1" in result.output
+
+    def test_deep_nesting_exits_2_without_traceback(self):
+        proc = run_cli("check", "--n", "2", "--hyp", "~" * 5000 + "p0")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"formula nested deeper than {MAX_NESTING} levels (at offset {MAX_NESTING + 1})"
+            in proc.stderr
+        )
+
+    def test_node_limit_exits_2_without_traceback(self):
+        proc = run_cli(
+            "check", "--n", "3", "--backend", "symbolic",
+            "--announce", "p0 | p1 | p2", "--hyp", "K[0] p0",
+            EPISTLE_NODE_LIMIT="10",
+        )
+        assert_one_line_exit_2(proc, "resource limit: node store exceeded 10 nodes")
+
+    def test_explicit_size_limit_exits_2_without_traceback(self):
+        proc = run_cli("check", "--n", "21", "--hyp", "p0")
+        assert_one_line_exit_2(proc, "resource limit: explicit backend handles 1..20 agents")
 
     def test_explain_lists_surviving_worlds(self):
         result = self._check(
@@ -345,3 +398,7 @@ class TestPuzzleCommand:
     def test_size_limit(self):
         result = CliRunner().invoke(cli.main, ["puzzle", "--n", "25"])
         assert result.exit_code == 2
+
+    def test_node_limit_exits_2_without_traceback(self):
+        proc = run_cli("puzzle", "--n", "8", "--backend", "symbolic", EPISTLE_NODE_LIMIT="10")
+        assert_one_line_exit_2(proc, "resource limit: node store exceeded 10 nodes")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from epistle.dsl import parse_formula, print_formula
+from epistle.dsl import MAX_NESTING, parse_formula, print_formula
 from epistle.errors import IndexOutOfRange, ParseError
 from epistle.formula import (
     And,
@@ -81,6 +81,31 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_formula("", 2)
+
+    def test_nesting_beyond_the_cap_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_formula("~" * 5000 + "p0", 2)
+        assert err.value.position == MAX_NESTING + 1  # the first token past the cap
+        assert "nested deeper" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "opener,closer",
+        [
+            ("~", ""),
+            ("(", ")"),
+            ("K[1] ", ""),
+            ("Kw[0] ", ""),
+            ("[! p1] ", ""),
+            ("[! ", "] p1"),
+            ("p1 -> ", ""),
+        ],
+    )
+    def test_nesting_up_to_the_cap_round_trips(self, opener, closer):
+        text = opener * MAX_NESTING + "p0" + closer * MAX_NESTING
+        f = parse_formula(text, 2)
+        assert parse_formula(print_formula(f), 2) == f
+        with pytest.raises(ParseError):
+            parse_formula(opener * (MAX_NESTING + 1) + "p0" + closer * (MAX_NESTING + 1), 2)
 
 
 class TestPrint:

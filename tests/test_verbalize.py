@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from epistle.formula import Quantifier
 from epistle.generator import GenConfig, generate_balanced, iter_problems
 from epistle.names import DEFAULT_NAME_POOL, FEMININE_NAMES, MASCULINE_NAMES, NamePool
@@ -16,6 +18,7 @@ from epistle.verbalize import (
 )
 
 from inverse import parse_hypothesis, parse_premise
+from support import reference_sample_names
 
 
 class TestRenderStatement:
@@ -225,6 +228,34 @@ class TestNamePool:
             names = DEFAULT_NAME_POOL.sample(rng, 3)
             tags = [name in feminine for name in names]
             assert tags[0] != tags[1] and tags[1] != tags[2]
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            DEFAULT_NAME_POOL,
+            NamePool(("Ann", "Bea", "Cat", "Dee", "Eve"), ("Al", "Bo", "Cy", "Don")),
+        ],
+        ids=["default", "small"],
+    )
+    def test_sample_matches_list_pop_reference(self, pool):
+        # same names and the same draws, so the stream stays aligned after
+        limit = min(len(pool.feminine), len(pool.masculine)) * 2
+        for n in range(1, min(10, limit) + 1):
+            for seed in range(300):
+                ours, ref = SplitMix64(seed * 31 + n), SplitMix64(seed * 31 + n)
+                assert pool.sample(ours, n) == reference_sample_names(pool, ref, n)
+                assert ours.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("pool", [DEFAULT_NAME_POOL, NamePool(("A", "B"), ("C", "D", "E"))])
+    def test_oversize_draw_raises_before_drawing(self, pool):
+        n = min(len(pool.feminine), len(pool.masculine)) * 2 + 1
+        ours, ref = SplitMix64(5), SplitMix64(5)
+        with pytest.raises(ValueError) as err:
+            pool.sample(ours, n)
+        with pytest.raises(ValueError) as ref_err:
+            reference_sample_names(pool, ref, n)
+        assert str(err.value) == str(ref_err.value) == f"cannot draw {n} names from this pool"
+        assert ours.next_u64() == ref.next_u64() == SplitMix64(5).next_u64()
 
 
 def _generated_batch():
