@@ -21,10 +21,6 @@ __all__ = ["DdNode", "DdStore", "DEFAULT_NODE_CAPACITY", "NODE_LIMIT_ENV"]
 DEFAULT_NODE_CAPACITY = 1 << 22
 NODE_LIMIT_ENV = "EPISTLE_NODE_LIMIT"
 
-# Terminals sit below every variable in the order.
-_TERMINAL_LEVEL = float("inf")
-
-
 class DdNode:
     """One diagram node; ``low`` is the branch where ``var`` is false.
 
@@ -47,10 +43,6 @@ class DdNode:
         if self.is_terminal:
             return f"<DdNode terminal {id(self):#x}>"
         return f"<DdNode var={self.var} {id(self):#x}>"
-
-
-def _level(node: DdNode):
-    return _TERMINAL_LEVEL if node.var is None else node.var
 
 
 def default_node_capacity() -> int:
@@ -85,10 +77,14 @@ class DdStore:
     def _node(self, var: int, low: DdNode, high: DdNode) -> DdNode:
         if low is high:
             return low
-        assert var < _level(low) and var < _level(high), "variable order violated"
         key = (var, low, high)
         node = self._unique.get(key)
         if node is None:
+            # a unique-table hit passed this check when it was created;
+            # terminals (var None) sit below every variable in the order
+            assert (low.var is None or var < low.var) and (
+                high.var is None or var < high.var
+            ), "variable order violated"
             if self._count >= self.capacity:
                 raise StoreCapacity(f"node store exceeded {self.capacity} nodes")
             node = DdNode(var, low, high)
@@ -121,10 +117,25 @@ class DdStore:
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
-        top = min(_level(c), _level(t), _level(e))
-        c0, c1 = _cofactors(c, top)
-        t0, t1 = _cofactors(t, top)
-        e0, e1 = _cofactors(e, top)
+        # c is not a terminal here; terminals of t and e carry var None
+        top = cv = c.var
+        tv, ev = t.var, e.var
+        if tv is not None and tv < top:
+            top = tv
+        if ev is not None and ev < top:
+            top = ev
+        if cv == top:
+            c0, c1 = c.low, c.high
+        else:
+            c0 = c1 = c
+        if tv == top:
+            t0, t1 = t.low, t.high
+        else:
+            t0 = t1 = t
+        if ev == top:
+            e0, e1 = e.low, e.high
+        else:
+            e0 = e1 = e
         result = self._node(top, self.ite(c0, t0, e0), self.ite(c1, t1, e1))
         self._ite_cache[key] = result
         return result
@@ -226,13 +237,10 @@ class DdStore:
         return frozenset(out)
 
     def check_reduced(self) -> None:
-        """Assert the store invariant: no node has identical branches."""
+        """Assert the store invariants: no node has identical branches, and
+        every node's variable sits above its children's."""
         for (var, low, high), node in self._unique.items():
             assert low is not high, f"unreduced node for var {var}"
             assert node.var == var
-
-
-def _cofactors(node: DdNode, var: int) -> tuple[DdNode, DdNode]:
-    if node.var == var:
-        return node.low, node.high
-    return node, node
+            for child in (low, high):
+                assert child.var is None or var < child.var, f"order violated at var {var}"

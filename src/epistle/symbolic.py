@@ -10,7 +10,8 @@ quantification over the hidden variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .bdd import DdNode, DdStore
 from .errors import ContradictoryPremise
@@ -47,7 +48,7 @@ class KnowledgeStructure:
 
     def __post_init__(self):
         for i, observed in enumerate(self.obs_vars):
-            if any(v < 0 or v >= self.n_props for v in observed):
+            if observed and (min(observed) < 0 or max(observed) >= self.n_props):
                 raise ValueError(f"agent {i} observes variables outside the vocabulary")
 
     @classmethod
@@ -60,6 +61,19 @@ class KnowledgeStructure:
 
     def live_count(self) -> int:
         return self.store.count_sat(self.state_law, self.n_props)
+
+
+@lru_cache(maxsize=256)
+def _hidden(n_props: int, observed: frozenset[int]) -> tuple[int, ...]:
+    """The variables an agent observing ``observed`` does not see, ascending."""
+    return tuple(v for v in range(n_props) if v not in observed)
+
+
+def _knows(ks: KnowledgeStructure, agent: int, x: DdNode) -> DdNode:
+    """States where ``agent`` knows the diagram ``x``: ``∀ hidden (law → x)``."""
+    store = ks.store
+    hidden = _hidden(ks.n_props, ks.obs_vars[agent])
+    return store.forall(hidden, store.implies(ks.state_law, x))
 
 
 def translate(ks: KnowledgeStructure, f: Formula) -> DdNode:
@@ -79,17 +93,15 @@ def translate(ks: KnowledgeStructure, f: Formula) -> DdNode:
     if isinstance(f, Implies):
         return store.implies(translate(ks, f.left), translate(ks, f.right))
     if isinstance(f, Knows):
-        hidden = [v for v in range(ks.n_props) if v not in ks.obs_vars[f.agent]]
-        body = store.implies(ks.state_law, translate(ks, f.child))
-        return store.forall(hidden, body)
+        return _knows(ks, f.agent, translate(ks, f.child))
     if isinstance(f, KnowsWhether):
-        return store.or_(
-            translate(ks, Knows(f.agent, f.child)),
-            translate(ks, Knows(f.agent, Not(f.child))),
-        )
+        # one translation of the child serves both disjuncts
+        body = translate(ks, f.child)
+        return store.or_(_knows(ks, f.agent, body), _knows(ks, f.agent, store.not_(body)))
     if isinstance(f, Announced):
         made = translate(ks, f.announcement)
-        after = replace(ks, state_law=store.and_(ks.state_law, made))
+        law = store.and_(ks.state_law, made)
+        after = KnowledgeStructure(store, ks.n_props, law, ks.obs_vars)
         return store.implies(made, translate(after, f.continuation))
     raise TypeError(f"not a formula: {f!r}")
 
@@ -97,7 +109,8 @@ def translate(ks: KnowledgeStructure, f: Formula) -> DdNode:
 def announce_symbolic(ks: KnowledgeStructure, psi: Formula) -> KnowledgeStructure:
     """Conjoin the announced formula onto the state law."""
     made = translate(ks, psi)
-    return replace(ks, state_law=ks.store.and_(ks.state_law, made))
+    law = ks.store.and_(ks.state_law, made)
+    return KnowledgeStructure(ks.store, ks.n_props, law, ks.obs_vars)
 
 
 def is_contradictory_symbolic(ks0: KnowledgeStructure, anns: list[Formula]) -> bool:

@@ -3,9 +3,11 @@ import pytest
 from epistle.bdd import DEFAULT_NODE_CAPACITY, DdStore, default_node_capacity
 from epistle.errors import StoreCapacity
 from epistle.formula import And, Atom, Implies, Not, Or
+from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
+from epistle.symbolic import KnowledgeStructure, announce_symbolic, translate
 
-from support import random_boolean_formula, truth_table_worlds
+from support import random_boolean_formula, random_formula, truth_table_worlds
 
 
 def build(store, f):
@@ -82,6 +84,37 @@ class TestCanonicity:
             build(store, random_boolean_formula(rng, 6, 4))
         store.check_reduced()
 
+    def test_store_stays_reduced_after_symbolic_labels(self):
+        # the per-label pattern: announcements, then one hypothesis
+        rng = SplitMix64(0xEF)
+        for n in (2, 3, 4):
+            for _ in range(25):
+                rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
+                store = DdStore()
+                ks = KnowledgeStructure.from_observability(
+                    store, ObservabilityMatrix.from_rows(rows)
+                )
+                for _ in range(rng.below(3)):
+                    ks = announce_symbolic(ks, random_formula(rng, n, announce_budget=0))
+                store.implies(ks.state_law, translate(ks, random_formula(rng, n)))
+                store.check_reduced()
+
+    def test_order_violation_is_refused(self):
+        rng = SplitMix64(0xF1)
+        populated = DdStore()
+        for _ in range(200):
+            build(populated, random_boolean_formula(rng, 4, 3))
+        for store in (DdStore(), populated):
+            x0, x1 = store.var(0), store.var(1)
+            for var, low, high in (
+                (1, x0, store.true),  # child above its parent
+                (1, store.false, x1),  # child at its parent's level
+                (2, x1, x0),  # both children above
+            ):
+                with pytest.raises(AssertionError, match="variable order violated"):
+                    store._node(var, low, high)
+            store.check_reduced()
+
 
 class TestIte:
     def test_matches_and_or_composition(self):
@@ -112,6 +145,49 @@ class TestIte:
                 )
             )
             assert store.sat_worlds(node, 4) == expected
+
+    def test_truth_table_with_branches_above_the_condition(self):
+        # c uses only p2, p3; t and e are terminals or sit above, below or
+        # level with c, so every cofactor case of ite runs
+        rng = SplitMix64(0x180)
+        n = 4
+        store = DdStore()
+        constants = (Or((Atom(0), Not(Atom(0)))), And((Atom(0), Not(Atom(0)))))
+        for _ in range(300):
+            fc = _shift(random_boolean_formula(rng, 2, 2), 2)
+            operands = []
+            for _ in range(2):
+                kind = rng.below(4)
+                if kind == 0:
+                    operands.append(rng.choice(constants))
+                elif kind == 1:
+                    operands.append(random_boolean_formula(rng, 2, 2))  # above c
+                elif kind == 2:
+                    operands.append(_shift(random_boolean_formula(rng, 2, 2), 2))
+                else:
+                    operands.append(random_boolean_formula(rng, n, 2))
+            ft, fe = operands
+            c = build(store, fc)
+            if c is store.true or c is store.false:
+                continue
+            node = store.ite(c, build(store, ft), build(store, fe))
+            in_c, in_t, in_e = (truth_table_worlds(f, n) for f in (fc, ft, fe))
+            expected = frozenset(
+                w for w in range(1 << n) if (w in in_t if w in in_c else w in in_e)
+            )
+            assert store.sat_worlds(node, n) == expected
+        store.check_reduced()
+
+
+def _shift(f, by):
+    """``f`` with every proposition index raised by ``by``."""
+    if isinstance(f, Atom):
+        return Atom(f.prop + by)
+    if isinstance(f, Not):
+        return Not(_shift(f.child, by))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_shift(c, by) for c in f.children))
+    return Implies(_shift(f.left, by), _shift(f.right, by))
 
 
 class TestForall:

@@ -287,6 +287,16 @@ class TestCheckCommand:
             in proc.stderr
         )
 
+    def test_deepest_nested_whether_labels_on_both_backends(self):
+        # symbolic translation once cost 2^depth here
+        proc = run_cli(
+            "check", "--n", "2", "--backend", "both",
+            "--hyp", "Kw[1] " * MAX_NESTING + "p0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == ["explicit: True", "symbolic: True"]
+
     def test_node_limit_exits_2_without_traceback(self):
         proc = run_cli(
             "check", "--n", "3", "--backend", "symbolic",

@@ -1,5 +1,6 @@
 import pytest
 
+import epistle.symbolic as symbolic
 from epistle.bdd import DdStore
 from epistle.dsl import parse_formula
 from epistle.errors import ContradictoryPremise
@@ -55,6 +56,48 @@ class TestTranslate:
         ks = forehead_ks(store, 3)
         f = KnowsWhether(1, Or((Atom(0), Atom(2))))
         assert translate(ks, f) is translate(ks, expand_whether(1, f.child))
+        # random formulas and matrices, under laws left by announcements
+        rng = SplitMix64(0x3E)
+        for n in (2, 3, 4, 5):
+            for _ in range(8):
+                rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
+                store = DdStore()
+                ks = KnowledgeStructure.from_observability(
+                    store, ObservabilityMatrix.from_rows(rows)
+                )
+                # keep only announcements that leave some state alive
+                for _ in range(rng.below(3)):
+                    after = announce_symbolic(
+                        ks, random_formula(rng, n, depth=2, announce_budget=0)
+                    )
+                    if after.state_law is not store.false:
+                        ks = after
+                for _ in range(10):
+                    agent = rng.below(n)
+                    child = random_formula(rng, n, depth=3)
+                    assert translate(ks, KnowsWhether(agent, child)) is translate(
+                        ks, expand_whether(agent, child)
+                    )
+
+    def test_nested_whether_visits_each_node_once(self, monkeypatch):
+        visited = []
+        original = symbolic.translate
+
+        def counting(ks, f):
+            visited.append(f)
+            return original(ks, f)
+
+        # the recursion looks ``translate`` up on the module, so it counts too
+        monkeypatch.setattr(symbolic, "translate", counting)
+        for depth in range(1, 21):
+            f = Atom(0)
+            for _ in range(depth):
+                f = KnowsWhether(1, f)
+            store = DdStore()
+            visited.clear()
+            # agent 1 observes p0 on foreheads, so every level is known
+            assert symbolic.translate(forehead_ks(store, 2), f) is store.true
+            assert len(visited) == depth + 1
 
     def test_matches_explicit_satisfying_sets(self):
         rng = SplitMix64(0x51)
@@ -78,7 +121,30 @@ class TestTranslate:
                     assert store.sat_worlds(node, n) == worlds_where(model, f)
 
 
+class TestKnowledgeStructure:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_observed_variable_outside_vocabulary_names_the_agent(self, bad):
+        store = DdStore()
+        observed = (frozenset({0}), frozenset({1, bad}), frozenset())
+        with pytest.raises(ValueError, match="agent 1 observes variables outside"):
+            KnowledgeStructure(store, 3, store.true, observed)
+
+    def test_observed_variables_at_the_vocabulary_edges_are_accepted(self):
+        store = DdStore()
+        observed = (frozenset({0, 2}), frozenset(), frozenset({2}))
+        assert KnowledgeStructure(store, 3, store.true, observed).obs_vars == observed
+
+
 class TestAnnounceSymbolic:
+    def test_keeps_store_vocabulary_and_observations(self):
+        store = DdStore()
+        ks = forehead_ks(store, 3)
+        after = announce_symbolic(ks, Or((Atom(0), Atom(2))))
+        assert after.store is ks.store
+        assert after.n_props == ks.n_props
+        assert after.obs_vars is ks.obs_vars
+        assert after.state_law is not ks.state_law
+
     def test_tautology_returns_same_law_node(self):
         store = DdStore()
         ks = forehead_ks(store, 2)
