@@ -54,7 +54,6 @@ from .kripke import (
     evaluate,
     is_contradictory,
     label,
-    worlds_where,
 )
 from .names import DEFAULT_NAME_POOL, NamePool
 from .records import DatasetRecord, read_jsonl, record_from_instance, write_jsonl

@@ -6,8 +6,10 @@ unique table, so structurally equal diagrams are the same object and logical
 equivalence is pointer equality.  All boolean operations route through a
 memoized if-then-else.
 
-A store and every diagram built from it belong to one execution context;
-diagrams from different stores must never be mixed.
+A store and every diagram built from it belong to one thread; diagrams from
+different stores must never be mixed.  The symbolic backend keeps one store
+per thread across labels (``epistle.backends``), so nodes and cached results
+outlive the label that made them.
 """
 
 from __future__ import annotations

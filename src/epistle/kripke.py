@@ -35,7 +35,6 @@ __all__ = [
     "build_initial_model",
     "evaluate",
     "announce",
-    "worlds_where",
     "is_contradictory",
     "label",
 ]
@@ -60,14 +59,6 @@ class ObservabilityMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def agent_mask(self, agent: int) -> int:
-        """Bitmask of the propositions agent ``agent`` observes."""
-        mask = 0
-        for j, bit in enumerate(self.rows[agent]):
-            if bit:
-                mask |= 1 << j
-        return mask
 
     def observed(self, agent: int) -> frozenset[int]:
         return frozenset(j for j, bit in enumerate(self.rows[agent]) if bit)
@@ -182,11 +173,6 @@ def _eval(m: KripkeModel, live: int, f: Formula) -> int:
 def announce(m: KripkeModel, psi: Formula) -> KripkeModel:
     """Restrict the model to the worlds where ``psi`` holds; may be empty."""
     return replace(m, mask=_eval(m, m.mask, psi))
-
-
-def worlds_where(m: KripkeModel, f: Formula) -> frozenset[int]:
-    """Live worlds satisfying ``f``."""
-    return announce(m, f).live
 
 
 def is_contradictory(m0: KripkeModel, anns: list[Formula]) -> bool:

@@ -56,11 +56,16 @@ class KnowledgeStructure:
         cls, store: DdStore, obs: ObservabilityMatrix
     ) -> "KnowledgeStructure":
         """Initial structure: unconstrained law, observations from the matrix."""
-        observed = tuple(obs.observed(i) for i in range(obs.n))
-        return cls(store, obs.n, store.true, observed)
+        return cls(store, obs.n, store.true, _observed(obs))
 
     def live_count(self) -> int:
         return self.store.count_sat(self.state_law, self.n_props)
+
+
+@lru_cache(maxsize=256)
+def _observed(obs: ObservabilityMatrix) -> tuple[frozenset[int], ...]:
+    """Each agent's observed variables; matrices recur across labels."""
+    return tuple(obs.observed(i) for i in range(obs.n))
 
 
 @lru_cache(maxsize=256)
@@ -72,8 +77,8 @@ def _hidden(n_props: int, observed: frozenset[int]) -> tuple[int, ...]:
 def _knows(ks: KnowledgeStructure, agent: int, x: DdNode) -> DdNode:
     """States where ``agent`` knows the diagram ``x``: ``∀ hidden (law → x)``."""
     store = ks.store
-    hidden = _hidden(ks.n_props, ks.obs_vars[agent])
-    return store.forall(hidden, store.implies(ks.state_law, x))
+    hidden = _hidden(ks.n_props, ks.obs_vars[agent])  # already sorted and unique
+    return store._forall(hidden, store.implies(ks.state_law, x))
 
 
 def translate(ks: KnowledgeStructure, f: Formula) -> DdNode:

@@ -18,6 +18,7 @@ from epistle.formula import (
     Not,
     Or,
 )
+from epistle.kripke import KripkeModel, ObservabilityMatrix, announce
 from epistle.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,24 @@ def oracle_label(n: int, obs_rows, anns, hyp) -> bool | None:
         if not live:
             return None
     return all(oracle_eval(live, obs_rows, w, hyp) for w in live)
+
+
+# ---------------------------------------------------------------------------
+# views of the library's own models (not independent of it)
+
+
+def worlds_where(m: KripkeModel, f: Formula) -> frozenset[int]:
+    """Live worlds of ``m`` satisfying ``f``."""
+    return announce(m, f).live
+
+
+def agent_mask(obs: ObservabilityMatrix, agent: int) -> int:
+    """Bitmask of the propositions agent ``agent`` observes."""
+    mask = 0
+    for j, bit in enumerate(obs.rows[agent]):
+        if bit:
+            mask |= 1 << j
+    return mask
 
 
 # ---------------------------------------------------------------------------

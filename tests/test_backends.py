@@ -1,0 +1,177 @@
+"""The symbolic backend's per-thread store: kept across labels, dropped past
+its retention bound, and retried once on a fresh store when full."""
+
+import sys
+import threading
+
+import pytest
+
+from epistle import backends
+from epistle.backends import contradictory, explicit_label, symbolic_label
+from epistle.bdd import DdStore
+from epistle.errors import ContradictoryPremise, StoreCapacity
+from epistle.formula import And, Atom
+from epistle.kripke import ObservabilityMatrix
+from epistle.rng import SplitMix64
+from epistle.symbolic import KnowledgeStructure, label_symbolic
+
+from support import oracle_label, random_boolean_formula, random_formula
+
+
+@pytest.fixture(autouse=True)
+def no_thread_store():
+    """Each test starts and ends without a store kept on this thread."""
+    backends._thread.store = None
+    yield
+    backends._thread.store = None
+
+
+def kept_store():
+    return getattr(backends._thread, "store", None)
+
+
+def random_problem(rng, n):
+    obs = ObservabilityMatrix.from_rows([[rng.chance(0.5) for _ in range(n)] for _ in range(n)])
+    anns = [random_formula(rng, n, depth=2) for _ in range(rng.below(3))]
+    if rng.chance(0.5):  # shrink the live set before the epistemic ones
+        anns.insert(0, random_boolean_formula(rng, n, 2))
+    return obs, anns, random_formula(rng, n, depth=2)
+
+
+def fresh_store_label(obs, anns, hyp):
+    ks = KnowledgeStructure.from_observability(DdStore(), obs)
+    return label_symbolic(ks, anns, hyp)
+
+
+def outcome(checker, obs, anns, hyp):
+    try:
+        return checker(obs, anns, hyp)
+    except ContradictoryPremise:
+        return None
+
+
+def atom_label(n, *props):
+    """Label the conjunction of ``props`` with no announcements (False for
+    any nonempty conjunction of atoms)."""
+    hyp = Atom(props[0]) if len(props) == 1 else And(tuple(Atom(p) for p in props))
+    return symbolic_label(ObservabilityMatrix.identity(n), [], hyp)
+
+
+class TestRetainedStore:
+    def test_labels_match_fresh_stores_and_oracle(self):
+        # one interleaved sequence, so n changes from one label to the next
+        rng = SplitMix64(0x5702E)
+        sizes, store = set(), None
+        for _ in range(200):
+            n = 2 + rng.below(4)
+            sizes.add(n)
+            obs, anns, hyp = random_problem(rng, n)
+            expected = oracle_label(n, obs.rows, anns, hyp)
+            assert outcome(fresh_store_label, obs, anns, hyp) == expected
+            assert outcome(symbolic_label, obs, anns, hyp) == expected
+            assert contradictory(obs, anns, "symbolic") is (expected is None)
+            if store is None:
+                store = kept_store()
+            assert kept_store() is store  # one store served every label
+        assert sizes == {2, 3, 4, 5}
+        store.check_reduced()
+
+    def test_one_store_serves_labels_and_contradiction_tests(self):
+        obs = ObservabilityMatrix.ones_minus_identity(3)
+        hyp = Atom(0)
+        symbolic_label(obs, [], hyp)
+        store = kept_store()
+        assert store is not None
+        contradictory(obs, [hyp], "symbolic")
+        symbolic_label(obs, [hyp], hyp)
+        assert kept_store() is store
+
+    def test_retention_bound_drops_the_store(self, monkeypatch):
+        monkeypatch.setattr(backends, "RETAINED_NODE_LIMIT", 3)
+        atom_label(2, 0)  # two terminals and one variable node
+        store = kept_store()
+        assert len(store) == 3
+        atom_label(2, 1)
+        assert kept_store() is None
+        atom_label(2, 0)
+        assert kept_store() is not None and kept_store() is not store
+
+    def test_threads_get_distinct_stores(self):
+        # more threads than cores, switching often, all labeling at once
+        rng = SplitMix64(0x7E4D)
+        problems = [random_problem(rng, 2 + rng.below(3)) for _ in range(60)]
+        expected = [outcome(explicit_label, *p) for p in problems]
+        names = "abcd"
+        all_started = threading.Barrier(len(names))
+        stores, got = {}, {}
+
+        def work(name):
+            all_started.wait(timeout=30)
+            got[name] = [outcome(symbolic_label, *p) for p in problems]
+            stores[name] = kept_store()  # holding it keeps its id unique
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {name: expected for name in names}
+        assert None not in stores.values()
+        assert len({id(store) for store in stores.values()}) == len(names)
+        assert kept_store() is None  # nothing leaked into this thread
+        for store in stores.values():
+            store.check_reduced()
+
+
+class TestCapacityRetry:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Cap stores at 6 nodes (two terminals and four internal nodes) and
+        count the stores the backend makes."""
+        monkeypatch.setenv("EPISTLE_NODE_LIMIT", "6")
+        count = [0]
+
+        class CountedStore(DdStore):
+            def __init__(self):
+                count[0] += 1
+                super().__init__()
+
+        monkeypatch.setattr(backends, "DdStore", CountedStore)
+        return count
+
+    def test_label_that_fits_an_empty_store_succeeds_on_a_full_one(self, made):
+        atom_label(4, 0)
+        atom_label(4, 1)
+        full = kept_store()
+        assert len(full) == 4 and made[0] == 1
+        # p2 & p3 needs three nodes: too many for the kept store, not for a new one
+        assert atom_label(4, 2, 3) is False
+        assert made[0] == 2
+        assert kept_store() is not full and len(kept_store()) == 5
+
+    def test_label_too_big_for_an_empty_store_still_raises(self, made):
+        with pytest.raises(StoreCapacity):
+            atom_label(4, 0, 1, 2, 3)
+        assert made[0] == 1  # a fresh store is not retried
+        assert kept_store() is None
+        atom_label(4, 0)
+        with pytest.raises(StoreCapacity):
+            atom_label(4, 0, 1, 2, 3)
+        assert made[0] == 3  # the kept store, then one fresh store
+        assert kept_store() is None
+        assert atom_label(4, 1) is False
+        assert len(kept_store()) == 3
+
+    def test_kept_store_left_empty_is_not_retried(self, made):
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            atom_label(4, 9)  # fails before making a node
+        assert len(kept_store()) == 2 and made[0] == 1
+        with pytest.raises(StoreCapacity):
+            atom_label(4, 0, 1, 2, 3)
+        assert made[0] == 1

@@ -21,13 +21,19 @@ from epistle.kripke import (
     evaluate,
     is_contradictory,
     label,
-    worlds_where,
 )
 from epistle.generator import sample_observability
 from epistle.rng import SplitMix64
 from epistle.setups import ALL_SETUPS
 
-from support import oracle_eval, oracle_label, random_boolean_formula, random_formula
+from support import (
+    agent_mask,
+    oracle_eval,
+    oracle_label,
+    random_boolean_formula,
+    random_formula,
+    worlds_where,
+)
 
 # worlds are ints with bit j = proposition j, so (p0=1, p1=0) is 0b01
 
@@ -53,7 +59,7 @@ def random_observability(rng, n):
 
 
 def classes(m, agent):
-    mask = m.obs.agent_mask(agent)
+    mask = agent_mask(m.obs, agent)
     buckets = {}
     for w in m.live:
         buckets.setdefault(w & mask, set()).add(w)

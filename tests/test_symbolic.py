@@ -20,7 +20,6 @@ from epistle.kripke import (
     build_initial_model,
     is_contradictory,
     label,
-    worlds_where,
 )
 from epistle.rng import SplitMix64
 from epistle.symbolic import (
@@ -31,7 +30,7 @@ from epistle.symbolic import (
     translate,
 )
 
-from support import random_boolean_formula, random_formula
+from support import random_boolean_formula, random_formula, worlds_where
 
 
 def forehead_ks(store, n):
