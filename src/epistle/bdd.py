@@ -71,6 +71,7 @@ class DdStore:
         self._unique: dict[tuple, DdNode] = {}
         self._ite_cache: dict[tuple, DdNode] = {}
         self._forall_cache: dict[tuple, DdNode] = {}
+        self._vars: dict[int, DdNode] = {}
         self._count = 2  # the terminals
 
     def __len__(self) -> int:
@@ -100,9 +101,13 @@ class DdStore:
         return self.true if value else self.false
 
     def var(self, index: int) -> DdNode:
-        if index < 0:
-            raise ValueError(f"variable index must be nonnegative, got {index}")
-        return self._node(index, self.false, self.true)
+        node = self._vars.get(index)
+        if node is None:
+            # only nonnegative indices that fit the store are ever cached
+            if index < 0:
+                raise ValueError(f"variable index must be nonnegative, got {index}")
+            node = self._vars[index] = self._node(index, self.false, self.true)
+        return node
 
     # -- boolean operations ------------------------------------------------
 

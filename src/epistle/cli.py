@@ -236,7 +236,7 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 
 
 @main.command()
-@click.option("--count", type=int, default=1000, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_exit_on_resource_limit
 def crosscheck(count, seed):
@@ -277,7 +277,9 @@ def crosscheck(count, seed):
 
 @main.command()
 @click.option("--n", type=int, required=True, help="Number of children, all muddy.")
-@click.option("--rounds", type=int, default=None, help="Cap on ignorance rounds.")
+@click.option(
+    "--rounds", type=click.IntRange(min=0), default=None, help="Cap on ignorance rounds."
+)
 @click.option(
     "--backend",
     type=click.Choice(["explicit", "symbolic"]),

@@ -7,7 +7,7 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .dsl import print_formula
@@ -15,21 +15,6 @@ from .generator import ProblemInstance
 from .verbalize import render_premise
 
 __all__ = ["DatasetRecord", "record_from_instance", "write_jsonl", "read_jsonl"]
-
-_FIELD_ORDER = (
-    "premise",
-    "hypothesis",
-    "label",
-    "setup",
-    "n_agents",
-    "n_announcements",
-    "hypothesis_order",
-    "premise_formulas",
-    "hypothesis_formula",
-    "names",
-    "seed",
-    "index",
-)
 
 
 @dataclass(frozen=True)
@@ -52,6 +37,10 @@ class DatasetRecord:
         payload["premise_formulas"] = list(self.premise_formulas)
         payload["names"] = list(self.names)
         return json.dumps(payload, ensure_ascii=False)
+
+
+# keys are written in field declaration order
+_FIELD_ORDER = tuple(f.name for f in fields(DatasetRecord))
 
 
 def record_from_instance(instance: ProblemInstance) -> DatasetRecord:

@@ -6,11 +6,17 @@ observed-variable set per agent.  Agent ``a`` knows ``f`` at a state exactly
 when ``f`` holds at every state of the law agreeing with it on ``a``'s
 observed variables, which the translation expresses as universal
 quantification over the hidden variables.
+
+The translation takes the law it works under as an argument, so a label
+folds its announcements into one local law (as the explicit backend folds a
+mask of live worlds) and builds no structure per step.  Each vocabulary is
+checked once, and its agents' hidden variables computed once, by a bounded
+cache keyed on the vocabulary size and the observed-variable sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bdd import DdNode, DdStore
@@ -39,17 +45,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnowledgeStructure:
-    """Vocabulary ``0..n_props-1``, state law, per-agent observed variables."""
+    """Vocabulary ``0..n_props-1``, state law, per-agent observed variables.
+
+    ``hidden`` holds each agent's unobserved variables, ascending; it is
+    derived from the vocabulary and not compared.
+    """
 
     store: DdStore
     n_props: int
     state_law: DdNode
     obs_vars: tuple[frozenset[int], ...]
+    hidden: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, observed in enumerate(self.obs_vars):
-            if observed and (min(observed) < 0 or max(observed) >= self.n_props):
-                raise ValueError(f"agent {i} observes variables outside the vocabulary")
+        object.__setattr__(self, "hidden", _hidden(self.n_props, self.obs_vars))
 
     @classmethod
     def from_observability(
@@ -69,45 +78,64 @@ def _observed(obs: ObservabilityMatrix) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=256)
-def _hidden(n_props: int, observed: frozenset[int]) -> tuple[int, ...]:
-    """The variables an agent observing ``observed`` does not see, ascending."""
-    return tuple(v for v in range(n_props) if v not in observed)
+def _hidden(
+    n_props: int, obs_vars: tuple[frozenset[int], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Each agent's unobserved variables, ascending, once per vocabulary.
+
+    Raises ``ValueError`` naming the first agent that observes a variable
+    outside ``0..n_props-1``.
+    """
+    for i, observed in enumerate(obs_vars):
+        if observed and (min(observed) < 0 or max(observed) >= n_props):
+            raise ValueError(f"agent {i} observes variables outside the vocabulary")
+    return tuple(
+        tuple(v for v in range(n_props) if v not in observed) for observed in obs_vars
+    )
 
 
-def _knows(ks: KnowledgeStructure, agent: int, x: DdNode) -> DdNode:
-    """States where ``agent`` knows the diagram ``x``: ``∀ hidden (law → x)``."""
+def _knows(ks: KnowledgeStructure, agent: int, law: DdNode, x: DdNode) -> DdNode:
+    """States where ``agent`` knows the diagram ``x`` under ``law``:
+    ``∀ hidden (law → x)``."""
     store = ks.store
-    hidden = _hidden(ks.n_props, ks.obs_vars[agent])  # already sorted and unique
-    return store._forall(hidden, store.implies(ks.state_law, x))
+    return store._forall(ks.hidden[agent], store.implies(law, x))
 
 
-def translate(ks: KnowledgeStructure, f: Formula) -> DdNode:
-    """Diagram whose satisfying law-states are exactly the worlds where ``f``
-    holds."""
+def translate(ks: KnowledgeStructure, f: Formula, law: DdNode | None = None) -> DdNode:
+    """Diagram whose satisfying ``law``-states are exactly the worlds where
+    ``f`` holds; ``law`` defaults to the structure's state law."""
+    if law is None:
+        law = ks.state_law
     store = ks.store
     if isinstance(f, Atom):
         if f.prop >= ks.n_props:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {ks.n_props}")
         return store.var(f.prop)
     if isinstance(f, Not):
-        return store.not_(translate(ks, f.child))
+        return store.not_(translate(ks, f.child, law))
     if isinstance(f, And):
-        return store.all_of(translate(ks, c) for c in f.children)
+        out = store.true
+        for c in f.children:
+            out = store.and_(out, translate(ks, c, law))
+        return out
     if isinstance(f, Or):
-        return store.any_of(translate(ks, c) for c in f.children)
+        out = store.false
+        for c in f.children:
+            out = store.or_(out, translate(ks, c, law))
+        return out
     if isinstance(f, Implies):
-        return store.implies(translate(ks, f.left), translate(ks, f.right))
+        return store.implies(translate(ks, f.left, law), translate(ks, f.right, law))
     if isinstance(f, Knows):
-        return _knows(ks, f.agent, translate(ks, f.child))
+        return _knows(ks, f.agent, law, translate(ks, f.child, law))
     if isinstance(f, KnowsWhether):
         # one translation of the child serves both disjuncts
-        body = translate(ks, f.child)
-        return store.or_(_knows(ks, f.agent, body), _knows(ks, f.agent, store.not_(body)))
+        body = translate(ks, f.child, law)
+        return store.or_(
+            _knows(ks, f.agent, law, body), _knows(ks, f.agent, law, store.not_(body))
+        )
     if isinstance(f, Announced):
-        made = translate(ks, f.announcement)
-        law = store.and_(ks.state_law, made)
-        after = KnowledgeStructure(store, ks.n_props, law, ks.obs_vars)
-        return store.implies(made, translate(after, f.continuation))
+        made = translate(ks, f.announcement, law)
+        return store.implies(made, translate(ks, f.continuation, store.and_(law, made)))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -118,14 +146,21 @@ def announce_symbolic(ks: KnowledgeStructure, psi: Formula) -> KnowledgeStructur
     return KnowledgeStructure(ks.store, ks.n_props, law, ks.obs_vars)
 
 
+def _announce_all(ks: KnowledgeStructure, anns: list[Formula]) -> DdNode | int:
+    """The state law after ``anns``, or the index of the first announcement
+    that falsifies it."""
+    store = ks.store
+    law = ks.state_law
+    for i, a in enumerate(anns):
+        law = store.and_(law, translate(ks, a, law))
+        if law is store.false:
+            return i
+    return law
+
+
 def is_contradictory_symbolic(ks0: KnowledgeStructure, anns: list[Formula]) -> bool:
     """True iff the law collapses to false at some announcement step."""
-    ks = ks0
-    for a in anns:
-        ks = announce_symbolic(ks, a)
-        if ks.state_law is ks.store.false:
-            return True
-    return False
+    return isinstance(_announce_all(ks0, anns), int)
 
 
 def label_symbolic(ks0: KnowledgeStructure, anns: list[Formula], hyp: Formula) -> bool:
@@ -133,10 +168,8 @@ def label_symbolic(ks0: KnowledgeStructure, anns: list[Formula], hyp: Formula) -
 
     Raises ``ContradictoryPremise`` when an announcement falsifies the law.
     """
-    ks = ks0
-    for i, a in enumerate(anns):
-        ks = announce_symbolic(ks, a)
-        if ks.state_law is ks.store.false:
-            raise ContradictoryPremise(f"announcement {i + 1} falsifies the state law")
-    entailed = ks.store.implies(ks.state_law, translate(ks, hyp))
-    return entailed is ks.store.true
+    law = _announce_all(ks0, anns)
+    if isinstance(law, int):
+        raise ContradictoryPremise(f"announcement {law + 1} falsifies the state law")
+    store = ks0.store
+    return store.implies(law, translate(ks0, hyp, law)) is store.true

@@ -11,6 +11,7 @@ from epistle.backends import contradictory, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.errors import ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Atom
+from epistle.generator import GenConfig, iter_problems
 from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
 from epistle.symbolic import KnowledgeStructure, label_symbolic
@@ -74,6 +75,21 @@ class TestRetainedStore:
                 store = kept_store()
             assert kept_store() is store  # one store served every label
         assert sizes == {2, 3, 4, 5}
+        store.check_reduced()
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_generated_problems_at_larger_n_match_explicit(self, n):
+        cfg = GenConfig(seed=n, n_agents_choices=(n,), max_order=3)
+        store = None
+        for instance in iter_problems(cfg, 200):
+            anns = list(instance.announcement_formulas())
+            hyp = instance.hypothesis.formula
+            assert symbolic_label(instance.obs, anns, hyp) == explicit_label(
+                instance.obs, anns, hyp
+            )
+            if store is None:
+                store = kept_store()
+            assert kept_store() is store
         store.check_reduced()
 
     def test_one_store_serves_labels_and_contradiction_tests(self):

@@ -46,6 +46,16 @@ class TestBasics:
         assert store.const(True) is store.true
         assert store.const(False) is store.false
 
+    def test_var_is_one_node_per_index(self):
+        store = DdStore()
+        with pytest.raises(ValueError, match="nonnegative"):
+            store.var(-1)
+        x = store.var(0)
+        assert store.var(0) is x and store.var(3) is store.var(3)
+        assert len(store) == 4  # two terminals, p0 and p3
+        with pytest.raises(ValueError, match="nonnegative"):
+            store.var(-1)
+
     def test_implies(self):
         store = DdStore()
         x, y = store.var(0), store.var(1)
@@ -265,6 +275,14 @@ class TestCapacity:
                 f = store.or_(
                     store.and_(f, store.not_(x)), store.and_(store.not_(f), x)
                 )
+
+    def test_full_store_refuses_a_new_variable_but_returns_a_made_one(self):
+        store = DdStore(capacity=3)
+        x = store.var(0)
+        for _ in range(2):  # a refused node is not cached
+            with pytest.raises(StoreCapacity):
+                store.var(1)
+        assert store.var(0) is x
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("EPISTLE_NODE_LIMIT", "123")

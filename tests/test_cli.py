@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import epistle
 import epistle.cli as cli
-from epistle.backends import explicit_label, symbolic_label
+from epistle.backends import explicit_label, get_checker, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula
 from epistle.generator import GenConfig, generate_balanced
 from epistle.records import read_jsonl, record_from_instance, write_jsonl
@@ -30,6 +30,9 @@ EXPECTED_KEYS = [
 
 # sha256 of the shipped dataset, ``epistle generate --seed 7``
 DEFAULT_DATASET_SHA256 = "b32783b3ba329e0e57bd51f5d3a9df7bd77d0b42760403b0c8fd6b700251feda"
+# sha256 of ``epistle generate --seed 7 --n-agents 6 --max-order 3
+# --per-setup 100 --backend symbolic``
+SYMBOLIC_DATASET_SHA256 = "4f289d4da55ef13ef2e9d4dcf699cba1684b5dc2a315fe98037d8b87a40f4b84"
 
 
 def run_cli(*args, **env):
@@ -40,6 +43,14 @@ def run_cli(*args, **env):
         [sys.executable, "-m", "epistle", *args],
         env=full_env, capture_output=True, text=True, timeout=60,
     )
+
+
+def assert_usage_error(proc, message):
+    """A clean usage error: exit code 2, one error line, no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]
 
 
 def assert_one_line_exit_2(proc, prefix):
@@ -74,6 +85,13 @@ class TestRecords:
         instances = generate_balanced(GenConfig(seed=7))
         assert write_jsonl(map(record_from_instance, instances), str(path)) == 1600
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_DATASET_SHA256
+
+    def test_symbolic_checker_dataset_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        cfg = GenConfig(seed=7, n_agents_choices=(6,), max_order=3, per_setup_count=100)
+        instances = generate_balanced(cfg, checker=get_checker("symbolic"))
+        assert write_jsonl(map(record_from_instance, instances), str(path)) == 400
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SYMBOLIC_DATASET_SHA256
 
     def test_records_reverify_from_serialized_formulas(self):
         cfg = GenConfig(seed=43, per_setup_count=4)
@@ -364,6 +382,11 @@ class TestCrosscheckCommand:
         assert result.exit_code == 0
         assert "0 instances: 0 mismatches" in result.output
 
+    def test_negative_count_is_a_usage_error(self):
+        proc = run_cli("crosscheck", "--count", "-3")
+        assert_usage_error(proc, "Invalid value for '--count': -3 is not in the range x>=0.")
+        assert proc.stdout == ""
+
     def test_injected_backend_bug_is_caught(self, monkeypatch):
         from epistle.formula import Not
 
@@ -404,6 +427,16 @@ class TestPuzzleCommand:
         result = CliRunner().invoke(cli.main, ["puzzle", "--n", "4", "--rounds", "1"])
         assert result.exit_code == 0
         assert "stopped after 1 rounds without resolution" in result.output
+
+    def test_zero_round_cap_announces_only(self):
+        result = CliRunner().invoke(cli.main, ["puzzle", "--n", "3", "--rounds", "0"])
+        assert result.exit_code == 0
+        assert "stopped after 0 rounds without resolution" in result.output
+
+    def test_negative_round_cap_is_a_usage_error(self):
+        proc = run_cli("puzzle", "--n", "3", "--rounds", "-1")
+        assert_usage_error(proc, "Invalid value for '--rounds': -1 is not in the range x>=0.")
+        assert proc.stdout == ""
 
     def test_size_limit(self):
         result = CliRunner().invoke(cli.main, ["puzzle", "--n", "25"])

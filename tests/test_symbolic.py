@@ -82,9 +82,9 @@ class TestTranslate:
         visited = []
         original = symbolic.translate
 
-        def counting(ks, f):
+        def counting(ks, f, law=None):
             visited.append(f)
-            return original(ks, f)
+            return original(ks, f, law)
 
         # the recursion looks ``translate`` up on the module, so it counts too
         monkeypatch.setattr(symbolic, "translate", counting)
@@ -127,6 +127,13 @@ class TestKnowledgeStructure:
         observed = (frozenset({0}), frozenset({1, bad}), frozenset())
         with pytest.raises(ValueError, match="agent 1 observes variables outside"):
             KnowledgeStructure(store, 3, store.true, observed)
+
+    def test_vocabulary_check_is_keyed_on_the_vocabulary_size(self):
+        store = DdStore()
+        observed = (frozenset({0}), frozenset({2}))
+        assert KnowledgeStructure(store, 3, store.true, observed).hidden == ((1, 2), (0, 1))
+        with pytest.raises(ValueError, match="agent 1 observes variables outside"):
+            KnowledgeStructure(store, 2, store.true, observed)
 
     def test_observed_variables_at_the_vocabulary_edges_are_accepted(self):
         store = DdStore()
