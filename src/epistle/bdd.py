@@ -71,7 +71,6 @@ class DdStore:
         self._unique: dict[tuple, DdNode] = {}
         self._ite_cache: dict[tuple, DdNode] = {}
         self._forall_cache: dict[tuple, DdNode] = {}
-        self._vars: dict[int, DdNode] = {}
         self._count = 2  # the terminals
 
     def __len__(self) -> int:
@@ -101,13 +100,9 @@ class DdStore:
         return self.true if value else self.false
 
     def var(self, index: int) -> DdNode:
-        node = self._vars.get(index)
-        if node is None:
-            # only nonnegative indices that fit the store are ever cached
-            if index < 0:
-                raise ValueError(f"variable index must be nonnegative, got {index}")
-            node = self._vars[index] = self._node(index, self.false, self.true)
-        return node
+        if index < 0:
+            raise ValueError(f"variable index must be nonnegative, got {index}")
+        return self._node(index, self.false, self.true)
 
     # -- boolean operations ------------------------------------------------
 
@@ -158,18 +153,6 @@ class DdStore:
 
     def implies(self, x: DdNode, y: DdNode) -> DdNode:
         return self.ite(x, y, self.true)
-
-    def all_of(self, items) -> DdNode:
-        out = self.true
-        for x in items:
-            out = self.and_(out, x)
-        return out
-
-    def any_of(self, items) -> DdNode:
-        out = self.false
-        for x in items:
-            out = self.or_(out, x)
-        return out
 
     def forall(self, variables, x: DdNode) -> DdNode:
         """Universal quantification of ``x`` over ``variables``."""

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from epistle.bdd import DEFAULT_NODE_CAPACITY, DdStore, default_node_capacity
@@ -17,9 +19,9 @@ def build(store, f):
     if isinstance(f, Not):
         return store.not_(build(store, f.child))
     if isinstance(f, And):
-        return store.all_of(build(store, c) for c in f.children)
+        return reduce(store.and_, (build(store, c) for c in f.children), store.true)
     if isinstance(f, Or):
-        return store.any_of(build(store, c) for c in f.children)
+        return reduce(store.or_, (build(store, c) for c in f.children), store.false)
     if isinstance(f, Implies):
         return store.implies(build(store, f.left), build(store, f.right))
     raise TypeError(f)
@@ -279,7 +281,7 @@ class TestCapacity:
     def test_full_store_refuses_a_new_variable_but_returns_a_made_one(self):
         store = DdStore(capacity=3)
         x = store.var(0)
-        for _ in range(2):  # a refused node is not cached
+        for _ in range(2):  # a refused node is not made
             with pytest.raises(StoreCapacity):
                 store.var(1)
         assert store.var(0) is x
