@@ -109,8 +109,7 @@ def contradictory(obs: ObservabilityMatrix, anns: list[Formula], backend: str) -
     """Contradiction test under the named backend ("both" requires agreement)."""
     results = []
     if backend in ("explicit", "both"):
-        model = build_initial_model(obs.n, obs)
-        results.append(is_contradictory(model, anns))
+        results.append(is_contradictory(build_initial_model(obs.n, obs), anns))
     if backend in ("symbolic", "both"):
         results.append(_on_thread_store(is_contradictory_symbolic, obs, anns))
     if not results:

@@ -96,9 +96,6 @@ class DdStore:
 
     # -- constructors ------------------------------------------------------
 
-    def const(self, value: bool) -> DdNode:
-        return self.true if value else self.false
-
     def var(self, index: int) -> DdNode:
         if index < 0:
             raise ValueError(f"variable index must be nonnegative, got {index}")
@@ -154,12 +151,8 @@ class DdStore:
     def implies(self, x: DdNode, y: DdNode) -> DdNode:
         return self.ite(x, y, self.true)
 
-    def forall(self, variables, x: DdNode) -> DdNode:
-        """Universal quantification of ``x`` over ``variables``."""
-        vs = tuple(sorted(set(variables)))
-        return self._forall(vs, x)
-
     def _forall(self, vs: tuple[int, ...], x: DdNode) -> DdNode:
+        """Universal quantification of ``x`` over ``vs``, ascending."""
         if not vs or x.is_terminal:
             return x
         # quantified variables above the root cannot occur in x
@@ -204,33 +197,3 @@ class DdStore:
             return got
 
         return walk(x, 0)
-
-    def sat_worlds(self, x: DdNode, n_vars: int) -> frozenset[int]:
-        """All satisfying assignments, as world bitmasks.  Test-scale only."""
-        out: list[int] = []
-
-        def walk(node: DdNode, level: int, acc: int) -> None:
-            if node is self.false:
-                return
-            if level == n_vars:
-                assert node is self.true
-                out.append(acc)
-                return
-            if node.is_terminal or node.var > level:
-                walk(node, level + 1, acc)
-                walk(node, level + 1, acc | (1 << level))
-            else:
-                walk(node.low, level + 1, acc)
-                walk(node.high, level + 1, acc | (1 << level))
-
-        walk(x, 0, 0)
-        return frozenset(out)
-
-    def check_reduced(self) -> None:
-        """Assert the store invariants: no node has identical branches, and
-        every node's variable sits above its children's."""
-        for (var, low, high), node in self._unique.items():
-            assert low is not high, f"unreduced node for var {var}"
-            assert node.var == var
-            for child in (low, high):
-                assert child.var is None or var < child.var, f"order violated at var {var}"

@@ -5,12 +5,12 @@ when generation stalls, 4 for a contradictory premise (without
 --allow-contradiction), 5 when the two backends disagree.  A resource limit is
 a problem too large for the explicit backend (``SizeLimit``) or a
 decision-diagram store that outgrows ``EPISTLE_NODE_LIMIT``
-(``StoreCapacity``); every command reports it as one line on stderr.
+(``StoreCapacity``).  ``_EXITS`` maps each error a command may end in to its
+exit code and the prefix of the one line it prints on stderr.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
@@ -87,22 +87,30 @@ def _parse_dsl(text: str, n: int):
         raise click.UsageError(f"cannot parse {text!r}: {exc}")
 
 
-def _exit_on_resource_limit(command):
-    """Turn a resource limit raised anywhere in ``command`` into one line on
-    stderr and exit code 2."""
+_EXITS = {
+    click.UsageError: (EXIT_USAGE, "Error"),
+    SizeLimit: (EXIT_USAGE, "resource limit"),
+    StoreCapacity: (EXIT_USAGE, "resource limit"),
+    GenerationStall: (EXIT_STALL, "generation stalled"),
+    BackendMismatch: (EXIT_MISMATCH, "backend mismatch"),
+}
 
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
+
+class _Main(click.Group):
+    """Ends a command that raises an error listed in ``_EXITS`` with that
+    error's one stderr line and exit code."""
+
+    def invoke(self, ctx):
         try:
-            return command(*args, **kwargs)
-        except (SizeLimit, StoreCapacity) as exc:
-            click.echo(f"resource limit: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
+            return super().invoke(ctx)
+        except tuple(_EXITS) as exc:
+            code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+            message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+            click.echo(f"{prefix}: {message}", err=True)
+            sys.exit(code)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Epistemic-logic model checking and entailment-dataset generation."""
     try:
@@ -126,7 +134,6 @@ def main():
     help="Checker used to label instances.",
 )
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
-@_exit_on_resource_limit
 def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     """Write a balanced JSON-Lines dataset."""
     try:
@@ -146,14 +153,7 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise click.UsageError(f"cannot write to directory {out_dir!r}")
-    try:
-        instances = generate_balanced(cfg, checker=get_checker(backend))
-    except GenerationStall as exc:
-        click.echo(f"generation stalled: {exc}", err=True)
-        sys.exit(EXIT_STALL)
-    except BackendMismatch as exc:
-        click.echo(f"backend mismatch: {exc}", err=True)
-        sys.exit(EXIT_MISMATCH)
+    instances = generate_balanced(cfg, checker=get_checker(backend))
     # write beside the target and rename, so a failure leaves no partial file
     tmp = os.path.join(out_dir, f".{os.path.basename(out)}.{os.getpid()}.tmp")
     try:
@@ -182,50 +182,41 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     default="explicit",
     show_default=True,
 )
-@click.option("--explain", is_flag=True, help="Print surviving worlds (explicit only).")
+@click.option(
+    "--explain", is_flag=True, help="Print surviving worlds (explicit or both backends)."
+)
 @click.option("--allow-contradiction", is_flag=True)
-@_exit_on_resource_limit
 def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
     """Label one problem given in the formula language."""
     if n < 1:
         raise click.UsageError("--n must be at least 1")
+    if explain and backend == "symbolic":
+        raise click.UsageError("--explain needs the explicit backend (--backend explicit or both)")
     matrix = _parse_obs(obs, n)
     ann_formulas = [_parse_dsl(text, n) for text in announcements]
     hyp_formula = _parse_dsl(hyp, n)
 
-    try:
-        if contradictory(matrix, ann_formulas, backend):
-            click.echo("Contradictory")
-            sys.exit(0 if allow_contradiction else EXIT_CONTRADICTION)
-    except BackendMismatch as exc:
-        click.echo(f"backend mismatch: {exc}", err=True)
+    if contradictory(matrix, ann_formulas, backend):
+        click.echo("Contradictory")
+        sys.exit(0 if allow_contradiction else EXIT_CONTRADICTION)
+
+    labels = {
+        name: fn(matrix, ann_formulas, hyp_formula)
+        for name, fn in (("explicit", explicit_label), ("symbolic", symbolic_label))
+        if backend in (name, "both")
+    }
+    for name, verdict in labels.items():
+        click.echo(f"{name}: {verdict}" if backend == "both" else str(verdict))
+    if len(set(labels.values())) > 1:
+        click.echo("backends disagree", err=True)
         sys.exit(EXIT_MISMATCH)
 
-    results = {}
-    if backend in ("explicit", "both"):
-        results["explicit"] = explicit_label(matrix, ann_formulas, hyp_formula)
-    if backend in ("symbolic", "both"):
-        results["symbolic"] = symbolic_label(matrix, ann_formulas, hyp_formula)
-
-    if backend == "both":
-        click.echo(f"explicit: {results['explicit']}")
-        click.echo(f"symbolic: {results['symbolic']}")
-        if results["explicit"] != results["symbolic"]:
-            click.echo("backends disagree", err=True)
-            sys.exit(EXIT_MISMATCH)
-    else:
-        click.echo(str(results[backend]))
-
     if explain:
-        if "explicit" in results:
-            model = build_initial_model(n, matrix)
-            for a in ann_formulas:
-                model = announce(model, a)
-            worlds = sorted(model.live)
-            rendered = ", ".join(format(w, f"0{n}b")[::-1] for w in worlds)
-            click.echo(f"surviving worlds (p0 leftmost): {rendered}")
-        else:
-            click.echo("--explain requires the explicit backend", err=True)
+        model = build_initial_model(n, matrix)
+        for a in ann_formulas:
+            model = announce(model, a)
+        rendered = ", ".join(format(w, f"0{n}b")[::-1] for w in sorted(model.live))
+        click.echo(f"surviving worlds (p0 leftmost): {rendered}")
 
 
 def _nearest_rank(ordered: list[float], pct: int) -> float:
@@ -238,14 +229,12 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 @main.command()
 @click.option("--count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_exit_on_resource_limit
 def crosscheck(count, seed):
     """Label random instances with both backends and report disagreements."""
     cfg = GenConfig(seed=seed)
     mismatches = 0
     explicit_times = []
     symbolic_times = []
-    checked = 0
     for instance in iter_problems(cfg, count):
         anns = list(instance.announcement_formulas())
         hyp = instance.hypothesis.formula
@@ -257,7 +246,6 @@ def crosscheck(count, seed):
         t2 = time.perf_counter()
         explicit_times.append(t1 - t0)
         symbolic_times.append(t2 - t1)
-        checked += 1
         if a != b:
             mismatches += 1
             click.echo(
@@ -265,7 +253,7 @@ def crosscheck(count, seed):
                 f"hyp={print_formula(hyp)}",
                 err=True,
             )
-    click.echo(f"checked {checked} instances: {mismatches} mismatches")
+    click.echo(f"checked {len(explicit_times)} instances: {mismatches} mismatches")
     for name, times in (("explicit", explicit_times), ("symbolic", symbolic_times)):
         if times:
             times = sorted(times)
@@ -286,7 +274,6 @@ def crosscheck(count, seed):
     default="explicit",
     show_default=True,
 )
-@_exit_on_resource_limit
 def puzzle(n, rounds, backend):
     """Run the classic muddy-children scenario: everyone muddy, the
     existential announcement, then repeated joint ignorance while it is true."""
@@ -301,38 +288,38 @@ def puzzle(n, rounds, backend):
     actual = (1 << n) - 1
     limit = rounds if rounds is not None else n
 
+    # each backend's four steps: announce ignorance, everyone knows, the
+    # children are ignorant at the actual world, and the number of states left
     if backend == "explicit":
-        model = announce(build_initial_model(n, obs), existential)
-        click.echo(f"announced: someone is muddy; {model.mask.bit_count()} worlds remain")
-        done = label(model, [], everyone_knows)
-        k = 0
-        while not done and k < limit and evaluate(model, actual, ignorance):
-            model = announce(model, ignorance)
-            k += 1
-            done = label(model, [], everyone_knows)
-            click.echo(
-                f"round {k}: nobody knew their own status; "
-                f"{model.mask.bit_count()} worlds remain; everyone knows: {'yes' if done else 'no'}"
-            )
+        state, unit = announce(build_initial_model(n, obs), existential), "worlds"
+        step, all_know, ignorant, size = (
+            lambda m: announce(m, ignorance),
+            lambda m: label(m, [], everyone_knows),
+            lambda m: evaluate(m, actual, ignorance),
+            lambda m: m.mask.bit_count(),
+        )
     else:
         store = DdStore()
         ks = KnowledgeStructure.from_observability(store, obs)
-        ks = announce_symbolic(ks, existential)
-        click.echo(f"announced: someone is muddy; {ks.live_count()} states remain")
+        state, unit = announce_symbolic(ks, existential), "states"
+        step, all_know, ignorant, size = (
+            lambda ks: announce_symbolic(ks, ignorance),
+            lambda ks: store.implies(ks.state_law, translate(ks, everyone_knows)) is store.true,
+            lambda ks: store.eval(translate(ks, ignorance), actual),
+            lambda ks: ks.live_count(),
+        )
 
-        def all_know(ks):
-            return store.implies(ks.state_law, translate(ks, everyone_knows)) is store.true
-
-        done = all_know(ks)
-        k = 0
-        while not done and k < limit and store.eval(translate(ks, ignorance), actual):
-            ks = announce_symbolic(ks, ignorance)
-            k += 1
-            done = all_know(ks)
-            click.echo(
-                f"round {k}: nobody knew their own status; "
-                f"{ks.live_count()} states remain; everyone knows: {'yes' if done else 'no'}"
-            )
+    click.echo(f"announced: someone is muddy; {size(state)} {unit} remain")
+    done = all_know(state)
+    k = 0
+    while not done and k < limit and ignorant(state):
+        state = step(state)
+        k += 1
+        done = all_know(state)
+        click.echo(
+            f"round {k}: nobody knew their own status; "
+            f"{size(state)} {unit} remain; everyone knows: {'yes' if done else 'no'}"
+        )
 
     if done:
         click.echo(f"everyone knows their own status after {k} rounds (expected {n - 1})")

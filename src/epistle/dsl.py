@@ -35,6 +35,8 @@ from .formula import (
     KnowsWhether,
     Not,
     Or,
+    conj,
+    disj,
 )
 
 __all__ = ["MAX_NESTING", "parse_formula", "print_formula"]
@@ -46,6 +48,7 @@ _INT = "int"
 _NAME = "name"  # K or Kw
 _PUNCT = "punct"
 _EOF = "eof"
+_DIGITS = frozenset("0123456789")  # not str.isdigit, which takes "²" that int() rejects
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -58,17 +61,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             i += 1
             continue
         start = i
-        if ch == "p" and i + 1 < n and text[i + 1].isdigit():
+        if ch in _DIGITS or (ch == "p" and text[i + 1 : i + 2] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append((_ATOM, int(text[i + 1 : j]), start))
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((_INT, int(text[i:j]), start))
+            atom = ch == "p"
+            tokens.append((_ATOM if atom else _INT, int(text[i + atom : j]), start))
             i = j
         elif ch.isalpha():
             j = i
@@ -138,17 +136,13 @@ class _Parser:
         items = [self.conjunction(depth)]
         while self.accept("|"):
             items.append(self.conjunction(depth))
-        if len(items) == 1:
-            return items[0]
-        return Or(tuple(items))
+        return disj(items)
 
     def conjunction(self, depth: int) -> Formula:
         items = [self.unary(depth)]
         while self.accept("&"):
             items.append(self.unary(depth))
-        if len(items) == 1:
-            return items[0]
-        return And(tuple(items))
+        return conj(items)
 
     def unary(self, depth: int) -> Formula:
         kind, val, offset = self.peek()

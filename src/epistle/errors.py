@@ -16,14 +16,8 @@ class ParseError(EpistleError):
         self.position = position
 
 
-class IndexOutOfRange(EpistleError):
+class IndexOutOfRange(ParseError):
     """An agent or proposition index exceeds the declared agent count."""
-
-    def __init__(self, message: str, position: int = -1):
-        if position >= 0:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
 
 
 class DeadWorld(EpistleError):

@@ -28,11 +28,7 @@ __all__ = [
     "conj",
     "disj",
     "negated",
-    "expand_whether",
-    "atoms_of",
-    "modal_depth",
     "desugar_subject",
-    "reduce_announcements",
 ]
 
 
@@ -139,55 +135,6 @@ def negated(f: Formula) -> Formula:
     return Not(f)
 
 
-def expand_whether(agent: int, f: Formula) -> Formula:
-    """Definitional expansion of "knows whether"."""
-    return Or((Knows(agent, f), Knows(agent, Not(f))))
-
-
-def atoms_of(f: Formula) -> frozenset[int]:
-    """The set of proposition indices occurring in ``f``."""
-    out: set[int] = set()
-    _collect_atoms(f, out)
-    return frozenset(out)
-
-
-def _collect_atoms(f: Formula, out: set[int]) -> None:
-    if isinstance(f, Atom):
-        out.add(f.prop)
-    elif isinstance(f, Not):
-        _collect_atoms(f.child, out)
-    elif isinstance(f, (And, Or)):
-        for c in f.children:
-            _collect_atoms(c, out)
-    elif isinstance(f, Implies):
-        _collect_atoms(f.left, out)
-        _collect_atoms(f.right, out)
-    elif isinstance(f, (Knows, KnowsWhether)):
-        _collect_atoms(f.child, out)
-    elif isinstance(f, Announced):
-        _collect_atoms(f.announcement, out)
-        _collect_atoms(f.continuation, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-
-
-def modal_depth(f: Formula) -> int:
-    """Maximum nesting of knowledge operators in ``f``."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, (And, Or)):
-        return max(modal_depth(c) for c in f.children)
-    if isinstance(f, Implies):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (Knows, KnowsWhether)):
-        return 1 + modal_depth(f.child)
-    if isinstance(f, Announced):
-        return max(modal_depth(f.announcement), modal_depth(f.continuation))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 @lru_cache(maxsize=None)
 def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula:
     """Rewrite a quantified subject to a plain boolean formula over ``n`` atoms.
@@ -223,51 +170,3 @@ def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula
     if not 0 <= subject < n:
         raise ValueError(f"agent index {subject} out of range for n={n}")
     return lits[subject]
-
-
-def reduce_announcements(f: Formula) -> Formula:
-    """Eliminate every announcement operator via the standard equivalences.
-
-    The result contains no ``Announced`` node and is true at exactly the same
-    worlds of every model.  Used as an independent oracle for the semantic
-    backends, so it deliberately shares no code with them.
-    """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Knows):
-        return Knows(f.agent, reduce_announcements(f.child))
-    if isinstance(f, KnowsWhether):
-        return KnowsWhether(f.agent, reduce_announcements(f.child))
-    if isinstance(f, Not):
-        return Not(reduce_announcements(f.child))
-    if isinstance(f, And):
-        return And(tuple(reduce_announcements(c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(reduce_announcements(c) for c in f.children))
-    if isinstance(f, Implies):
-        return Implies(reduce_announcements(f.left), reduce_announcements(f.right))
-    if isinstance(f, Announced):
-        psi = reduce_announcements(f.announcement)
-        cont = reduce_announcements(f.continuation)
-        return _push_announcement(psi, cont)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _push_announcement(psi: Formula, f: Formula) -> Formula:
-    """Rewrite ``[!psi] f`` for an announcement-free ``f``."""
-    if isinstance(f, Atom):
-        return Implies(psi, f)
-    if isinstance(f, Not):
-        return Implies(psi, Not(_push_announcement(psi, f.child)))
-    if isinstance(f, And):
-        return And(tuple(_push_announcement(psi, c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(_push_announcement(psi, c) for c in f.children))
-    if isinstance(f, Implies):
-        return Implies(_push_announcement(psi, f.left), _push_announcement(psi, f.right))
-    if isinstance(f, Knows):
-        return Implies(psi, Knows(f.agent, _push_announcement(psi, f.child)))
-    if isinstance(f, KnowsWhether):
-        # No direct equivalence for "knows whether"; expand it first.
-        return _push_announcement(psi, expand_whether(f.agent, f.child))
-    raise TypeError(f"unexpected node under announcement: {f!r}")

@@ -12,6 +12,7 @@ the substream, so skipping it on a rejected draw changes no other draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .backends import Checker, explicit_label
 from .errors import GenerationStall
@@ -237,6 +238,17 @@ def make_problem(
     )
 
 
+def _accepted(cfg: GenConfig, seed: int, name_pool: NamePool, checker: Checker):
+    """The accepted instances of the draw stream keyed by ``seed``, in draw
+    order; raises ``GenerationStall`` once ``cfg.max_draws_per_bucket``
+    draws are spent."""
+    for draw in range(cfg.max_draws_per_bucket):
+        result = make_problem(substream(seed, draw), cfg, draw, name_pool, checker)
+        if not isinstance(result, Rejected):
+            yield result
+    raise GenerationStall(f"draw budget of {cfg.max_draws_per_bucket} spent")
+
+
 def iter_problems(
     cfg: GenConfig,
     count: int,
@@ -244,18 +256,7 @@ def iter_problems(
     checker: Checker = explicit_label,
 ):
     """Yield ``count`` accepted instances from the unbucketed draw stream."""
-    produced = 0
-    draw = 0
-    while produced < count:
-        if draw >= cfg.max_draws_per_bucket:
-            raise GenerationStall(f"no instance after {draw} draws")
-        rng = substream(cfg.seed, draw)
-        result = make_problem(rng, cfg, draw, name_pool, checker)
-        draw += 1
-        if isinstance(result, Rejected):
-            continue
-        produced += 1
-        yield result
+    return islice(_accepted(cfg, cfg.seed, name_pool, checker), count)
 
 
 def _fill_setup(
@@ -272,25 +273,22 @@ def _fill_setup(
     bucket_seed = split_seed(cfg.seed, setup_ordinal(setup))
     kept: dict[bool, list[ProblemInstance]] = {True: [], False: []}
     seen: set = set()
-    draw = 0
-    while len(kept[True]) < half or len(kept[False]) < half:
-        if draw >= cfg.max_draws_per_bucket:
-            raise GenerationStall(
-                f"setup {setup.value}: {len(kept[True])} True / {len(kept[False])} "
-                f"False after {draw} draws (need {half} of each)"
-            )
-        rng = substream(bucket_seed, draw)
-        result = make_problem(rng, bucket_cfg, draw, name_pool, checker)
-        draw += 1
-        if isinstance(result, Rejected):
-            continue
-        key = result.dedup_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        side = kept[result.label]
-        if len(side) < half:
-            side.append(result)
+    try:
+        for result in _accepted(bucket_cfg, bucket_seed, name_pool, checker):
+            key = result.dedup_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            side = kept[result.label]
+            if len(side) < half:
+                side.append(result)
+                if len(kept[True]) == len(kept[False]) == half:
+                    break
+    except GenerationStall:
+        raise GenerationStall(
+            f"setup {setup.value}: {len(kept[True])} True / {len(kept[False])} "
+            f"False after {cfg.max_draws_per_bucket} draws (need {half} of each)"
+        ) from None
     merged = kept[True] + kept[False]
     merged.sort(key=lambda inst: inst.draw_index)
     return merged

@@ -14,7 +14,7 @@ from .dsl import print_formula
 from .generator import ProblemInstance
 from .verbalize import render_premise
 
-__all__ = ["DatasetRecord", "record_from_instance", "write_jsonl", "read_jsonl"]
+__all__ = ["DatasetRecord", "record_from_instance", "write_jsonl"]
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,8 @@ class DatasetRecord:
     index: int
 
     def to_json(self) -> str:
+        # json writes the tuple fields as arrays
         payload = {name: getattr(self, name) for name in _FIELD_ORDER}
-        payload["premise_formulas"] = list(self.premise_formulas)
-        payload["names"] = list(self.names)
         return json.dumps(payload, ensure_ascii=False)
 
 
@@ -72,7 +71,3 @@ def write_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
             count += 1
     return count
 
-
-def read_jsonl(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -48,10 +48,6 @@ class ExpressionSpec:
     def to_formula(self, n: int) -> Formula:
         f = desugar_subject(self.statement.subject, self.statement.negated, n)
         for layer in reversed(self.layers):
-            node = (
-                KnowsWhether(layer.knower, f)
-                if layer.whether
-                else Knows(layer.knower, f)
-            )
+            node = (KnowsWhether if layer.whether else Knows)(layer.knower, f)
             f = Not(node) if layer.negated else node
         return f

@@ -7,6 +7,8 @@ sets) so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
+
 from epistle.formula import (
     And,
     Announced,
@@ -18,6 +20,7 @@ from epistle.formula import (
     Not,
     Or,
 )
+from epistle.bdd import DdNode, DdStore
 from epistle.kripke import KripkeModel, ObservabilityMatrix, announce
 from epistle.rng import SplitMix64
 
@@ -77,6 +80,80 @@ def oracle_label(n: int, obs_rows, anns, hyp) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
+# announcement elimination (a syntactic oracle sharing no code with the
+# backends)
+
+
+def expand_whether(agent: int, f: Formula) -> Formula:
+    """Definitional expansion of "knows whether"."""
+    return Or((Knows(agent, f), Knows(agent, Not(f))))
+
+
+def reduce_announcements(f: Formula) -> Formula:
+    """Eliminate every announcement operator via the standard equivalences.
+
+    The result contains no ``Announced`` node and is true at exactly the same
+    worlds of every model.
+    """
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Knows):
+        return Knows(f.agent, reduce_announcements(f.child))
+    if isinstance(f, KnowsWhether):
+        return KnowsWhether(f.agent, reduce_announcements(f.child))
+    if isinstance(f, Not):
+        return Not(reduce_announcements(f.child))
+    if isinstance(f, And):
+        return And(tuple(reduce_announcements(c) for c in f.children))
+    if isinstance(f, Or):
+        return Or(tuple(reduce_announcements(c) for c in f.children))
+    if isinstance(f, Implies):
+        return Implies(reduce_announcements(f.left), reduce_announcements(f.right))
+    if isinstance(f, Announced):
+        psi = reduce_announcements(f.announcement)
+        cont = reduce_announcements(f.continuation)
+        return _push_announcement(psi, cont)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _push_announcement(psi: Formula, f: Formula) -> Formula:
+    """Rewrite ``[!psi] f`` for an announcement-free ``f``."""
+    if isinstance(f, Atom):
+        return Implies(psi, f)
+    if isinstance(f, Not):
+        return Implies(psi, Not(_push_announcement(psi, f.child)))
+    if isinstance(f, And):
+        return And(tuple(_push_announcement(psi, c) for c in f.children))
+    if isinstance(f, Or):
+        return Or(tuple(_push_announcement(psi, c) for c in f.children))
+    if isinstance(f, Implies):
+        return Implies(_push_announcement(psi, f.left), _push_announcement(psi, f.right))
+    if isinstance(f, Knows):
+        return Implies(psi, Knows(f.agent, _push_announcement(psi, f.child)))
+    if isinstance(f, KnowsWhether):
+        # No direct equivalence for "knows whether"; expand it first.
+        return _push_announcement(psi, expand_whether(f.agent, f.child))
+    raise TypeError(f"unexpected node under announcement: {f!r}")
+
+
+def modal_depth(f: Formula) -> int:
+    """Maximum nesting of knowledge operators in ``f``."""
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return modal_depth(f.child)
+    if isinstance(f, (And, Or)):
+        return max(modal_depth(c) for c in f.children)
+    if isinstance(f, Implies):
+        return max(modal_depth(f.left), modal_depth(f.right))
+    if isinstance(f, (Knows, KnowsWhether)):
+        return 1 + modal_depth(f.child)
+    if isinstance(f, Announced):
+        return max(modal_depth(f.announcement), modal_depth(f.continuation))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
 # views of the library's own models (not independent of it)
 
 
@@ -92,6 +169,32 @@ def agent_mask(obs: ObservabilityMatrix, agent: int) -> int:
         if bit:
             mask |= 1 << j
     return mask
+
+
+def forall(store: DdStore, variables, x: DdNode) -> DdNode:
+    """Universal quantification of ``x`` over the set ``variables``."""
+    return store._forall(tuple(sorted(set(variables))), x)
+
+
+def sat_worlds(store: DdStore, x: DdNode, n_vars: int) -> frozenset[int]:
+    """Satisfying assignments of ``x`` over ``0..n_vars-1``, by brute force."""
+    return frozenset(w for w in range(1 << n_vars) if store.eval(x, w))
+
+
+def check_reduced(store: DdStore) -> None:
+    """Assert the store invariants: no node has identical branches, and
+    every node's variable sits above its children's."""
+    for (var, low, high), node in store._unique.items():
+        assert low is not high, f"unreduced node for var {var}"
+        assert node.var == var
+        for child in (low, high):
+            assert child.var is None or var < child.var, f"order violated at var {var}"
+
+
+def read_jsonl(path: str) -> list[dict]:
+    """The records of a JSON-Lines file, one dict per nonblank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from epistle.formula import (
     Not,
     conj,
     disj,
-    reduce_announcements,
 )
 from epistle.generator import (
     GenConfig,
@@ -42,7 +41,7 @@ from epistle.symbolic import (
     translate,
 )
 
-from support import oracle_label, random_formula
+from support import oracle_label, random_formula, reduce_announcements
 
 
 def _report(criterion: str):

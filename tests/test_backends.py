@@ -16,7 +16,7 @@ from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
 from epistle.symbolic import KnowledgeStructure, label_symbolic
 
-from support import oracle_label, random_boolean_formula, random_formula
+from support import check_reduced, oracle_label, random_boolean_formula, random_formula
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +75,7 @@ class TestRetainedStore:
                 store = kept_store()
             assert kept_store() is store  # one store served every label
         assert sizes == {2, 3, 4, 5}
-        store.check_reduced()
+        check_reduced(store)
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_generated_problems_at_larger_n_match_explicit(self, n):
@@ -90,7 +90,7 @@ class TestRetainedStore:
             if store is None:
                 store = kept_store()
             assert kept_store() is store
-        store.check_reduced()
+        check_reduced(store)
 
     def test_one_store_serves_labels_and_contradiction_tests(self):
         obs = ObservabilityMatrix.ones_minus_identity(3)
@@ -142,7 +142,7 @@ class TestRetainedStore:
         assert len({id(store) for store in stores.values()}) == len(names)
         assert kept_store() is None  # nothing leaked into this thread
         for store in stores.values():
-            store.check_reduced()
+            check_reduced(store)
 
 
 class TestCapacityRetry:

@@ -9,7 +9,14 @@ from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
 from epistle.symbolic import KnowledgeStructure, announce_symbolic, translate
 
-from support import random_boolean_formula, random_formula, truth_table_worlds
+from support import (
+    check_reduced,
+    forall,
+    random_boolean_formula,
+    random_formula,
+    sat_worlds,
+    truth_table_worlds,
+)
 
 
 def build(store, f):
@@ -45,8 +52,9 @@ class TestBasics:
 
     def test_terminal_constants(self):
         store = DdStore()
-        assert store.const(True) is store.true
-        assert store.const(False) is store.false
+        assert store.true is not store.false
+        assert store.true.is_terminal and store.false.is_terminal
+        assert store.eval(store.true, 0) and not store.eval(store.false, 0)
 
     def test_var_is_one_node_per_index(self):
         store = DdStore()
@@ -94,7 +102,7 @@ class TestCanonicity:
         store = DdStore()
         for _ in range(200):
             build(store, random_boolean_formula(rng, 6, 4))
-        store.check_reduced()
+        check_reduced(store)
 
     def test_store_stays_reduced_after_symbolic_labels(self):
         # the per-label pattern: announcements, then one hypothesis
@@ -109,7 +117,7 @@ class TestCanonicity:
                 for _ in range(rng.below(3)):
                     ks = announce_symbolic(ks, random_formula(rng, n, announce_budget=0))
                 store.implies(ks.state_law, translate(ks, random_formula(rng, n)))
-                store.check_reduced()
+                check_reduced(store)
 
     def test_order_violation_is_refused(self):
         rng = SplitMix64(0xF1)
@@ -125,7 +133,7 @@ class TestCanonicity:
             ):
                 with pytest.raises(AssertionError, match="variable order violated"):
                     store._node(var, low, high)
-            store.check_reduced()
+            check_reduced(store)
 
 
 class TestIte:
@@ -156,7 +164,7 @@ class TestIte:
                     else w in truth_table_worlds(fe, 4)
                 )
             )
-            assert store.sat_worlds(node, 4) == expected
+            assert sat_worlds(store, node, 4) == expected
 
     def test_truth_table_with_branches_above_the_condition(self):
         # c uses only p2, p3; t and e are terminals or sit above, below or
@@ -187,8 +195,8 @@ class TestIte:
             expected = frozenset(
                 w for w in range(1 << n) if (w in in_t if w in in_c else w in in_e)
             )
-            assert store.sat_worlds(node, n) == expected
-        store.check_reduced()
+            assert sat_worlds(store, node, n) == expected
+        check_reduced(store)
 
 
 def _shift(f, by):
@@ -205,17 +213,17 @@ def _shift(f, by):
 class TestForall:
     def test_single_variable(self):
         store = DdStore()
-        assert store.forall({0}, store.var(0)) is store.false
+        assert forall(store, {0}, store.var(0)) is store.false
 
     def test_empty_set_is_identity(self):
         store = DdStore()
         x = store.and_(store.var(0), store.var(2))
-        assert store.forall(set(), x) is x
+        assert forall(store, set(), x) is x
 
     def test_unconstrained_variable_ignored(self):
         store = DdStore()
         x = store.var(1)
-        assert store.forall({0, 2}, x) is x
+        assert forall(store, {0, 2}, x) is x
 
     def test_agrees_with_cofactor_conjunction(self):
         rng = SplitMix64(0xF0)
@@ -225,7 +233,7 @@ class TestForall:
             f = random_boolean_formula(rng, n, 3)
             node = build(store, f)
             vs = {v for v in range(n) if rng.chance(0.4)}
-            got = store.forall(vs, node)
+            got = forall(store, vs, node)
             table = truth_table_worlds(f, n)
             expected = set()
             for w in range(1 << n):
@@ -244,7 +252,7 @@ class TestForall:
                         break
                 if ok:
                     expected.add(w)
-            assert store.sat_worlds(got, n) == frozenset(expected)
+            assert sat_worlds(store, got, n) == frozenset(expected)
 
 
 class TestCounting:
@@ -262,7 +270,7 @@ class TestCounting:
         for _ in range(200):
             f = random_boolean_formula(rng, 5, 3)
             node = build(store, f)
-            assert store.sat_worlds(node, 5) == truth_table_worlds(f, 5)
+            assert sat_worlds(store, node, 5) == truth_table_worlds(f, 5)
             assert store.count_sat(node, 5) == len(truth_table_worlds(f, 5))
 
 

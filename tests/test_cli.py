@@ -11,7 +11,9 @@ import epistle.cli as cli
 from epistle.backends import explicit_label, get_checker, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula
 from epistle.generator import GenConfig, generate_balanced
-from epistle.records import read_jsonl, record_from_instance, write_jsonl
+from epistle.records import record_from_instance, write_jsonl
+
+from support import read_jsonl
 
 EXPECTED_KEYS = [
     "premise",
@@ -46,11 +48,12 @@ def run_cli(*args, **env):
 
 
 def assert_usage_error(proc, message):
-    """A clean usage error: exit code 2, one error line, no traceback."""
+    """A clean usage error: exit code 2, nothing on stdout, and the one
+    ``Error:`` line as the whole of stderr."""
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: {message}"]
+    assert proc.stderr == f"Error: {message}\n"
+    assert proc.stdout == ""
 
 
 def assert_one_line_exit_2(proc, prefix):
@@ -59,6 +62,12 @@ def assert_one_line_exit_2(proc, prefix):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(prefix)
+
+
+def test_public_api_names_resolve():
+    assert len(set(epistle.__all__)) == len(epistle.__all__)
+    for name in epistle.__all__:
+        getattr(epistle, name)
 
 
 class TestRecords:
@@ -149,6 +158,11 @@ class TestGenerateCommand:
         assert len(rows) == 4
         assert all(r["setup"] == "thirst" for r in rows)
 
+    def test_odd_per_setup_is_a_one_line_usage_error(self, tmp_path):
+        proc = run_cli("generate", "--per-setup", "3", "--out", str(tmp_path / "x.jsonl"))
+        assert_usage_error(proc, "per_setup_count must be positive and even")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_exits_2(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(
@@ -225,6 +239,24 @@ class TestGenerateCommand:
             cli.main, ["generate", "--out", str(tmp_path / "x.jsonl")]
         )
         assert result.exit_code == 3
+        assert result.stderr == "generation stalled: forced\n"
+
+    def test_backend_mismatch_exits_5_with_one_line(self, tmp_path, monkeypatch):
+        from epistle.errors import BackendMismatch
+
+        def disagree(*args, **kwargs):
+            raise BackendMismatch("forced")
+
+        monkeypatch.setattr(cli, "generate_balanced", disagree)
+        monkeypatch.setattr(cli, "contradictory", disagree)
+        for args in (
+            ["generate", "--backend", "both", "--out", str(tmp_path / "x.jsonl")],
+            ["check", "--n", "2", "--hyp", "p0", "--backend", "both"],
+        ):
+            result = CliRunner().invoke(cli.main, args)
+            assert result.exit_code == 5
+            assert (result.stdout, result.stderr) == ("", "backend mismatch: forced\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckCommand:
@@ -339,6 +371,37 @@ class TestCheckCommand:
         assert "surviving worlds" in result.output
         assert "10, 01, 11" in result.output
 
+    def test_explain_with_symbolic_backend_is_a_usage_error_before_labeling(
+        self, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("labeled before rejecting --explain")
+
+        monkeypatch.setattr(cli, "contradictory", never)
+        monkeypatch.setattr(cli, "symbolic_label", never)
+        result = self._check("--n", "2", "--hyp", "p0", "--backend", "symbolic", "--explain")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        proc = run_cli("check", "--n", "2", "--hyp", "p0", "--backend", "symbolic", "--explain")
+        assert_usage_error(
+            proc, "--explain needs the explicit backend (--backend explicit or both)"
+        )
+
+    def test_explain_with_both_backends_lists_surviving_worlds(self):
+        result = self._check(
+            "--n", "2", "--announce", "p0 | p1", "--hyp", "p0", "--backend", "both", "--explain"
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "explicit: False",
+            "symbolic: False",
+            "surviving worlds (p0 leftmost): 10, 01, 11",
+        ]
+
+    def test_non_ascii_digit_is_a_one_line_parse_error(self):
+        proc = run_cli("check", "--n", "2", "--hyp", "p\u00b2")
+        assert_usage_error(proc, "cannot parse 'p\u00b2': unknown operator 'p' (at offset 0)")
+
     def test_literal_matrix_rows(self):
         result = self._check(
             "--n", "2",
@@ -381,6 +444,9 @@ class TestCrosscheckCommand:
         result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "0"])
         assert result.exit_code == 0
         assert "0 instances: 0 mismatches" in result.output
+
+    def test_unknown_command_is_a_one_line_usage_error(self):
+        assert_usage_error(run_cli("nosuch"), "No such command 'nosuch'.")
 
     def test_negative_count_is_a_usage_error(self):
         proc = run_cli("crosscheck", "--count", "-3")
@@ -437,6 +503,9 @@ class TestPuzzleCommand:
         proc = run_cli("puzzle", "--n", "3", "--rounds", "-1")
         assert_usage_error(proc, "Invalid value for '--rounds': -1 is not in the range x>=0.")
         assert proc.stdout == ""
+
+    def test_one_child_is_a_one_line_usage_error(self):
+        assert_usage_error(run_cli("puzzle", "--n", "1"), "--n must be at least 2")
 
     def test_size_limit(self):
         result = CliRunner().invoke(cli.main, ["puzzle", "--n", "25"])

@@ -11,17 +11,13 @@ from epistle.formula import (
     Not,
     Or,
     Quantifier,
-    atoms_of,
     desugar_subject,
-    expand_whether,
-    modal_depth,
-    reduce_announcements,
 )
 from epistle.kripke import ObservabilityMatrix, build_initial_model, evaluate
 from epistle.rng import SplitMix64
 
 from conftest import formula_strategy
-from support import random_formula
+from support import expand_whether, modal_depth, random_formula, reduce_announcements
 
 
 class TestDesugarSubject:
@@ -54,22 +50,6 @@ class TestDesugarSubject:
     def test_agent_out_of_range(self):
         with pytest.raises(ValueError):
             desugar_subject(3, False, 3)
-
-
-class TestAtomsOf:
-    def test_mixed(self):
-        f = And((Atom(0), Knows(1, Atom(2))))
-        assert atoms_of(f) == {0, 2}
-
-    def test_negation(self):
-        assert atoms_of(Not(Atom(1))) == {1}
-
-    def test_whether(self):
-        assert atoms_of(KnowsWhether(0, Or((Atom(0), Atom(1))))) == {0, 1}
-
-    def test_announcement(self):
-        f = Announced(Atom(2), Implies(Atom(0), Atom(1)))
-        assert atoms_of(f) == {0, 1, 2}
 
 
 class TestModalDepth:

@@ -11,7 +11,6 @@ from epistle.formula import (
     Not,
     Or,
     Quantifier,
-    modal_depth,
 )
 from epistle.generator import (
     GenConfig,
@@ -28,6 +27,8 @@ from epistle.generator import (
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
+
+from support import modal_depth
 
 
 class ScriptedRng:
@@ -239,8 +240,19 @@ class TestGenerateBalanced:
 
     def test_stall_raises(self):
         cfg = GenConfig(seed=1, per_setup_count=400, max_draws_per_bucket=20)
-        with pytest.raises(GenerationStall):
+        stall = r"setup forehead-mud: \d+ True / \d+ False after 20 draws \(need 200 of each\)"
+        with pytest.raises(GenerationStall, match=stall):
             generate_balanced(cfg)
+
+    def test_iter_problems_stalls_when_draws_run_out(self):
+        cfg = GenConfig(seed=1, max_draws_per_bucket=30)
+        accepted = sum(
+            not isinstance(make_problem(substream(1, d), cfg, d), Rejected) for d in range(30)
+        )
+        assert 0 < accepted < 30
+        assert len(list(iter_problems(cfg, accepted))) == accepted
+        with pytest.raises(GenerationStall, match="draw budget of 30 spent"):
+            list(iter_problems(cfg, accepted + 1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

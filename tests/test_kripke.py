@@ -12,7 +12,6 @@ from epistle.formula import (
     KnowsWhether,
     Not,
     Or,
-    reduce_announcements,
 )
 from epistle.kripke import (
     ObservabilityMatrix,
@@ -32,6 +31,7 @@ from support import (
     oracle_label,
     random_boolean_formula,
     random_formula,
+    reduce_announcements,
     worlds_where,
 )
 

@@ -12,7 +12,6 @@ from epistle.formula import (
     Or,
     conj,
     disj,
-    expand_whether,
 )
 from epistle.kripke import (
     ObservabilityMatrix,
@@ -30,7 +29,13 @@ from epistle.symbolic import (
     translate,
 )
 
-from support import random_boolean_formula, random_formula, worlds_where
+from support import (
+    expand_whether,
+    random_boolean_formula,
+    random_formula,
+    sat_worlds,
+    worlds_where,
+)
 
 
 def forehead_ks(store, n):
@@ -117,7 +122,7 @@ class TestTranslate:
                 for _ in range(100):
                     f = random_formula(rng, n, depth=3)
                     node = store.and_(ks.state_law, translate(ks, f))
-                    assert store.sat_worlds(node, n) == worlds_where(model, f)
+                    assert sat_worlds(store, node, n) == worlds_where(model, f)
 
 
 class TestKnowledgeStructure:
@@ -162,7 +167,7 @@ class TestAnnounceSymbolic:
         ks = forehead_ks(store, 2)
         after = announce_symbolic(ks, Or((Atom(0), Atom(1))))
         assert after.live_count() == 3
-        assert store.sat_worlds(after.state_law, 2) == frozenset({1, 2, 3})
+        assert sat_worlds(store, after.state_law, 2) == frozenset({1, 2, 3})
 
     def test_round_announcements_shrink_like_explicit(self):
         n = 3
@@ -176,7 +181,7 @@ class TestAnnounceSymbolic:
         for step in (existential, ignorance, ignorance):
             ks = announce_symbolic(ks, step)
             model = announce(model, step)
-            assert store.sat_worlds(ks.state_law, n) == model.live
+            assert sat_worlds(store, ks.state_law, n) == model.live
 
 
 class TestLabelSymbolic:
