@@ -62,10 +62,11 @@ def default_node_capacity() -> int:
 
 
 class DdStore:
-    """Owns the unique table, the operation caches, and the two terminals."""
+    """Owns the unique table, the operation caches, and the two terminals;
+    holds at most ``default_node_capacity()`` nodes."""
 
-    def __init__(self, capacity: int | None = None):
-        self.capacity = default_node_capacity() if capacity is None else capacity
+    def __init__(self):
+        self.capacity = default_node_capacity()
         self.true = DdNode(None, None, None)
         self.false = DdNode(None, None, None)
         self._unique: dict[tuple, DdNode] = {}

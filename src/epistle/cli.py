@@ -96,18 +96,32 @@ _EXITS = {
 }
 
 
+def _exit_with(exc: Exception):
+    """Print the one stderr line of an error listed in ``_EXITS`` and exit
+    with its code."""
+    code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+    message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+    click.echo(f"{prefix}: {message}", err=True)
+    sys.exit(code)
+
+
 class _Main(click.Group):
-    """Ends a command that raises an error listed in ``_EXITS`` with that
-    error's one stderr line and exit code."""
+    """Ends a run that raises an error listed in ``_EXITS``, in a command or
+    in the group's own options, with that error's one line and exit code."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.exceptions.NoArgsIsHelpError:
+            raise  # a bare ``epistle`` prints its help
+        except click.UsageError as exc:
+            _exit_with(exc)
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except tuple(_EXITS) as exc:
-            code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
-            message = exc.format_message() if isinstance(exc, click.UsageError) else exc
-            click.echo(f"{prefix}: {message}", err=True)
-            sys.exit(code)
+            _exit_with(exc)
 
 
 @click.group(cls=_Main)

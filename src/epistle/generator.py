@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from .backends import Checker, explicit_label
+from .dsl import MAX_NESTING
 from .errors import GenerationStall
 from .formula import Formula, Quantifier, desugar_subject
 from .kripke import (
@@ -22,7 +23,7 @@ from .kripke import (
     build_initial_model,
     is_contradictory,
 )
-from .names import DEFAULT_NAME_POOL, NamePool
+from .names import DEFAULT_NAME_POOL
 from .rng import SplitMix64, split_seed, substream
 from .setups import ALL_SETUPS, SetupKind, fixed_observability, setup_ordinal
 from .statements import BeliefLayer, ExpressionSpec, StatementSpec
@@ -43,34 +44,37 @@ __all__ = [
 ]
 
 
+# Chance of negating the knowledge operator inside an announcement, and of
+# every other polarity coin (predicate polarity and hypothesis modality).
+P_NEGATE_ANNOUNCEMENT_KNOWLEDGE = 0.8
+P_NEGATE_OTHER = 0.5
+# Draws one stream may spend before generation stalls.
+MAX_DRAWS_PER_BUCKET = 1_000_000
+# The largest belief order whose printed hypothesis still parses.  The
+# deepest one negates every layer ("~K[i] ", two nesting levels each) around
+# a negated "not everyone" statement ("~(~p0 & ~p1)", three levels).
+MAX_ORDER = (MAX_NESTING - 3) // 2
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Sampling parameters.
 
-    ``p_negate_announcement_knowledge`` governs negating the knowledge
-    operator inside announcements; ``p_negate_other`` governs every other
-    polarity coin (predicate polarity and hypothesis modality).  The number
-    of announcements beyond the fixed existential one is uniform on
-    ``0..n_agents``.
+    The number of announcements beyond the fixed existential one is uniform
+    on ``0..n_agents``.
     """
 
     seed: int = 0
     n_agents_choices: tuple[int, ...] = (2, 3)
     max_order: int = 2
-    p_negate_announcement_knowledge: float = 0.8
-    p_negate_other: float = 0.5
     per_setup_count: int = 400
     setups: tuple[SetupKind, ...] = ALL_SETUPS
-    max_draws_per_bucket: int = 1_000_000
 
     def __post_init__(self):
         if self.per_setup_count <= 0 or self.per_setup_count % 2:
             raise ValueError("per_setup_count must be positive and even")
-        for p in (self.p_negate_announcement_knowledge, self.p_negate_other):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
+        if not 1 <= self.max_order <= MAX_ORDER:
+            raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
         if not self.n_agents_choices:
             raise ValueError("n_agents_choices must be nonempty")
         if any(n < 2 for n in self.n_agents_choices):
@@ -144,43 +148,37 @@ def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> Observabil
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
 
 
-def sample_statement(
-    rng: SplitMix64, n: int, negation_prob: float
-) -> tuple[Formula, StatementSpec]:
+def sample_statement(rng: SplitMix64, n: int) -> tuple[Formula, StatementSpec]:
     """Subject uniform over the ``n`` agents plus the three quantifiers;
-    predicate negated with ``negation_prob``."""
+    predicate negated with ``P_NEGATE_OTHER``."""
     idx = rng.below(n + len(_QUANTIFIERS))
     subject = idx if idx < n else _QUANTIFIERS[idx - n]
-    spec = StatementSpec(subject, rng.chance(negation_prob))
+    spec = StatementSpec(subject, rng.chance(P_NEGATE_OTHER))
     return desugar_subject(subject, spec.negated, n), spec
 
 
-def sample_announcement(
-    rng: SplitMix64, n: int, cfg: GenConfig
-) -> tuple[Formula, ExpressionSpec]:
+def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpec]:
     """Fair coin between a bare statement and a first-order belief about one."""
     if rng.chance(0.5):
-        _, statement = sample_statement(rng, n, cfg.p_negate_other)
+        _, statement = sample_statement(rng, n)
         spec = ExpressionSpec((), statement)
     else:
         knower = rng.below(n)
         whether = rng.chance(0.5)
-        negate_knowledge = rng.chance(cfg.p_negate_announcement_knowledge)
-        _, statement = sample_statement(rng, n, cfg.p_negate_other)
+        negate_knowledge = rng.chance(P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
+        _, statement = sample_statement(rng, n)
         spec = ExpressionSpec((BeliefLayer(knower, whether, negate_knowledge),), statement)
     return spec.to_formula(n), spec
 
 
-def sample_hypothesis(
-    rng: SplitMix64, n: int, max_order: int, negation_prob: float
-) -> tuple[Formula, ExpressionSpec]:
+def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula, ExpressionSpec]:
     """Belief order uniform on ``1..max_order``; layers drawn outermost first."""
     order = 1 + rng.below(max_order)
     layers = tuple(
-        BeliefLayer(rng.below(n), rng.chance(0.5), rng.chance(negation_prob))
+        BeliefLayer(rng.below(n), rng.chance(0.5), rng.chance(P_NEGATE_OTHER))
         for _ in range(order)
     )
-    _, statement = sample_statement(rng, n, negation_prob)
+    _, statement = sample_statement(rng, n)
     spec = ExpressionSpec(layers, statement)
     return spec.to_formula(n), spec
 
@@ -192,28 +190,27 @@ def make_problem(
     rng: SplitMix64,
     cfg: GenConfig,
     draw_index: int = 0,
-    name_pool: NamePool = DEFAULT_NAME_POOL,
     checker: Checker = explicit_label,
 ):
     """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when the
     announcements contradict each other."""
     setup = rng.choice(cfg.setups)
     n = rng.choice(cfg.n_agents_choices)
-    names = name_pool.sample(rng, n)
+    names = DEFAULT_NAME_POOL.sample(rng, n)
     obs = sample_observability(setup, n, rng)
 
     specs = [_EXISTENTIAL]
     ann_formulas = [_EXISTENTIAL.to_formula(n)]
     n_extra = rng.below(n + 1)
     for _ in range(n_extra):
-        formula, spec = sample_announcement(rng, n, cfg)
+        formula, spec = sample_announcement(rng, n)
         specs.append(spec)
         ann_formulas.append(formula)
 
     model = build_initial_model(n, obs)
     if is_contradictory(model, ann_formulas):
         return Rejected("contradictory", draw_index)
-    hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order, cfg.p_negate_other)
+    hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order)
     verdict = checker(obs, ann_formulas, hyp_formula)
 
     announcements = tuple(
@@ -222,7 +219,7 @@ def make_problem(
     )
     hypothesis = Hypothesis(
         hyp_formula,
-        render_hypothesis(setup, hyp_spec, names, has_announcements=True),
+        render_hypothesis(setup, hyp_spec, names),
         hyp_spec.order,
     )
     return ProblemInstance(
@@ -238,30 +235,23 @@ def make_problem(
     )
 
 
-def _accepted(cfg: GenConfig, seed: int, name_pool: NamePool, checker: Checker):
+def _accepted(cfg: GenConfig, seed: int, checker: Checker):
     """The accepted instances of the draw stream keyed by ``seed``, in draw
-    order; raises ``GenerationStall`` once ``cfg.max_draws_per_bucket``
-    draws are spent."""
-    for draw in range(cfg.max_draws_per_bucket):
-        result = make_problem(substream(seed, draw), cfg, draw, name_pool, checker)
+    order; raises ``GenerationStall`` once ``MAX_DRAWS_PER_BUCKET`` draws
+    are spent."""
+    for draw in range(MAX_DRAWS_PER_BUCKET):
+        result = make_problem(substream(seed, draw), cfg, draw, checker)
         if not isinstance(result, Rejected):
             yield result
-    raise GenerationStall(f"draw budget of {cfg.max_draws_per_bucket} spent")
+    raise GenerationStall(f"draw budget of {MAX_DRAWS_PER_BUCKET} spent")
 
 
-def iter_problems(
-    cfg: GenConfig,
-    count: int,
-    name_pool: NamePool = DEFAULT_NAME_POOL,
-    checker: Checker = explicit_label,
-):
+def iter_problems(cfg: GenConfig, count: int, checker: Checker = explicit_label):
     """Yield ``count`` accepted instances from the unbucketed draw stream."""
-    return islice(_accepted(cfg, cfg.seed, name_pool, checker), count)
+    return islice(_accepted(cfg, cfg.seed, checker), count)
 
 
-def _fill_setup(
-    cfg: GenConfig, setup: SetupKind, name_pool: NamePool, checker: Checker
-) -> list[ProblemInstance]:
+def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[ProblemInstance]:
     """Generate one setup's bucket: exactly half True, half False labels.
 
     Draws keep the earliest instances of each label (undersampling the
@@ -274,7 +264,7 @@ def _fill_setup(
     kept: dict[bool, list[ProblemInstance]] = {True: [], False: []}
     seen: set = set()
     try:
-        for result in _accepted(bucket_cfg, bucket_seed, name_pool, checker):
+        for result in _accepted(bucket_cfg, bucket_seed, checker):
             key = result.dedup_key()
             if key in seen:
                 continue
@@ -287,7 +277,7 @@ def _fill_setup(
     except GenerationStall:
         raise GenerationStall(
             f"setup {setup.value}: {len(kept[True])} True / {len(kept[False])} "
-            f"False after {cfg.max_draws_per_bucket} draws (need {half} of each)"
+            f"False after {MAX_DRAWS_PER_BUCKET} draws (need {half} of each)"
         ) from None
     merged = kept[True] + kept[False]
     merged.sort(key=lambda inst: inst.draw_index)
@@ -295,13 +285,11 @@ def _fill_setup(
 
 
 def generate_balanced(
-    cfg: GenConfig,
-    name_pool: NamePool = DEFAULT_NAME_POOL,
-    checker: Checker = explicit_label,
+    cfg: GenConfig, checker: Checker = explicit_label
 ) -> list[ProblemInstance]:
     """The full dataset: ``per_setup_count`` instances per configured setup,
     each setup exactly label-balanced, in draw order within each setup."""
     out: list[ProblemInstance] = []
     for setup in cfg.setups:
-        out.extend(_fill_setup(cfg, setup, name_pool, checker))
+        out.extend(_fill_setup(cfg, setup, checker))
     return out

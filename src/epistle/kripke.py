@@ -12,7 +12,7 @@ public announcement keeps exactly the worlds where it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import ContradictoryPremise, DeadWorld, SizeLimit
@@ -47,21 +47,27 @@ MAX_EXPLICIT_AGENTS = 20
 @dataclass(frozen=True)
 class ObservabilityMatrix:
     """Square boolean matrix: entry (i, j) means agent i initially knows
-    whether proposition j is true."""
+    whether proposition j is true.
+
+    ``hidden[i]`` lists the propositions agent ``i`` does not observe,
+    ascending: the variables both backends quantify over for ``K_i``.  It is
+    derived from the rows once and left out of comparison, hashing and
+    ``repr``.
+    """
 
     rows: tuple[tuple[bool, ...], ...]
+    hidden: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise ValueError("observability matrix must be square")
+        hidden = tuple([tuple([j for j, seen in enumerate(row) if not seen]) for row in self.rows])
+        object.__setattr__(self, "hidden", hidden)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def observed(self, agent: int) -> frozenset[int]:
-        return frozenset(j for j, bit in enumerate(self.rows[agent]) if bit)
 
     @classmethod
     def from_rows(cls, rows) -> "ObservabilityMatrix":
@@ -131,9 +137,9 @@ def evaluate(m: KripkeModel, w: int, f: Formula) -> bool:
 def _blur(m: KripkeModel, agent: int, bad: int) -> int:
     """Worlds ``agent`` cannot tell from some world in ``bad``: ``bad``
     closed under flipping each proposition the agent does not observe."""
-    atoms = _atom_masks(m.n_agents)
-    for j, seen in enumerate(m.obs.rows[agent]):
-        if not seen and bad:
+    if bad:
+        atoms = _atom_masks(m.n_agents)
+        for j in m.obs.hidden[agent]:
             high, shift = bad & atoms[j], 1 << j
             bad |= (high >> shift) | ((bad ^ high) << shift)
     return bad

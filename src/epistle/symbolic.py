@@ -1,23 +1,20 @@
 """Symbolic twin of the explicit checker.
 
-A knowledge structure is a vocabulary of propositions, a state law (a
-decision diagram whose satisfying assignments are the live worlds), and one
-observed-variable set per agent.  Agent ``a`` knows ``f`` at a state exactly
-when ``f`` holds at every state of the law agreeing with it on ``a``'s
-observed variables, which the translation expresses as universal
-quantification over the hidden variables.
+A knowledge structure is a vocabulary of propositions (one per agent), a
+state law (a decision diagram whose satisfying assignments are the live
+worlds), and the observability matrix.  Agent ``a`` knows ``f`` at a state
+exactly when ``f`` holds at every state of the law agreeing with it on
+``a``'s observed variables, which the translation expresses as universal
+quantification over the matrix's ``hidden[a]`` variables.
 
 The translation takes the law it works under as an argument, so a label
 folds its announcements into one local law (as the explicit backend folds a
-mask of live worlds) and builds no structure per step.  Each vocabulary is
-checked once, and its agents' hidden variables computed once, by a bounded
-cache keyed on the vocabulary size and the observed-variable sets.
+mask of live worlds) and builds no structure per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .bdd import DdNode, DdStore
 from .errors import ContradictoryPremise
@@ -45,60 +42,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnowledgeStructure:
-    """Vocabulary ``0..n_props-1``, state law, per-agent observed variables.
-
-    ``hidden`` holds each agent's unobserved variables, ascending; it is
-    derived from the vocabulary and not compared.
-    """
+    """Vocabulary ``0..obs.n-1``, observability matrix, state law."""
 
     store: DdStore
-    n_props: int
+    obs: ObservabilityMatrix
     state_law: DdNode
-    obs_vars: tuple[frozenset[int], ...]
-    hidden: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", _hidden(self.n_props, self.obs_vars))
 
     @classmethod
     def from_observability(
         cls, store: DdStore, obs: ObservabilityMatrix
     ) -> "KnowledgeStructure":
         """Initial structure: unconstrained law, observations from the matrix."""
-        return cls(store, obs.n, store.true, _observed(obs))
+        return cls(store, obs, store.true)
 
     def live_count(self) -> int:
-        return self.store.count_sat(self.state_law, self.n_props)
-
-
-@lru_cache(maxsize=256)
-def _observed(obs: ObservabilityMatrix) -> tuple[frozenset[int], ...]:
-    """Each agent's observed variables; matrices recur across labels."""
-    return tuple(obs.observed(i) for i in range(obs.n))
-
-
-@lru_cache(maxsize=256)
-def _hidden(
-    n_props: int, obs_vars: tuple[frozenset[int], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Each agent's unobserved variables, ascending, once per vocabulary.
-
-    Raises ``ValueError`` naming the first agent that observes a variable
-    outside ``0..n_props-1``.
-    """
-    for i, observed in enumerate(obs_vars):
-        if observed and (min(observed) < 0 or max(observed) >= n_props):
-            raise ValueError(f"agent {i} observes variables outside the vocabulary")
-    return tuple(
-        tuple(v for v in range(n_props) if v not in observed) for observed in obs_vars
-    )
+        return self.store.count_sat(self.state_law, self.obs.n)
 
 
 def _knows(ks: KnowledgeStructure, agent: int, law: DdNode, x: DdNode) -> DdNode:
     """States where ``agent`` knows the diagram ``x`` under ``law``:
     ``∀ hidden (law → x)``."""
     store = ks.store
-    return store._forall(ks.hidden[agent], store.implies(law, x))
+    return store._forall(ks.obs.hidden[agent], store.implies(law, x))
 
 
 def translate(ks: KnowledgeStructure, f: Formula, law: DdNode | None = None) -> DdNode:
@@ -108,8 +73,8 @@ def translate(ks: KnowledgeStructure, f: Formula, law: DdNode | None = None) -> 
         law = ks.state_law
     store = ks.store
     if isinstance(f, Atom):
-        if f.prop >= ks.n_props:
-            raise ValueError(f"proposition p{f.prop} outside vocabulary of {ks.n_props}")
+        if f.prop >= ks.obs.n:
+            raise ValueError(f"proposition p{f.prop} outside vocabulary of {ks.obs.n}")
         return store.var(f.prop)
     if isinstance(f, Not):
         return store.not_(translate(ks, f.child, law))
@@ -142,8 +107,7 @@ def translate(ks: KnowledgeStructure, f: Formula, law: DdNode | None = None) -> 
 def announce_symbolic(ks: KnowledgeStructure, psi: Formula) -> KnowledgeStructure:
     """Conjoin the announced formula onto the state law."""
     made = translate(ks, psi)
-    law = ks.store.and_(ks.state_law, made)
-    return KnowledgeStructure(ks.store, ks.n_props, law, ks.obs_vars)
+    return KnowledgeStructure(ks.store, ks.obs, ks.store.and_(ks.state_law, made))
 
 
 def _announce_all(ks: KnowledgeStructure, anns: list[Formula]) -> DdNode | int:

@@ -57,23 +57,18 @@ def render_statement(
 
 
 def render_belief(
-    setup: SetupKind,
-    spec: ExpressionSpec,
-    names: Sequence[str],
-    position: str,
-    has_announcements: bool = True,
+    setup: SetupKind, spec: ExpressionSpec, names: Sequence[str], position: str
 ) -> str:
-    """Clause for a belief expression.
+    """Clause for a statement under zero or more belief layers.
 
     ``position`` is ``"announcement"`` or ``"hypothesis"``.  Announcements use
     plain "knows / does not know"; hypotheses use "can know / cannot know",
-    with "now" inserted in the outermost layer when at least one announcement
-    precedes.  Nested layers compose right to left.
+    with "now" inserted in the outermost layer, since every problem opens
+    with an announcement.  Nested layers compose right to left; with no
+    layers the clause is the bare statement.
     """
     if position not in ("announcement", "hypothesis"):
         raise ValueError(f"unknown position {position!r}")
-    if not spec.layers:
-        raise ValueError("belief rendering needs at least one layer")
     clause = render_statement(
         setup, spec.statement.subject, spec.statement.negated, names
     )
@@ -85,7 +80,7 @@ def render_belief(
             verb = "does not know" if layer.negated else "knows"
         elif layer.negated:
             verb = "cannot know"
-        elif outermost and has_announcements:
+        elif outermost:
             verb = "can now know"
         else:
             verb = "can know"
@@ -93,33 +88,16 @@ def render_belief(
     return clause
 
 
-def _statement_or_belief(
-    setup: SetupKind,
-    spec: ExpressionSpec,
-    names: Sequence[str],
-    position: str,
-    has_announcements: bool,
-) -> str:
-    if spec.layers:
-        return render_belief(setup, spec, names, position, has_announcements)
-    return render_statement(setup, spec.statement.subject, spec.statement.negated, names)
-
-
 def announcement_clause(
     setup: SetupKind, spec: ExpressionSpec, names: Sequence[str]
 ) -> str:
     """The clause following "It is publicly announced that"."""
-    return _statement_or_belief(setup, spec, names, "announcement", True)
+    return render_belief(setup, spec, names, "announcement")
 
 
-def render_hypothesis(
-    setup: SetupKind,
-    spec: ExpressionSpec,
-    names: Sequence[str],
-    has_announcements: bool = True,
-) -> str:
+def render_hypothesis(setup: SetupKind, spec: ExpressionSpec, names: Sequence[str]) -> str:
     """Full hypothesis sentence, capitalized and terminated."""
-    clause = _statement_or_belief(setup, spec, names, "hypothesis", has_announcements)
+    clause = render_belief(setup, spec, names, "hypothesis")
     return clause[0].upper() + clause[1:] + "."
 
 

@@ -79,8 +79,8 @@ def parse_announcement_clause(text: str, names, setup: SetupKind) -> ExpressionS
     return ExpressionSpec((), parse_statement(text, names, setup))
 
 
-def _hypothesis_verbs(outermost: bool, has_announcements: bool):
-    can = " can now know " if (outermost and has_announcements) else " can know "
+def _hypothesis_verbs(outermost: bool):
+    can = " can now know " if outermost else " can know "
     return (
         (" cannot know whether ", True, True),
         (" cannot know that ", False, True),
@@ -89,9 +89,7 @@ def _hypothesis_verbs(outermost: bool, has_announcements: bool):
     )
 
 
-def parse_hypothesis(
-    text: str, names, setup: SetupKind, has_announcements: bool = True
-) -> ExpressionSpec:
+def parse_hypothesis(text: str, names, setup: SetupKind) -> ExpressionSpec:
     if not text.endswith("."):
         raise SurfaceParseError(f"hypothesis must end with a period: {text!r}")
     body = text[:-1]
@@ -102,9 +100,7 @@ def parse_hypothesis(
         for index, name in enumerate(names):
             if not body.startswith(name):
                 continue
-            for verb, whether, negated in _hypothesis_verbs(
-                outermost, has_announcements
-            ):
+            for verb, whether, negated in _hypothesis_verbs(outermost):
                 if body[len(name):].startswith(verb):
                     layers.append(BeliefLayer(index, whether, negated))
                     body = body[len(name) + len(verb):]

@@ -272,11 +272,10 @@ def test_criterion_8_monte_carlo_parameters():
     mean = total / 10_000
     assert abs(mean - n) <= 0.1, f"mean entry sum {mean:.3f}"
 
-    cfg = GenConfig()
     negated = 0
     knowledge = 0
     while knowledge < 10_000:
-        _, spec = sample_announcement(rng, 3, cfg)
+        _, spec = sample_announcement(rng, 3)
         if spec.layers:
             knowledge += 1
             negated += spec.layers[0].negated

@@ -2,7 +2,7 @@ from functools import reduce
 
 import pytest
 
-from epistle.bdd import DEFAULT_NODE_CAPACITY, DdStore, default_node_capacity
+from epistle.bdd import DEFAULT_NODE_CAPACITY, NODE_LIMIT_ENV, DdStore, default_node_capacity
 from epistle.errors import StoreCapacity
 from epistle.formula import And, Atom, Implies, Not, Or
 from epistle.kripke import ObservabilityMatrix
@@ -275,8 +275,9 @@ class TestCounting:
 
 
 class TestCapacity:
-    def test_store_capacity_error(self):
-        store = DdStore(capacity=8)
+    def test_store_capacity_error(self, monkeypatch):
+        monkeypatch.setenv(NODE_LIMIT_ENV, "8")
+        store = DdStore()
         with pytest.raises(StoreCapacity):
             # a parity chain needs more than six internal nodes
             f = store.var(0)
@@ -286,8 +287,9 @@ class TestCapacity:
                     store.and_(f, store.not_(x)), store.and_(store.not_(f), x)
                 )
 
-    def test_full_store_refuses_a_new_variable_but_returns_a_made_one(self):
-        store = DdStore(capacity=3)
+    def test_full_store_refuses_a_new_variable_but_returns_a_made_one(self, monkeypatch):
+        monkeypatch.setenv(NODE_LIMIT_ENV, "3")
+        store = DdStore()
         x = store.var(0)
         for _ in range(2):  # a refused node is not made
             with pytest.raises(StoreCapacity):

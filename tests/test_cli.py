@@ -70,6 +70,17 @@ def test_public_api_names_resolve():
         getattr(epistle, name)
 
 
+class TestGroup:
+    def test_unknown_group_option_is_a_one_line_usage_error(self):
+        assert_usage_error(run_cli("--bogus"), "No such option '--bogus'.")
+
+    def test_bare_command_prints_its_help(self):
+        proc = run_cli()
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("Usage: ")
+        assert "Commands:" in proc.stderr and "Error" not in proc.stderr
+
+
 class TestRecords:
     def test_key_order_and_label_strings(self):
         cfg = GenConfig(seed=41, per_setup_count=2)
@@ -161,6 +172,11 @@ class TestGenerateCommand:
     def test_odd_per_setup_is_a_one_line_usage_error(self, tmp_path):
         proc = run_cli("generate", "--per-setup", "3", "--out", str(tmp_path / "x.jsonl"))
         assert_usage_error(proc, "per_setup_count must be positive and even")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_max_order_whose_text_would_not_parse_is_a_one_line_usage_error(self, tmp_path):
+        proc = run_cli("generate", "--max-order", "400", "--out", str(tmp_path / "x.jsonl"))
+        assert_usage_error(proc, "max_order must be between 1 and 48")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_exits_2(self, tmp_path):

@@ -2,8 +2,10 @@ from collections import Counter
 
 import pytest
 
+from epistle import generator
 from epistle.backends import explicit_label, symbolic_label
-from epistle.errors import GenerationStall
+from epistle.dsl import parse_formula, print_formula
+from epistle.errors import GenerationStall, ParseError
 from epistle.formula import (
     Atom,
     Knows,
@@ -27,6 +29,7 @@ from epistle.generator import (
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
+from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 
 from support import modal_depth
 
@@ -78,7 +81,7 @@ class TestSampleObservability:
 class TestSampleStatement:
     def test_forced_single_agent(self):
         rng = ScriptedRng(belows=[1], chances=[False])
-        formula, spec = sample_statement(rng, 3, 0.5)
+        formula, spec = sample_statement(rng, 3)
         assert formula == Atom(1)
         assert spec.subject == 1 and spec.negated is False
 
@@ -87,7 +90,7 @@ class TestSampleStatement:
         from epistle.formula import And
 
         rng = ScriptedRng(belows=[4], chances=[True])
-        formula, spec = sample_statement(rng, 2, 1.0)
+        formula, spec = sample_statement(rng, 2)
         assert spec.subject is Quantifier.NOBODY and spec.negated
         assert formula == And((Atom(0), Atom(1)))
 
@@ -98,7 +101,7 @@ class TestSampleStatement:
         draws = 10_000
         counts = Counter()
         for _ in range(draws):
-            _, spec = sample_statement(rng, n, 0.5)
+            _, spec = sample_statement(rng, n)
             counts[spec.subject] += 1
         assert len(counts) == n + 3
         expected = draws / (n + 3)
@@ -109,19 +112,17 @@ class TestSampleStatement:
 class TestSampleAnnouncement:
     def test_forced_negated_whether_belief(self):
         rng = ScriptedRng(belows=[2, 0], chances=[False, True, True, False])
-        cfg = GenConfig()
-        formula, spec = sample_announcement(rng, 3, cfg)
+        formula, spec = sample_announcement(rng, 3)
         assert formula == Not(KnowsWhether(2, Atom(0)))
         layer = spec.layers[0]
         assert layer.knower == 2 and layer.whether and layer.negated
 
     def test_knowledge_negation_rate(self):
         rng = SplitMix64(0x80)
-        cfg = GenConfig()
         negated_count = 0
         knowledge_draws = 0
         while knowledge_draws < 10_000:
-            _, spec = sample_announcement(rng, 3, cfg)
+            _, spec = sample_announcement(rng, 3)
             if spec.layers:
                 knowledge_draws += 1
                 negated_count += spec.layers[0].negated
@@ -130,9 +131,8 @@ class TestSampleAnnouncement:
 
     def test_depth_at_most_one(self):
         rng = SplitMix64(0xD1)
-        cfg = GenConfig()
         for _ in range(2000):
-            formula, spec = sample_announcement(rng, 3, cfg)
+            formula, spec = sample_announcement(rng, 3)
             assert modal_depth(formula) <= 1
             assert spec.order <= 1
 
@@ -140,21 +140,21 @@ class TestSampleAnnouncement:
 class TestSampleHypothesis:
     def test_forced_first_order(self):
         rng = ScriptedRng(belows=[0, 0, 0], chances=[False, False, False])
-        formula, spec = sample_hypothesis(rng, 2, 2, 0.5)
+        formula, spec = sample_hypothesis(rng, 2, 2)
         assert formula == Knows(0, Atom(0))
         assert spec.order == 1
 
     def test_negated_whether_shape(self):
         # "<X> cannot know whether <Y> ..." is a negated knows-whether
         rng = ScriptedRng(belows=[0, 0, 1], chances=[True, True, False])
-        formula, spec = sample_hypothesis(rng, 2, 1, 0.5)
+        formula, spec = sample_hypothesis(rng, 2, 1)
         assert formula == Not(KnowsWhether(0, Atom(1)))
 
     def test_order_uniform_and_depth_matches(self):
         rng = SplitMix64(0x0DD)
         counts = Counter()
         for _ in range(4000):
-            formula, spec = sample_hypothesis(rng, 3, 2, 0.5)
+            formula, spec = sample_hypothesis(rng, 3, 2)
             assert modal_depth(formula) == spec.order
             counts[spec.order] += 1
         assert set(counts) == {1, 2}
@@ -238,14 +238,16 @@ class TestGenerateBalanced:
         assert len(instances) == 4
         assert all(i.setup is SetupKind.THIRST for i in instances)
 
-    def test_stall_raises(self):
-        cfg = GenConfig(seed=1, per_setup_count=400, max_draws_per_bucket=20)
+    def test_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_DRAWS_PER_BUCKET", 20)
+        cfg = GenConfig(seed=1, per_setup_count=400)
         stall = r"setup forehead-mud: \d+ True / \d+ False after 20 draws \(need 200 of each\)"
         with pytest.raises(GenerationStall, match=stall):
             generate_balanced(cfg)
 
-    def test_iter_problems_stalls_when_draws_run_out(self):
-        cfg = GenConfig(seed=1, max_draws_per_bucket=30)
+    def test_iter_problems_stalls_when_draws_run_out(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_DRAWS_PER_BUCKET", 30)
+        cfg = GenConfig(seed=1)
         accepted = sum(
             not isinstance(make_problem(substream(1, d), cfg, d), Rejected) for d in range(30)
         )
@@ -258,8 +260,20 @@ class TestGenerateBalanced:
         with pytest.raises(ValueError):
             GenConfig(per_setup_count=5)
         with pytest.raises(ValueError):
-            GenConfig(p_negate_other=1.5)
-        with pytest.raises(ValueError):
             GenConfig(n_agents_choices=(1,))
         with pytest.raises(ValueError):
             GenConfig(max_order=0)
+
+    def test_max_order_stops_where_the_hypothesis_text_stops_parsing(self):
+        def deepest(order):
+            # every layer negated, around a negated "not everyone" statement
+            layers = (BeliefLayer(0, True, True),) * order
+            spec = ExpressionSpec(layers, StatementSpec(Quantifier.NOT_EVERYONE, True))
+            return print_formula(spec.to_formula(2))
+
+        assert GenConfig(max_order=48).max_order == 48
+        parse_formula(deepest(48), 2)
+        with pytest.raises(ValueError, match="between 1 and 48"):
+            GenConfig(max_order=49)
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_formula(deepest(49), 2)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistle.backends import contradictory, explicit_label, symbolic_label
 from epistle.dsl import parse_formula
@@ -64,6 +66,34 @@ def classes(m, agent):
     for w in m.live:
         buckets.setdefault(w & mask, set()).add(w)
     return {frozenset(v) for v in buckets.values()}
+
+
+@st.composite
+def matrix_rows(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.booleans(), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestObservabilityMatrix:
+    @given(matrix_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_hidden_is_the_ascending_complement_of_each_row(self, rows):
+        obs = ObservabilityMatrix.from_rows(rows)
+        n = len(rows)
+        for row, hidden in zip(rows, obs.hidden, strict=True):
+            assert list(hidden) == [j for j in range(n) if not row[j]]
+        assert "hidden" not in repr(obs)
+
+    @given(matrix_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_rows_make_equal_matrices(self, rows):
+        obs = ObservabilityMatrix.from_rows(rows)
+        twin = ObservabilityMatrix.from_rows([list(row) for row in rows])
+        assert twin == obs and hash(twin) == hash(obs)
+        flipped = [list(row) for row in rows]
+        flipped[0][0] = not flipped[0][0]
+        assert ObservabilityMatrix.from_rows(flipped) != obs
 
 
 class TestBuildInitialModel:

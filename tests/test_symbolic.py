@@ -125,35 +125,13 @@ class TestTranslate:
                     assert sat_worlds(store, node, n) == worlds_where(model, f)
 
 
-class TestKnowledgeStructure:
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_observed_variable_outside_vocabulary_names_the_agent(self, bad):
-        store = DdStore()
-        observed = (frozenset({0}), frozenset({1, bad}), frozenset())
-        with pytest.raises(ValueError, match="agent 1 observes variables outside"):
-            KnowledgeStructure(store, 3, store.true, observed)
-
-    def test_vocabulary_check_is_keyed_on_the_vocabulary_size(self):
-        store = DdStore()
-        observed = (frozenset({0}), frozenset({2}))
-        assert KnowledgeStructure(store, 3, store.true, observed).hidden == ((1, 2), (0, 1))
-        with pytest.raises(ValueError, match="agent 1 observes variables outside"):
-            KnowledgeStructure(store, 2, store.true, observed)
-
-    def test_observed_variables_at_the_vocabulary_edges_are_accepted(self):
-        store = DdStore()
-        observed = (frozenset({0, 2}), frozenset(), frozenset({2}))
-        assert KnowledgeStructure(store, 3, store.true, observed).obs_vars == observed
-
-
 class TestAnnounceSymbolic:
     def test_keeps_store_vocabulary_and_observations(self):
         store = DdStore()
         ks = forehead_ks(store, 3)
         after = announce_symbolic(ks, Or((Atom(0), Atom(2))))
         assert after.store is ks.store
-        assert after.n_props == ks.n_props
-        assert after.obs_vars is ks.obs_vars
+        assert after.obs is ks.obs
         assert after.state_law is not ks.state_law
 
     def test_tautology_returns_same_law_node(self):

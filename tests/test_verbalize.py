@@ -74,20 +74,21 @@ class TestRenderBelief:
             StatementSpec(Quantifier.EVERYONE, False),
         )
         got = render_belief(
-            SetupKind.FOREHEAD_MUD_MIRROR,
-            spec,
-            ("Robert", "Lucy"),
-            "hypothesis",
-            has_announcements=True,
+            SetupKind.FOREHEAD_MUD_MIRROR, spec, ("Robert", "Lucy"), "hypothesis"
         )
         assert got == "Robert can now know whether everyone's forehead is muddy"
 
-    def test_hypothesis_without_announcements_drops_now(self):
-        spec = ExpressionSpec((BeliefLayer(0, False, False),), StatementSpec(0, False))
-        got = render_belief(
-            SetupKind.THIRST, spec, ("Mary",), "hypothesis", has_announcements=False
-        )
-        assert got == "Mary can know that Mary is thirsty"
+    @pytest.mark.parametrize("position", ["announcement", "hypothesis"])
+    def test_no_layers_is_the_bare_statement(self, position):
+        names = ("Ann", "Bea", "Cal")
+        subjects = (*range(len(names)), *Quantifier)
+        for setup in SetupKind:
+            for subject in subjects:
+                for negated in (False, True):
+                    spec = ExpressionSpec((), StatementSpec(subject, negated))
+                    assert render_belief(setup, spec, names, position) == render_statement(
+                        setup, subject, negated, names
+                    )
 
     def test_hypothesis_cannot_know_whether(self):
         spec = ExpressionSpec((BeliefLayer(0, True, True),), StatementSpec(1, False))
