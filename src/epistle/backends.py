@@ -14,7 +14,7 @@ from .bdd import DdStore
 from .errors import BackendMismatch, StoreCapacity
 from .formula import Formula
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label
-from .symbolic import KnowledgeStructure, is_contradictory_symbolic, label_symbolic
+from .symbolic import is_contradictory_symbolic, label_symbolic
 
 __all__ = [
     "Checker",
@@ -42,13 +42,12 @@ _thread = threading.local()
 
 
 def explicit_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
-    model = build_initial_model(obs.n, obs)
-    return label(model, anns, hyp)
+    return label(obs, build_initial_model(obs), anns, hyp)
 
 
 def _on_thread_store(decide, obs: ObservabilityMatrix, *args):
-    """``decide(ks, *args)``, with ``ks`` the initial knowledge structure of
-    ``obs`` on this thread's retained store.
+    """``decide(store, obs, store.true, *args)``: ``obs`` with the
+    unconstrained state law, on this thread's retained store.
 
     Diagrams are canonical within a store, so a retained store gives the
     same answers as a fresh one.  ``StoreCapacity`` on a store that earlier
@@ -68,7 +67,7 @@ def _on_thread_store(decide, obs: ObservabilityMatrix, *args):
 
 def _keep_within_bound(store: DdStore, decide, obs: ObservabilityMatrix, args):
     try:
-        return decide(KnowledgeStructure.from_observability(store, obs), *args)
+        return decide(store, obs, store.true, *args)
     finally:
         # a full store (one that raised StoreCapacity) is dropped as well
         size = len(store)
@@ -109,7 +108,7 @@ def contradictory(obs: ObservabilityMatrix, anns: list[Formula], backend: str) -
     """Contradiction test under the named backend ("both" requires agreement)."""
     results = []
     if backend in ("explicit", "both"):
-        results.append(is_contradictory(build_initial_model(obs.n, obs), anns))
+        results.append(is_contradictory(obs, build_initial_model(obs), anns))
     if backend in ("symbolic", "both"):
         results.append(_on_thread_store(is_contradictory_symbolic, obs, anns))
     if not results:

@@ -32,7 +32,7 @@ from .kripke import (
 )
 from .records import record_from_instance, write_jsonl
 from .setups import ALL_SETUPS, SetupKind
-from .symbolic import KnowledgeStructure, announce_symbolic, translate
+from .symbolic import announce_symbolic, label_symbolic, translate
 
 EXIT_USAGE = 2
 EXIT_STALL = 3
@@ -226,10 +226,11 @@ def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
         sys.exit(EXIT_MISMATCH)
 
     if explain:
-        model = build_initial_model(n, matrix)
+        live = build_initial_model(matrix)
         for a in ann_formulas:
-            model = announce(model, a)
-        rendered = ", ".join(format(w, f"0{n}b")[::-1] for w in sorted(model.live))
+            live = announce(matrix, live, a)
+        worlds = (w for w in range(live.bit_length()) if live >> w & 1)
+        rendered = ", ".join(format(w, f"0{n}b")[::-1] for w in worlds)
         click.echo(f"surviving worlds (p0 leftmost): {rendered}")
 
 
@@ -302,25 +303,24 @@ def puzzle(n, rounds, backend):
     actual = (1 << n) - 1
     limit = rounds if rounds is not None else n
 
-    # each backend's four steps: announce ignorance, everyone knows, the
-    # children are ignorant at the actual world, and the number of states left
+    # the state is a world mask or a state law, with four steps: announce
+    # ignorance, everyone knows, ignorant at the actual world, states left
     if backend == "explicit":
-        state, unit = announce(build_initial_model(n, obs), existential), "worlds"
+        state, unit = announce(obs, build_initial_model(obs), existential), "worlds"
         step, all_know, ignorant, size = (
-            lambda m: announce(m, ignorance),
-            lambda m: label(m, [], everyone_knows),
-            lambda m: evaluate(m, actual, ignorance),
-            lambda m: m.mask.bit_count(),
+            lambda live: announce(obs, live, ignorance),
+            lambda live: label(obs, live, [], everyone_knows),
+            lambda live: evaluate(obs, live, actual, ignorance),
+            int.bit_count,
         )
     else:
         store = DdStore()
-        ks = KnowledgeStructure.from_observability(store, obs)
-        state, unit = announce_symbolic(ks, existential), "states"
+        state, unit = announce_symbolic(store, obs, store.true, existential), "states"
         step, all_know, ignorant, size = (
-            lambda ks: announce_symbolic(ks, ignorance),
-            lambda ks: store.implies(ks.state_law, translate(ks, everyone_knows)) is store.true,
-            lambda ks: store.eval(translate(ks, ignorance), actual),
-            lambda ks: ks.live_count(),
+            lambda law: announce_symbolic(store, obs, law, ignorance),
+            lambda law: label_symbolic(store, obs, law, [], everyone_knows),
+            lambda law: store.eval(translate(store, obs, law, ignorance), actual),
+            lambda law: store.count_sat(law, n),
         )
 
     click.echo(f"announced: someone is muddy; {size(state)} {unit} remain")

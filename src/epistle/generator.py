@@ -79,6 +79,8 @@ class GenConfig:
             raise ValueError("n_agents_choices must be nonempty")
         if any(n < 2 for n in self.n_agents_choices):
             raise ValueError("problems need at least two agents")
+        if max(self.n_agents_choices) > DEFAULT_NAME_POOL.max_names:
+            raise ValueError(f"the name pool names at most {DEFAULT_NAME_POOL.max_names} agents")
         if not self.setups:
             raise ValueError("setups must be nonempty")
         # normalize so flag order cannot change the stream
@@ -207,8 +209,7 @@ def make_problem(
         specs.append(spec)
         ann_formulas.append(formula)
 
-    model = build_initial_model(n, obs)
-    if is_contradictory(model, ann_formulas):
+    if is_contradictory(obs, build_initial_model(obs), ann_formulas):
         return Rejected("contradictory", draw_index)
     hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order)
     verdict = checker(obs, ann_formulas, hyp_formula)

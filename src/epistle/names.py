@@ -63,9 +63,14 @@ class NamePool:
         if len(set(combined)) != len(combined):
             raise ValueError("name pool contains duplicates")
 
+    @property
+    def max_names(self) -> int:
+        """The most names ``sample`` can draw: twice the shorter tag list."""
+        return min(len(self.feminine), len(self.masculine)) * 2
+
     def sample(self, rng: SplitMix64, n: int) -> tuple[str, ...]:
         """Draw ``n`` distinct names, alternating gender tags."""
-        if n > min(len(self.feminine), len(self.masculine)) * 2:
+        if n > self.max_names:
             raise ValueError(f"cannot draw {n} names from this pool")
         pools = (self.feminine, self.masculine)
         taken: tuple[list[int], list[int]] = ([], [])  # ascending indices

@@ -21,7 +21,7 @@ from epistle.formula import (
     Or,
 )
 from epistle.bdd import DdNode, DdStore
-from epistle.kripke import KripkeModel, ObservabilityMatrix, announce
+from epistle.kripke import ObservabilityMatrix, announce
 from epistle.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -157,9 +157,14 @@ def modal_depth(f: Formula) -> int:
 # views of the library's own models (not independent of it)
 
 
-def worlds_where(m: KripkeModel, f: Formula) -> frozenset[int]:
-    """Live worlds of ``m`` satisfying ``f``."""
-    return announce(m, f).live
+def worlds(live: int) -> frozenset[int]:
+    """The worlds of the world set ``live``, one per set bit."""
+    return frozenset(w for w in range(live.bit_length()) if live >> w & 1)
+
+
+def worlds_where(obs: ObservabilityMatrix, live: int, f: Formula) -> frozenset[int]:
+    """Worlds of ``live`` satisfying ``f``."""
+    return worlds(announce(obs, live, f))
 
 
 def agent_mask(obs: ObservabilityMatrix, agent: int) -> int:

@@ -35,13 +35,12 @@ from epistle.records import record_from_instance, write_jsonl
 from epistle.rng import SplitMix64
 from epistle.setups import SetupKind
 from epistle.symbolic import (
-    KnowledgeStructure,
     announce_symbolic,
     label_symbolic,
     translate,
 )
 
-from support import oracle_label, random_formula, reduce_announcements
+from support import oracle_label, random_formula, reduce_announcements, worlds
 
 
 def _report(criterion: str):
@@ -63,20 +62,19 @@ def test_criterion_1_muddy_children_golden():
     hyp = parse_formula("Kw[0]p0 & Kw[1]p1", 2)
     obs = ObservabilityMatrix.ones_minus_identity(2)
 
-    model = build_initial_model(2, obs)
+    live = build_initial_model(obs)
 
     def explicit_pair():
         return (
-            label(model, [existential], hyp),
-            label(model, [existential, ignorance], hyp),
+            label(obs, live, [existential], hyp),
+            label(obs, live, [existential, ignorance], hyp),
         )
 
     def symbolic_pair():
         store = DdStore()
-        ks = KnowledgeStructure.from_observability(store, obs)
         return (
-            label_symbolic(ks, [existential], hyp),
-            label_symbolic(ks, [existential, ignorance], hyp),
+            label_symbolic(store, obs, store.true, [existential], hyp),
+            label_symbolic(store, obs, store.true, [existential, ignorance], hyp),
         )
 
     assert explicit_pair() == (False, True)
@@ -99,38 +97,37 @@ def test_criterion_2_generalized_muddy_children():
     ignorance rounds reach n-1; explicit to n=6, symbolic to n=16 in < 5 s."""
     for n in range(2, 7):
         existential, ignorance, everyone = _muddy_formulas(n)
-        m = announce(build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n)), existential)
+        obs = ObservabilityMatrix.ones_minus_identity(n)
+        live = announce(obs, build_initial_model(obs), existential)
         for k in range(n):
-            resolved = all(evaluate(m, w, everyone) for w in m.live)
+            resolved = all(evaluate(obs, live, w, everyone) for w in worlds(live))
             assert resolved is (k >= n - 1), f"explicit n={n} k={k}"
             if k < n - 1:
-                m = announce(m, ignorance)
+                live = announce(obs, live, ignorance)
         # one round beyond resolution contradicts; the announcement-prefixed
         # reading is then vacuously true, preserving the "iff k >= n-1" shape
-        m0 = build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n))
+        full = build_initial_model(obs)
         too_far = [existential] + [ignorance] * n
-        assert is_contradictory(m0, too_far)
+        assert is_contradictory(obs, full, too_far)
         if n <= 4:
             chain = everyone
             for a in reversed(too_far):
                 chain = Announced(a, chain)
-            assert all(evaluate(m0, w, chain) for w in m0.live)
+            assert all(evaluate(obs, full, w, chain) for w in worlds(full))
 
     start = time.perf_counter()
     for n in range(2, 17):
         existential, ignorance, everyone = _muddy_formulas(n)
         store = DdStore()
-        ks = KnowledgeStructure.from_observability(
-            store, ObservabilityMatrix.ones_minus_identity(n)
-        )
-        ks = announce_symbolic(ks, existential)
+        obs = ObservabilityMatrix.ones_minus_identity(n)
+        law = announce_symbolic(store, obs, store.true, existential)
         for k in range(n):
             resolved = (
-                store.implies(ks.state_law, translate(ks, everyone)) is store.true
+                store.implies(law, translate(store, obs, law, everyone)) is store.true
             )
             assert resolved is (k >= n - 1), f"symbolic n={n} k={k}"
             if k < n - 1:
-                ks = announce_symbolic(ks, ignorance)
+                law = announce_symbolic(store, obs, law, ignorance)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"symbolic sweep took {elapsed:.2f} s"
     _report(f"2 generalized muddy children (n=2..6 explicit, n=2..16 symbolic in {elapsed:.2f} s)")
@@ -171,9 +168,9 @@ def test_criterion_4_announcement_reduction_oracle():
         f = random_formula(rng, n, depth=3, modal_budget=3, announce_budget=2)
         g = reduce_announcements(f)
         for matrix in matrices[n]:
-            m = build_initial_model(n, matrix)
-            for w in m.live:
-                assert evaluate(m, w, f) == evaluate(m, w, g)
+            live = build_initial_model(matrix)
+            for w in worlds(live):
+                assert evaluate(matrix, live, w, f) == evaluate(matrix, live, w, g)
     _report("4 announcement-reduction oracle (1000 formulas, all fixed matrices)")
 
 
@@ -184,7 +181,8 @@ def test_criterion_5_s5_axiom_suite():
     for _ in range(1000):
         n = 2 + rng.below(2)
         rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
-        m = build_initial_model(n, ObservabilityMatrix.from_rows(rows))
+        obs = ObservabilityMatrix.from_rows(rows)
+        live = build_initial_model(obs)
         phi = random_formula(rng, n, depth=2, announce_budget=0)
         a = rng.below(n)
         known = Knows(a, phi)
@@ -193,9 +191,9 @@ def test_criterion_5_s5_axiom_suite():
             (known, Knows(a, known)),  # positive introspection
             (Not(known), Knows(a, Not(known))),  # negative introspection
         ):
-            for w in m.live:
-                if evaluate(m, w, premise):
-                    assert evaluate(m, w, conclusion)
+            for w in worlds(live):
+                if evaluate(obs, live, w, premise):
+                    assert evaluate(obs, live, w, conclusion)
     _report("5 S5 axioms T/4/5 on 1000 random pairs")
 
 
@@ -219,8 +217,7 @@ def test_criterion_6_dataset_contract(tmp_path):
     for instance in instances:
         anns = list(instance.announcement_formulas())
         hyp = instance.hypothesis.formula
-        model = build_initial_model(instance.n_agents, instance.obs)
-        assert not is_contradictory(model, anns)
+        assert not is_contradictory(instance.obs, build_initial_model(instance.obs), anns)
         assert explicit_label(instance.obs, anns, hyp) == instance.label
         assert symbolic_label(instance.obs, anns, hyp) == instance.label
 

@@ -7,14 +7,14 @@ import threading
 import pytest
 
 from epistle import backends
-from epistle.backends import contradictory, explicit_label, symbolic_label
+from epistle.backends import both_label, contradictory, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.errors import ContradictoryPremise, StoreCapacity
-from epistle.formula import And, Atom
+from epistle.formula import And, Announced, Atom, Knows, Not, Or
 from epistle.generator import GenConfig, iter_problems
 from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
-from epistle.symbolic import KnowledgeStructure, label_symbolic
+from epistle.symbolic import label_symbolic
 
 from support import check_reduced, oracle_label, random_boolean_formula, random_formula
 
@@ -40,8 +40,8 @@ def random_problem(rng, n):
 
 
 def fresh_store_label(obs, anns, hyp):
-    ks = KnowledgeStructure.from_observability(DdStore(), obs)
-    return label_symbolic(ks, anns, hyp)
+    store = DdStore()
+    return label_symbolic(store, obs, store.true, anns, hyp)
 
 
 def outcome(checker, obs, anns, hyp):
@@ -56,6 +56,34 @@ def atom_label(n, *props):
     any nonempty conjunction of atoms)."""
     hyp = Atom(props[0]) if len(props) == 1 else And(tuple(Atom(p) for p in props))
     return symbolic_label(ObservabilityMatrix.identity(n), [], hyp)
+
+
+class TestIndexOutsideVocabulary:
+    """An atom or agent index outside ``0..n-1`` is the same ``ValueError``
+    on every checker, wherever it sits in the problem."""
+
+    TAUTOLOGY = Or((Atom(0), Not(Atom(0))))
+
+    @pytest.mark.parametrize("checker", [explicit_label, symbolic_label, both_label])
+    @pytest.mark.parametrize(
+        "anns, hyp, message",
+        [
+            ([Atom(2)], Atom(-1), "proposition p-1 outside vocabulary of 3"),
+            ([], Atom(5), "proposition p5 outside vocabulary of 3"),
+            ([Atom(5)], Atom(0), "proposition p5 outside vocabulary of 3"),
+            ([], Knows(-1, Atom(0)), "agent -1 outside vocabulary of 3"),
+            ([], Knows(7, TAUTOLOGY), "agent 7 outside vocabulary of 3"),
+            ([Knows(7, TAUTOLOGY)], Atom(0), "agent 7 outside vocabulary of 3"),
+            # under an announcement that leaves no world
+            ([], Announced(And((Atom(0), Not(Atom(0)))), Knows(3, Atom(0))),
+             "agent 3 outside vocabulary of 3"),
+        ],
+    )
+    def test_is_a_value_error_naming_the_index(self, checker, anns, hyp, message):
+        obs = ObservabilityMatrix.ones_minus_identity(3)
+        with pytest.raises(ValueError) as err:
+            checker(obs, anns, hyp)
+        assert str(err.value) == message
 
 
 class TestRetainedStore:

@@ -7,7 +7,7 @@ from epistle.errors import StoreCapacity
 from epistle.formula import And, Atom, Implies, Not, Or
 from epistle.kripke import ObservabilityMatrix
 from epistle.rng import SplitMix64
-from epistle.symbolic import KnowledgeStructure, announce_symbolic, translate
+from epistle.symbolic import announce_symbolic, translate
 
 from support import (
     check_reduced,
@@ -111,12 +111,12 @@ class TestCanonicity:
             for _ in range(25):
                 rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
                 store = DdStore()
-                ks = KnowledgeStructure.from_observability(
-                    store, ObservabilityMatrix.from_rows(rows)
-                )
+                obs, law = ObservabilityMatrix.from_rows(rows), store.true
                 for _ in range(rng.below(3)):
-                    ks = announce_symbolic(ks, random_formula(rng, n, announce_budget=0))
-                store.implies(ks.state_law, translate(ks, random_formula(rng, n)))
+                    law = announce_symbolic(
+                        store, obs, law, random_formula(rng, n, announce_budget=0)
+                    )
+                store.implies(law, translate(store, obs, law, random_formula(rng, n)))
                 check_reduced(store)
 
     def test_order_violation_is_refused(self):

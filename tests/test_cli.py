@@ -179,6 +179,11 @@ class TestGenerateCommand:
         assert_usage_error(proc, "max_order must be between 1 and 48")
         assert list(tmp_path.iterdir()) == []
 
+    def test_agent_count_the_name_pool_cannot_name_is_a_one_line_usage_error(self, tmp_path):
+        proc = run_cli("generate", "--n-agents", "2,201", "--out", str(tmp_path / "x.jsonl"))
+        assert_usage_error(proc, "the name pool names at most 200 agents")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_exits_2(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(

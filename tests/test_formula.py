@@ -17,7 +17,7 @@ from epistle.kripke import ObservabilityMatrix, build_initial_model, evaluate
 from epistle.rng import SplitMix64
 
 from conftest import formula_strategy
-from support import expand_whether, modal_depth, random_formula, reduce_announcements
+from support import expand_whether, modal_depth, random_formula, reduce_announcements, worlds
 
 
 class TestDesugarSubject:
@@ -72,20 +72,20 @@ def _all_small_models():
             ObservabilityMatrix.ones(n),
             ObservabilityMatrix.identity(n),
         ):
-            yield build_initial_model(n, matrix)
+            yield matrix, build_initial_model(matrix)
 
 
 class TestKnowsWhetherExpansion:
     def test_definitional_equivalence_everywhere(self):
         rng = SplitMix64(0xA11CE)
-        for m in _all_small_models():
+        for obs, live in _all_small_models():
             for _ in range(60):
-                inner = random_formula(rng, m.n_agents, depth=2, announce_budget=0)
-                agent = rng.below(m.n_agents)
+                inner = random_formula(rng, obs.n, depth=2, announce_budget=0)
+                agent = rng.below(obs.n)
                 kw = KnowsWhether(agent, inner)
                 expanded = expand_whether(agent, inner)
-                for w in m.live:
-                    assert evaluate(m, w, kw) == evaluate(m, w, expanded)
+                for w in worlds(live):
+                    assert evaluate(obs, live, w, kw) == evaluate(obs, live, w, expanded)
 
 
 class TestReduceAnnouncements:
@@ -127,19 +127,20 @@ class TestReduceAnnouncements:
         rng = SplitMix64(0xFACE)
         models = list(_all_small_models())
         for i in range(400):
-            m = models[i % len(models)]
-            f = random_formula(rng, m.n_agents, depth=3)
+            obs, live = models[i % len(models)]
+            f = random_formula(rng, obs.n, depth=3)
             g = reduce_announcements(f)
-            for w in m.live:
-                assert evaluate(m, w, f) == evaluate(m, w, g)
+            for w in worlds(live):
+                assert evaluate(obs, live, w, f) == evaluate(obs, live, w, g)
 
     @given(formula_strategy())
     @settings(max_examples=150, deadline=None)
     def test_preserves_truth_property(self, f):
-        m = build_initial_model(3, ObservabilityMatrix.ones_minus_identity(3))
+        obs = ObservabilityMatrix.ones_minus_identity(3)
+        live = build_initial_model(obs)
         g = reduce_announcements(f)
-        for w in m.live:
-            assert evaluate(m, w, f) == evaluate(m, w, g)
+        for w in worlds(live):
+            assert evaluate(obs, live, w, f) == evaluate(obs, live, w, g)
 
 
 class TestConstructors:

@@ -27,6 +27,7 @@ from epistle.generator import (
     sample_statement,
 )
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
+from epistle.names import DEFAULT_NAME_POOL
 from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
@@ -199,8 +200,8 @@ class TestMakeProblem:
             assert all(modal_depth(a) <= 1 for a in anns)
             assert 1 <= modal_depth(instance.hypothesis.formula) <= cfg.max_order
             assert len(anns) <= instance.n_agents + 1
-            model = build_initial_model(instance.n_agents, instance.obs)
-            assert not is_contradictory(model, list(anns))
+            live = build_initial_model(instance.obs)
+            assert not is_contradictory(instance.obs, live, list(anns))
             assert len(set(instance.names)) == instance.n_agents
 
 
@@ -263,6 +264,15 @@ class TestGenerateBalanced:
             GenConfig(n_agents_choices=(1,))
         with pytest.raises(ValueError):
             GenConfig(max_order=0)
+
+    def test_agent_count_stops_where_the_name_pool_stops(self):
+        most = DEFAULT_NAME_POOL.max_names
+        assert len(set(DEFAULT_NAME_POOL.sample(SplitMix64(3), most))) == most
+        assert GenConfig(n_agents_choices=(2, most)).n_agents_choices == (2, most)
+        with pytest.raises(ValueError, match=f"names at most {most} agents"):
+            GenConfig(n_agents_choices=(2, most + 1))
+        with pytest.raises(ValueError, match="cannot draw"):
+            DEFAULT_NAME_POOL.sample(SplitMix64(3), most + 1)
 
     def test_max_order_stops_where_the_hypothesis_text_stops_parsing(self):
         def deepest(order):

@@ -34,22 +34,16 @@ from support import (
     random_boolean_formula,
     random_formula,
     reduce_announcements,
+    worlds,
     worlds_where,
 )
 
 # worlds are ints with bit j = proposition j, so (p0=1, p1=0) is 0b01
 
 
-def forehead(n):
-    return build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n))
-
-
-def mirror(n):
-    return build_initial_model(n, ObservabilityMatrix.ones(n))
-
-
-def thirst(n):
-    return build_initial_model(n, ObservabilityMatrix.identity(n))
+forehead = ObservabilityMatrix.ones_minus_identity
+mirror = ObservabilityMatrix.ones
+thirst = ObservabilityMatrix.identity
 
 
 def random_observability(rng, n):
@@ -60,10 +54,10 @@ def random_observability(rng, n):
     return ObservabilityMatrix.from_rows([[rng.chance(0.5) for _ in range(n)] for _ in range(n)])
 
 
-def classes(m, agent):
-    mask = agent_mask(m.obs, agent)
+def classes(obs, agent):
+    mask = agent_mask(obs, agent)
     buckets = {}
-    for w in m.live:
+    for w in worlds(build_initial_model(obs)):
         buckets.setdefault(w & mask, set()).add(w)
     return {frozenset(v) for v in buckets.values()}
 
@@ -81,6 +75,7 @@ class TestObservabilityMatrix:
     def test_hidden_is_the_ascending_complement_of_each_row(self, rows):
         obs = ObservabilityMatrix.from_rows(rows)
         n = len(rows)
+        assert obs.n == len(rows)
         for row, hidden in zip(rows, obs.hidden, strict=True):
             assert list(hidden) == [j for j in range(n) if not row[j]]
         assert "hidden" not in repr(obs)
@@ -98,68 +93,66 @@ class TestObservabilityMatrix:
 
 class TestBuildInitialModel:
     def test_thirst_classes_agree_on_own_bit(self):
-        m = thirst(2)
-        assert classes(m, 0) == {frozenset({0b00, 0b10}), frozenset({0b01, 0b11})}
-        assert classes(m, 1) == {frozenset({0b00, 0b01}), frozenset({0b10, 0b11})}
+        obs = thirst(2)
+        assert classes(obs, 0) == {frozenset({0b00, 0b10}), frozenset({0b01, 0b11})}
+        assert classes(obs, 1) == {frozenset({0b00, 0b01}), frozenset({0b10, 0b11})}
 
     def test_mirror_classes_are_singletons(self):
-        m = mirror(2)
+        obs = mirror(2)
         for agent in range(2):
-            assert classes(m, agent) == {frozenset({w}) for w in range(4)}
+            assert classes(obs, agent) == {frozenset({w}) for w in range(4)}
 
     def test_forehead_classes_pair_on_own_bit(self):
-        m = forehead(2)
-        assert classes(m, 0) == {frozenset({0b00, 0b01}), frozenset({0b10, 0b11})}
+        obs = forehead(2)
+        assert classes(obs, 0) == {frozenset({0b00, 0b01}), frozenset({0b10, 0b11})}
 
     def test_all_live_initially(self):
-        assert forehead(3).live == frozenset(range(8))
+        assert worlds(build_initial_model(forehead(3))) == frozenset(range(8))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            build_initial_model(21, ObservabilityMatrix.ones(21))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            build_initial_model(3, ObservabilityMatrix.ones(2))
+            build_initial_model(ObservabilityMatrix.ones(21))
 
 
 class TestEvaluate:
     def test_mirror_agent_knows_own_status(self):
-        m = mirror(2)
-        assert evaluate(m, 0b01, KnowsWhether(0, Atom(0))) is True
+        obs = mirror(2)
+        assert evaluate(obs, build_initial_model(obs), 0b01, KnowsWhether(0, Atom(0))) is True
 
     def test_forehead_cannot_see_own(self):
-        m = forehead(2)
-        assert evaluate(m, 0b11, Knows(0, Atom(0))) is False
+        obs = forehead(2)
+        assert evaluate(obs, build_initial_model(obs), 0b11, Knows(0, Atom(0))) is False
 
     def test_informative_announcement_enables_inference(self):
         # agent 0 is muddy, agent 1 is not; after "someone is muddy" agent 0
         # sees a clean forehead and infers its own state
-        m = forehead(2)
+        obs = forehead(2)
         f = Announced(Or((Atom(0), Atom(1))), Knows(0, Atom(0)))
-        assert evaluate(m, 0b01, f) is True
+        assert evaluate(obs, build_initial_model(obs), 0b01, f) is True
 
     def test_vacuous_when_announcement_false(self):
-        m = forehead(2)
+        obs = forehead(2)
         f = Announced(Atom(0), Atom(1))
-        assert evaluate(m, 0b10, f) is True
+        assert evaluate(obs, build_initial_model(obs), 0b10, f) is True
 
     def test_dead_world(self):
-        m = announce(forehead(2), Atom(0))
+        obs = forehead(2)
+        live = announce(obs, build_initial_model(obs), Atom(0))
         with pytest.raises(DeadWorld):
-            evaluate(m, 0b10, Atom(0))
+            evaluate(obs, live, 0b10, Atom(0))
 
     def test_agrees_with_independent_evaluator(self):
         rng = SplitMix64(0x5EED)
         for n in (2, 3):
             for make in (forehead, mirror, thirst):
-                m = make(n)
-                rows = m.obs.rows
+                obs = make(n)
+                live = build_initial_model(obs)
+                rows = obs.rows
                 for _ in range(120):
                     f = random_formula(rng, n, depth=3)
-                    for w in m.live:
-                        assert evaluate(m, w, f) == oracle_eval(
-                            list(m.live), rows, w, f
+                    for w in worlds(live):
+                        assert evaluate(obs, live, w, f) == oracle_eval(
+                            list(worlds(live)), rows, w, f
                         )
 
 
@@ -167,114 +160,122 @@ class TestEvaluate:
         rng = SplitMix64(0x5EEE)
         for _ in range(60):
             n = 2 + rng.below(4)
-            m = build_initial_model(n, random_observability(rng, n))
+            obs = random_observability(rng, n)
             restriction = (
                 random_boolean_formula(rng, n, 2)
                 if rng.chance(0.5)
                 else random_formula(rng, n, depth=2)
             )
-            m = announce(m, restriction)
-            live = sorted(m.live)
-            assert m.mask.bit_count() == len(live)
+            mask = announce(obs, build_initial_model(obs), restriction)
+            live = sorted(worlds(mask))
+            assert mask.bit_count() == len(live)
             for _ in range(4):
                 f = random_formula(rng, n, depth=3)
                 for w in live:
-                    assert evaluate(m, w, f) == oracle_eval(live, m.obs.rows, w, f)
+                    assert evaluate(obs, mask, w, f) == oracle_eval(live, obs.rows, w, f)
 
 
 class TestAnnounce:
     def test_tautology_keeps_model(self):
-        m = forehead(2)
-        assert announce(m, Or((Atom(0), Not(Atom(0))))).live == m.live
+        obs = forehead(2)
+        live = build_initial_model(obs)
+        assert worlds(announce(obs, live, Or((Atom(0), Not(Atom(0)))))) == worlds(live)
 
     def test_existential_drops_all_clean_world(self):
-        m = forehead(2)
-        after = announce(m, Or((Atom(0), Atom(1))))
-        assert after.live == frozenset({0b01, 0b10, 0b11})
+        obs = forehead(2)
+        after = announce(obs, build_initial_model(obs), Or((Atom(0), Atom(1))))
+        assert worlds(after) == frozenset({0b01, 0b10, 0b11})
 
     def test_mutual_ignorance_leaves_all_muddy(self):
-        m = announce(forehead(2), Or((Atom(0), Atom(1))))
+        obs = forehead(2)
+        live = announce(obs, build_initial_model(obs), Or((Atom(0), Atom(1))))
         ignorance = And(
             (Not(KnowsWhether(0, Atom(0))), Not(KnowsWhether(1, Atom(1))))
         )
-        assert announce(m, ignorance).live == frozenset({0b11})
+        assert worlds(announce(obs, live, ignorance)) == frozenset({0b11})
 
     def test_monotone(self):
         rng = SplitMix64(0xCAFE)
         for _ in range(100):
-            m = forehead(3)
+            obs = forehead(3)
+            live = build_initial_model(obs)
             f = random_formula(rng, 3, depth=3)
-            after = announce(m, f)
-            assert after.live <= m.live
+            after = announce(obs, live, f)
+            assert worlds(after) <= worlds(live)
 
     def test_boolean_announcements_idempotent(self):
         rng = SplitMix64(0xB00)
         for _ in range(100):
-            m = thirst(3)
+            obs = thirst(3)
             f = random_boolean_formula(rng, 3, 3)
-            once = announce(m, f)
-            assert announce(once, f).live == once.live
+            once = announce(obs, build_initial_model(obs), f)
+            assert worlds(announce(obs, once, f)) == worlds(once)
 
     def test_epistemic_announcements_need_not_be_idempotent(self):
         # the muddy-children mechanism: repeating "nobody knows" keeps
         # shrinking the model
-        m = announce(forehead(3), Or((Atom(0), Atom(1), Atom(2))))
+        obs = forehead(3)
+        live = announce(obs, build_initial_model(obs), Or((Atom(0), Atom(1), Atom(2))))
         ignorance = And(
             tuple(Not(KnowsWhether(i, Atom(i))) for i in range(3))
         )
-        once = announce(m, ignorance)
-        twice = announce(once, ignorance)
-        assert twice.live < once.live
+        once = announce(obs, live, ignorance)
+        twice = announce(obs, once, ignorance)
+        assert worlds(twice) < worlds(once)
 
 
 class TestIsContradictory:
     def test_direct_contradiction(self):
-        m = forehead(2)
-        assert is_contradictory(m, [Atom(0), Not(Atom(0))]) is True
+        obs = forehead(2)
+        assert is_contradictory(obs, build_initial_model(obs), [Atom(0), Not(Atom(0))]) is True
 
     def test_empty_sequence(self):
-        assert is_contradictory(forehead(2), []) is False
+        obs = forehead(2)
+        assert is_contradictory(obs, build_initial_model(obs), []) is False
 
     def test_unsatisfiable_second_announcement(self):
-        m = forehead(2)
+        obs = forehead(2)
         anns = [
             Or((Atom(0), Atom(1))),
             And((Knows(0, Atom(0)), Knows(0, Not(Atom(0))))),
         ]
-        assert is_contradictory(m, anns) is True
+        assert is_contradictory(obs, build_initial_model(obs), anns) is True
 
 
 class TestLabel:
     def test_muddy_children_before_and_after(self):
-        m = forehead(2)
+        obs = forehead(2)
+        live = build_initial_model(obs)
         existential = parse_formula("p0 | p1", 2)
         ignorance = parse_formula("~Kw[0]p0 & ~Kw[1]p1", 2)
         hyp = parse_formula("Kw[0]p0 & Kw[1]p1", 2)
-        assert label(m, [existential], hyp) is False
-        assert label(m, [existential, ignorance], hyp) is True
+        assert label(obs, live, [existential], hyp) is False
+        assert label(obs, live, [existential, ignorance], hyp) is True
 
     def test_mirror_repeated_announcement_instance(self):
         # two agents in front of a mirror; "someone muddy", then "not everyone
         # muddy" twice; with full observability each agent always knows whether
         # everyone is muddy (frozen from the 4-world enumeration)
-        m = mirror(2)
+        obs = mirror(2)
         anns = [
             parse_formula("p0 | p1", 2),
             parse_formula("~(p0 & p1)", 2),
             parse_formula("~(p0 & p1)", 2),
         ]
         hyp = parse_formula("Kw[0] (p0 & p1)", 2)
-        assert label(m, anns, hyp) is True
+        assert label(obs, build_initial_model(obs), anns, hyp) is True
 
     def test_contradictory_premise_raises(self):
+        obs = forehead(2)
         with pytest.raises(ContradictoryPremise):
-            label(forehead(2), [Atom(0), Not(Atom(0))], Atom(0))
+            label(obs, build_initial_model(obs), [Atom(0), Not(Atom(0))], Atom(0))
 
     def test_agrees_with_prefixed_announcement_formula(self):
         rng = SplitMix64(0x1AB)
         for _ in range(150):
             n = 2 + rng.below(2)
-            m = build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n))
+            obs = forehead(n)
+            live = build_initial_model(obs)
             anns = [
                 random_formula(rng, n, depth=2, announce_budget=0)
                 for _ in range(rng.below(4))
@@ -283,9 +284,9 @@ class TestLabel:
             chain = hyp
             for a in reversed(anns):
                 chain = Announced(a, chain)
-            chain_valid = all(evaluate(m, w, chain) for w in m.live)
+            chain_valid = all(evaluate(obs, live, w, chain) for w in worlds(live))
             try:
-                assert label(m, anns, hyp) == chain_valid
+                assert label(obs, live, anns, hyp) == chain_valid
             except ContradictoryPremise:
                 assert chain_valid is True  # vacuously
 
@@ -293,7 +294,8 @@ class TestLabel:
         rng = SplitMix64(0x0AC1)
         for _ in range(150):
             n = 2 + rng.below(2)
-            m = build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n))
+            obs = forehead(n)
+            live = build_initial_model(obs)
             anns = [
                 random_formula(rng, n, depth=2, announce_budget=0)
                 for _ in range(rng.below(4))
@@ -303,9 +305,9 @@ class TestLabel:
             for a in reversed(anns):
                 chain = Announced(a, chain)
             reduced = reduce_announcements(chain)
-            reduced_valid = all(evaluate(m, w, reduced) for w in m.live)
+            reduced_valid = all(evaluate(obs, live, w, reduced) for w in worlds(live))
             try:
-                assert label(m, anns, hyp) == reduced_valid
+                assert label(obs, live, anns, hyp) == reduced_valid
             except ContradictoryPremise:
                 assert reduced_valid is True
 
@@ -337,19 +339,20 @@ class TestS5Axioms:
         while len(out) < count:
             n = 2 + rng.below(2)
             rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
-            m = build_initial_model(n, ObservabilityMatrix.from_rows(rows))
+            obs = ObservabilityMatrix.from_rows(rows)
+            live = build_initial_model(obs)
             # optionally restrict by a boolean announcement to vary live sets
             if rng.chance(0.5):
-                m = announce(m, random_boolean_formula(rng, n, 2))
-                if not m.live:
+                live = announce(obs, live, random_boolean_formula(rng, n, 2))
+                if not live:
                     continue
-            out.append(m)
+            out.append((obs, live))
         return out
 
     def test_axioms_valid(self):
         rng = SplitMix64(0x55)
-        for m in self._random_models(rng, 120):
-            n = m.n_agents
+        for obs, live in self._random_models(rng, 120):
+            n = obs.n
             phi = random_formula(rng, n, depth=2, announce_budget=0)
             psi = random_formula(rng, n, depth=2, announce_budget=0)
             a = rng.below(n)
@@ -367,4 +370,4 @@ class TestS5Axioms:
                 positive_introspection,
                 negative_introspection,
             ):
-                assert worlds_where(m, axiom) == m.live
+                assert worlds_where(obs, live, axiom) == worlds(live)

@@ -22,7 +22,6 @@ from epistle.kripke import (
 )
 from epistle.rng import SplitMix64
 from epistle.symbolic import (
-    KnowledgeStructure,
     announce_symbolic,
     is_contradictory_symbolic,
     label_symbolic,
@@ -34,62 +33,58 @@ from support import (
     random_boolean_formula,
     random_formula,
     sat_worlds,
+    worlds,
     worlds_where,
 )
 
-
-def forehead_ks(store, n):
-    return KnowledgeStructure.from_observability(
-        store, ObservabilityMatrix.ones_minus_identity(n)
-    )
+forehead = ObservabilityMatrix.ones_minus_identity
 
 
 class TestTranslate:
     def test_observed_variable_is_known(self):
         store = DdStore()
-        ks = forehead_ks(store, 2)  # agent 0 observes p1 only
-        assert translate(ks, Knows(0, Atom(1))) is store.var(1)
+        # agent 0 observes p1 only
+        assert translate(store, forehead(2), store.true, Knows(0, Atom(1))) is store.var(1)
 
     def test_unobserved_unconstrained_variable_is_unknown(self):
         store = DdStore()
-        ks = forehead_ks(store, 2)
-        assert translate(ks, Knows(0, Atom(0))) is store.false
+        assert translate(store, forehead(2), store.true, Knows(0, Atom(0))) is store.false
 
     def test_whether_expansion_shares_node(self):
-        store = DdStore()
-        ks = forehead_ks(store, 3)
+        store, obs = DdStore(), forehead(3)
         f = KnowsWhether(1, Or((Atom(0), Atom(2))))
-        assert translate(ks, f) is translate(ks, expand_whether(1, f.child))
+        assert translate(store, obs, store.true, f) is translate(
+            store, obs, store.true, expand_whether(1, f.child)
+        )
         # random formulas and matrices, under laws left by announcements
         rng = SplitMix64(0x3E)
         for n in (2, 3, 4, 5):
             for _ in range(8):
                 rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
                 store = DdStore()
-                ks = KnowledgeStructure.from_observability(
-                    store, ObservabilityMatrix.from_rows(rows)
-                )
+                obs = ObservabilityMatrix.from_rows(rows)
+                law = store.true
                 # keep only announcements that leave some state alive
                 for _ in range(rng.below(3)):
                     after = announce_symbolic(
-                        ks, random_formula(rng, n, depth=2, announce_budget=0)
+                        store, obs, law, random_formula(rng, n, depth=2, announce_budget=0)
                     )
-                    if after.state_law is not store.false:
-                        ks = after
+                    if after is not store.false:
+                        law = after
                 for _ in range(10):
                     agent = rng.below(n)
                     child = random_formula(rng, n, depth=3)
-                    assert translate(ks, KnowsWhether(agent, child)) is translate(
-                        ks, expand_whether(agent, child)
+                    assert translate(store, obs, law, KnowsWhether(agent, child)) is translate(
+                        store, obs, law, expand_whether(agent, child)
                     )
 
     def test_nested_whether_visits_each_node_once(self, monkeypatch):
         visited = []
         original = symbolic.translate
 
-        def counting(ks, f, law=None):
+        def counting(store, obs, law, f):
             visited.append(f)
-            return original(ks, f, law)
+            return original(store, obs, law, f)
 
         # the recursion looks ``translate`` up on the module, so it counts too
         monkeypatch.setattr(symbolic, "translate", counting)
@@ -100,7 +95,7 @@ class TestTranslate:
             store = DdStore()
             visited.clear()
             # agent 1 observes p0 on foreheads, so every level is known
-            assert symbolic.translate(forehead_ks(store, 2), f) is store.true
+            assert symbolic.translate(store, forehead(2), store.true, f) is store.true
             assert len(visited) == depth + 1
 
     def test_matches_explicit_satisfying_sets(self):
@@ -112,54 +107,42 @@ class TestTranslate:
                 ObservabilityMatrix.identity(n),
             ):
                 store = DdStore()
-                ks = KnowledgeStructure.from_observability(store, matrix)
-                model = build_initial_model(n, matrix)
+                law = store.true
+                live = build_initial_model(matrix)
                 # vary the state law with a boolean restriction half the time
                 if rng.chance(0.5):
                     restriction = random_boolean_formula(rng, n, 2)
-                    ks = announce_symbolic(ks, restriction)
-                    model = announce(model, restriction)
+                    law = announce_symbolic(store, matrix, law, restriction)
+                    live = announce(matrix, live, restriction)
                 for _ in range(100):
                     f = random_formula(rng, n, depth=3)
-                    node = store.and_(ks.state_law, translate(ks, f))
-                    assert sat_worlds(store, node, n) == worlds_where(model, f)
+                    node = store.and_(law, translate(store, matrix, law, f))
+                    assert sat_worlds(store, node, n) == worlds_where(matrix, live, f)
 
 
 class TestAnnounceSymbolic:
-    def test_keeps_store_vocabulary_and_observations(self):
-        store = DdStore()
-        ks = forehead_ks(store, 3)
-        after = announce_symbolic(ks, Or((Atom(0), Atom(2))))
-        assert after.store is ks.store
-        assert after.obs is ks.obs
-        assert after.state_law is not ks.state_law
-
     def test_tautology_returns_same_law_node(self):
         store = DdStore()
-        ks = forehead_ks(store, 2)
-        after = announce_symbolic(ks, Or((Atom(0), Not(Atom(0)))))
-        assert after.state_law is ks.state_law
+        after = announce_symbolic(store, forehead(2), store.true, Or((Atom(0), Not(Atom(0)))))
+        assert after is store.true
 
     def test_existential_keeps_three_states(self):
         store = DdStore()
-        ks = forehead_ks(store, 2)
-        after = announce_symbolic(ks, Or((Atom(0), Atom(1))))
-        assert after.live_count() == 3
-        assert sat_worlds(store, after.state_law, 2) == frozenset({1, 2, 3})
+        after = announce_symbolic(store, forehead(2), store.true, Or((Atom(0), Atom(1))))
+        assert store.count_sat(after, 2) == 3
+        assert sat_worlds(store, after, 2) == frozenset({1, 2, 3})
 
     def test_round_announcements_shrink_like_explicit(self):
         n = 3
-        store = DdStore()
-        ks = forehead_ks(store, n)
-        model = build_initial_model(n, ObservabilityMatrix.ones_minus_identity(n))
+        store, obs = DdStore(), forehead(n)
+        law, live = store.true, build_initial_model(obs)
         existential = disj(Atom(i) for i in range(n))
         ignorance = conj(Not(KnowsWhether(i, Atom(i))) for i in range(n))
-        from epistle.kripke import announce
 
         for step in (existential, ignorance, ignorance):
-            ks = announce_symbolic(ks, step)
-            model = announce(model, step)
-            assert sat_worlds(store, ks.state_law, n) == model.live
+            law = announce_symbolic(store, obs, law, step)
+            live = announce(obs, live, step)
+            assert sat_worlds(store, law, n) == worlds(live)
 
 
 class TestLabelSymbolic:
@@ -168,27 +151,26 @@ class TestLabelSymbolic:
         ignorance = parse_formula("~Kw[0]p0 & ~Kw[1]p1", 2)
         hyp = parse_formula("Kw[0]p0 & Kw[1]p1", 2)
         store = DdStore()
-        assert label_symbolic(forehead_ks(store, 2), [existential], hyp) is False
+        assert label_symbolic(store, forehead(2), store.true, [existential], hyp) is False
         assert (
-            label_symbolic(forehead_ks(store, 2), [existential, ignorance], hyp)
+            label_symbolic(store, forehead(2), store.true, [existential, ignorance], hyp)
             is True
         )
 
     def test_contradiction_raises(self):
         store = DdStore()
         with pytest.raises(ContradictoryPremise):
-            label_symbolic(forehead_ks(store, 2), [Atom(0), Not(Atom(0))], Atom(0))
+            label_symbolic(store, forehead(2), store.true, [Atom(0), Not(Atom(0))], Atom(0))
 
     def test_generalized_muddy_children_small(self):
         for n in range(2, 9):
-            store = DdStore()
-            ks = forehead_ks(store, n)
+            store, obs = DdStore(), forehead(n)
             existential = disj(Atom(i) for i in range(n))
             ignorance = conj(Not(KnowsWhether(i, Atom(i))) for i in range(n))
             everyone = conj(KnowsWhether(i, Atom(i)) for i in range(n))
             for k in range(n):
                 anns = [existential] + [ignorance] * k
-                assert label_symbolic(ks, anns, everyone) is (k >= n - 1)
+                assert label_symbolic(store, obs, store.true, anns, everyone) is (k >= n - 1)
 
 
 class TestBackendEquivalence:
@@ -198,19 +180,20 @@ class TestBackendEquivalence:
             n = 2 + rng.below(2)
             rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
             matrix = ObservabilityMatrix.from_rows(rows)
-            model = build_initial_model(n, matrix)
+            live = build_initial_model(matrix)
             store = DdStore()
-            ks = KnowledgeStructure.from_observability(store, matrix)
             anns = [
                 random_formula(rng, n, depth=3, announce_budget=0)
                 for _ in range(rng.below(3))
             ]
             hyp = random_formula(rng, n, depth=3, modal_budget=3, announce_budget=2)
-            assert is_contradictory(model, anns) == is_contradictory_symbolic(ks, anns)
+            assert is_contradictory(matrix, live, anns) == is_contradictory_symbolic(
+                store, matrix, store.true, anns
+            )
             try:
-                explicit = label(model, anns, hyp)
+                explicit = label(matrix, live, anns, hyp)
             except ContradictoryPremise:
                 with pytest.raises(ContradictoryPremise):
-                    label_symbolic(ks, anns, hyp)
+                    label_symbolic(store, matrix, store.true, anns, hyp)
                 continue
-            assert label_symbolic(ks, anns, hyp) == explicit
+            assert label_symbolic(store, matrix, store.true, anns, hyp) == explicit
