@@ -2,7 +2,8 @@
 
 A checker takes an observability matrix, the announcement formulas in order,
 and a hypothesis; it returns the boolean label or raises
-``ContradictoryPremise``.
+``ContradictoryPremise``.  That outcome is the one contradiction test: the
+generator rejects a draw on it and ``check`` reports it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import threading
 from typing import Callable
 
 from .bdd import DdStore
-from .errors import BackendMismatch, StoreCapacity
+from .errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from .formula import Formula
+# is_contradictory and is_contradictory_symbolic are not called here; the
+# benchmark's tracer (bench/tracing.py) patches them under these names.
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label
 from .symbolic import is_contradictory_symbolic, label_symbolic
 
@@ -22,7 +25,6 @@ __all__ = [
     "symbolic_label",
     "both_label",
     "get_checker",
-    "contradictory",
 ]
 
 Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
@@ -45,29 +47,29 @@ def explicit_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) 
     return label(obs, build_initial_model(obs), anns, hyp)
 
 
-def _on_thread_store(decide, obs: ObservabilityMatrix, *args):
-    """``decide(store, obs, store.true, *args)``: ``obs`` with the
-    unconstrained state law, on this thread's retained store.
+def symbolic_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
+    """``label_symbolic`` from the unconstrained state law, on this thread's
+    retained store.
 
     Diagrams are canonical within a store, so a retained store gives the
     same answers as a fresh one.  ``StoreCapacity`` on a store that earlier
-    calls left non-empty runs ``decide`` once more on a fresh store; from a
-    fresh store it propagates.
+    calls left non-empty labels once more on a fresh store; from a fresh
+    store it propagates.
     """
     store = getattr(_thread, "store", None)
     if store is None:
         store = DdStore()
     elif len(store) > 2:  # more than the two terminals
         try:
-            return _keep_within_bound(store, decide, obs, args)
+            return _keep_within_bound(store, obs, anns, hyp)
         except StoreCapacity:
             store = DdStore()
-    return _keep_within_bound(store, decide, obs, args)
+    return _keep_within_bound(store, obs, anns, hyp)
 
 
-def _keep_within_bound(store: DdStore, decide, obs: ObservabilityMatrix, args):
+def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> bool:
     try:
-        return decide(store, obs, store.true, *args)
+        return label_symbolic(store, obs, store.true, anns, hyp)
     finally:
         # a full store (one that raised StoreCapacity) is dropped as well
         size = len(store)
@@ -75,18 +77,21 @@ def _keep_within_bound(store: DdStore, decide, obs: ObservabilityMatrix, args):
         _thread.store = store if kept else None
 
 
-def symbolic_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
-    return _on_thread_store(label_symbolic, obs, anns, hyp)
-
-
 def both_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
-    """Label with both backends; raise ``BackendMismatch`` if they disagree."""
-    explicit = explicit_label(obs, anns, hyp)
-    symbolic = symbolic_label(obs, anns, hyp)
+    """Label with both backends.  Each outcome is a label or a contradictory
+    premise; outcomes that differ raise ``BackendMismatch``, and a
+    contradiction found by both raises ``ContradictoryPremise``."""
+    outcomes = []
+    for checker in (explicit_label, symbolic_label):
+        try:
+            outcomes.append(checker(obs, anns, hyp))
+        except ContradictoryPremise:
+            outcomes.append("contradictory")
+    explicit, symbolic = outcomes
     if explicit != symbolic:
-        raise BackendMismatch(
-            f"explicit={explicit} symbolic={symbolic} for the same problem"
-        )
+        raise BackendMismatch(f"explicit={explicit} symbolic={symbolic} for the same problem")
+    if explicit == "contradictory":
+        raise ContradictoryPremise("both backends find the announcements contradictory")
     return explicit
 
 
@@ -102,17 +107,3 @@ def get_checker(name: str) -> Checker:
         return _CHECKERS[name]
     except KeyError:
         raise ValueError(f"unknown backend {name!r}") from None
-
-
-def contradictory(obs: ObservabilityMatrix, anns: list[Formula], backend: str) -> bool:
-    """Contradiction test under the named backend ("both" requires agreement)."""
-    results = []
-    if backend in ("explicit", "both"):
-        results.append(is_contradictory(obs, build_initial_model(obs), anns))
-    if backend in ("symbolic", "both"):
-        results.append(_on_thread_store(is_contradictory_symbolic, obs, anns))
-    if not results:
-        raise ValueError(f"unknown backend {backend!r}")
-    if len(results) == 2 and results[0] != results[1]:
-        raise BackendMismatch("backends disagree on contradiction detection")
-    return results[0]

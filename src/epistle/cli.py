@@ -2,7 +2,9 @@
 
 Exit codes: 2 for usage or formula-syntax errors and for resource limits, 3
 when generation stalls, 4 for a contradictory premise (without
---allow-contradiction), 5 when the two backends disagree.  A resource limit is
+--allow-contradiction), 5 when the two backends disagree.  ``check`` and
+``generate`` make one call per problem to the checker ``--backend`` names,
+which decides contradiction as well as the label.  A resource limit is
 a problem too large for the explicit backend (``SizeLimit``) or a
 decision-diagram store that outgrows ``EPISTLE_NODE_LIMIT``
 (``StoreCapacity``).  ``_EXITS`` maps each error a command may end in to its
@@ -17,10 +19,17 @@ import time
 
 import click
 
-from .backends import contradictory, explicit_label, get_checker, symbolic_label
+from .backends import explicit_label, get_checker, symbolic_label
 from .bdd import DdStore, default_node_capacity
 from .dsl import parse_formula, print_formula
-from .errors import BackendMismatch, EpistleError, GenerationStall, SizeLimit, StoreCapacity
+from .errors import (
+    BackendMismatch,
+    ContradictoryPremise,
+    EpistleError,
+    GenerationStall,
+    SizeLimit,
+    StoreCapacity,
+)
 from .formula import Atom, Knows, KnowsWhether, Not, Or, conj, disj
 from .generator import GenConfig, generate_balanced, iter_problems
 from .kripke import (
@@ -210,20 +219,15 @@ def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
     ann_formulas = [_parse_dsl(text, n) for text in announcements]
     hyp_formula = _parse_dsl(hyp, n)
 
-    if contradictory(matrix, ann_formulas, backend):
+    try:
+        verdict = get_checker(backend)(matrix, ann_formulas, hyp_formula)
+    except ContradictoryPremise:
         click.echo("Contradictory")
         sys.exit(0 if allow_contradiction else EXIT_CONTRADICTION)
-
-    labels = {
-        name: fn(matrix, ann_formulas, hyp_formula)
-        for name, fn in (("explicit", explicit_label), ("symbolic", symbolic_label))
-        if backend in (name, "both")
-    }
-    for name, verdict in labels.items():
-        click.echo(f"{name}: {verdict}" if backend == "both" else str(verdict))
-    if len(set(labels.values())) > 1:
-        click.echo("backends disagree", err=True)
-        sys.exit(EXIT_MISMATCH)
+    if backend == "both":
+        click.echo(f"explicit: {verdict}\nsymbolic: {verdict}")
+    else:
+        click.echo(verdict)
 
     if explain:
         live = build_initial_model(matrix)

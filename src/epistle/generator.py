@@ -1,12 +1,15 @@
-"""Problem sampling, contradiction filtering, labeling, and label balancing.
+"""Problem sampling, labeling, and label balancing.
+
+Each draw is labeled by one call to the chosen checker, which also decides
+contradiction: a ``ContradictoryPremise`` rejects the draw.
 
 Determinism contract: every candidate draw runs on its own substream keyed by
 (master seed, setup bucket, draw index), so the emitted dataset is a pure
 function of the configuration.  Within one draw the sampling order is fixed:
 setup, agent count, names, observability, extra-announcement count, the extra
-announcements in order, then the hypothesis.  The hypothesis is drawn only
-for draws that pass the contradiction filter; it is the last value drawn from
-the substream, so skipping it on a rejected draw changes no other draw.
+announcements in order, then the hypothesis.  The hypothesis is drawn for
+every draw, rejected ones included; it is the last value drawn from the
+substream, so drawing it on a rejected draw changes no other draw.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from itertools import islice
 
 from .backends import Checker, explicit_label
 from .dsl import MAX_NESTING
-from .errors import GenerationStall
-from .formula import Formula, Quantifier, desugar_subject
-from .kripke import (
-    ObservabilityMatrix,
-    build_initial_model,
-    is_contradictory,
-)
+from .errors import ContradictoryPremise, GenerationStall
+from .formula import Formula, Quantifier
+# build_initial_model and is_contradictory are not called here; the
+# benchmark's tracer (bench/tracing.py) patches them under these names.
+from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from .names import DEFAULT_NAME_POOL
 from .rng import SplitMix64, split_seed, substream
 from .setups import ALL_SETUPS, SetupKind, fixed_observability, setup_ordinal
@@ -150,26 +151,24 @@ def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> Observabil
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
 
 
-def sample_statement(rng: SplitMix64, n: int) -> tuple[Formula, StatementSpec]:
+def sample_statement(rng: SplitMix64, n: int) -> StatementSpec:
     """Subject uniform over the ``n`` agents plus the three quantifiers;
     predicate negated with ``P_NEGATE_OTHER``."""
     idx = rng.below(n + len(_QUANTIFIERS))
     subject = idx if idx < n else _QUANTIFIERS[idx - n]
-    spec = StatementSpec(subject, rng.chance(P_NEGATE_OTHER))
-    return desugar_subject(subject, spec.negated, n), spec
+    return StatementSpec(subject, rng.chance(P_NEGATE_OTHER))
 
 
 def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpec]:
     """Fair coin between a bare statement and a first-order belief about one."""
     if rng.chance(0.5):
-        _, statement = sample_statement(rng, n)
-        spec = ExpressionSpec((), statement)
+        spec = ExpressionSpec((), sample_statement(rng, n))
     else:
         knower = rng.below(n)
         whether = rng.chance(0.5)
         negate_knowledge = rng.chance(P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
-        _, statement = sample_statement(rng, n)
-        spec = ExpressionSpec((BeliefLayer(knower, whether, negate_knowledge),), statement)
+        layer = BeliefLayer(knower, whether, negate_knowledge)
+        spec = ExpressionSpec((layer,), sample_statement(rng, n))
     return spec.to_formula(n), spec
 
 
@@ -180,8 +179,7 @@ def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula,
         BeliefLayer(rng.below(n), rng.chance(0.5), rng.chance(P_NEGATE_OTHER))
         for _ in range(order)
     )
-    _, statement = sample_statement(rng, n)
-    spec = ExpressionSpec(layers, statement)
+    spec = ExpressionSpec(layers, sample_statement(rng, n))
     return spec.to_formula(n), spec
 
 
@@ -194,8 +192,8 @@ def make_problem(
     draw_index: int = 0,
     checker: Checker = explicit_label,
 ):
-    """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when the
-    announcements contradict each other."""
+    """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when
+    ``checker`` finds the announcements contradictory."""
     setup = rng.choice(cfg.setups)
     n = rng.choice(cfg.n_agents_choices)
     names = DEFAULT_NAME_POOL.sample(rng, n)
@@ -209,10 +207,11 @@ def make_problem(
         specs.append(spec)
         ann_formulas.append(formula)
 
-    if is_contradictory(obs, build_initial_model(obs), ann_formulas):
-        return Rejected("contradictory", draw_index)
     hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order)
-    verdict = checker(obs, ann_formulas, hyp_formula)
+    try:
+        verdict = checker(obs, ann_formulas, hyp_formula)
+    except ContradictoryPremise:
+        return Rejected("contradictory", draw_index)
 
     announcements = tuple(
         (formula, announcement_clause(setup, spec, names))

@@ -140,8 +140,6 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
         out = live
         for c in f.children:
             out &= _eval(obs, live, c)
-            if not out:
-                break
         return out
     if isinstance(f, Or):
         out = 0

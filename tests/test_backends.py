@@ -1,5 +1,6 @@
-"""The symbolic backend's per-thread store: kept across labels, dropped past
-its retention bound, and retried once on a fresh store when full."""
+"""The checkers' shared contracts: the symbolic backend's per-thread store
+(kept across labels, dropped past its retention bound, retried once on a
+fresh store when full), and ``both_label`` comparing the two outcomes."""
 
 import sys
 import threading
@@ -7,9 +8,9 @@ import threading
 import pytest
 
 from epistle import backends
-from epistle.backends import both_label, contradictory, explicit_label, symbolic_label
+from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
-from epistle.errors import ContradictoryPremise, StoreCapacity
+from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Announced, Atom, Knows, Not, Or
 from epistle.generator import GenConfig, iter_problems
 from epistle.kripke import ObservabilityMatrix
@@ -77,6 +78,9 @@ class TestIndexOutsideVocabulary:
             # under an announcement that leaves no world
             ([], Announced(And((Atom(0), Not(Atom(0)))), Knows(3, Atom(0))),
              "agent 3 outside vocabulary of 3"),
+            # after a conjunct that already leaves no world
+            ([], Not(And((Atom(0), Not(Atom(0)), Atom(5)))),
+             "proposition p5 outside vocabulary of 3"),
         ],
     )
     def test_is_a_value_error_naming_the_index(self, checker, anns, hyp, message):
@@ -84,6 +88,31 @@ class TestIndexOutsideVocabulary:
         with pytest.raises(ValueError) as err:
             checker(obs, anns, hyp)
         assert str(err.value) == message
+
+
+class TestBothLabel:
+    """``both_label`` compares outcomes: a label, or a contradictory premise."""
+
+    OBS = ObservabilityMatrix.ones_minus_identity(2)
+
+    def test_contradiction_on_both_backends_is_a_contradictory_premise(self):
+        with pytest.raises(ContradictoryPremise):
+            both_label(self.OBS, [Atom(0), Not(Atom(0))], Atom(1))
+
+    @pytest.mark.parametrize("patched", ["explicit_label", "symbolic_label"])
+    def test_contradiction_on_one_backend_is_a_mismatch(self, monkeypatch, patched):
+        def contradicts(*args):
+            raise ContradictoryPremise("forced")
+
+        monkeypatch.setattr(backends, patched, contradicts)
+        with pytest.raises(BackendMismatch, match="contradictory"):
+            both_label(self.OBS, [Atom(0)], Atom(0))
+
+    def test_labels_that_differ_are_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(backends, "symbolic_label", lambda *args: False)
+        with pytest.raises(BackendMismatch) as err:
+            both_label(self.OBS, [Atom(0)], Atom(0))
+        assert str(err.value) == "explicit=True symbolic=False for the same problem"
 
 
 class TestRetainedStore:
@@ -98,7 +127,7 @@ class TestRetainedStore:
             expected = oracle_label(n, obs.rows, anns, hyp)
             assert outcome(fresh_store_label, obs, anns, hyp) == expected
             assert outcome(symbolic_label, obs, anns, hyp) == expected
-            assert contradictory(obs, anns, "symbolic") is (expected is None)
+            assert outcome(both_label, obs, anns, hyp) == expected
             if store is None:
                 store = kept_store()
             assert kept_store() is store  # one store served every label
@@ -126,7 +155,8 @@ class TestRetainedStore:
         symbolic_label(obs, [], hyp)
         store = kept_store()
         assert store is not None
-        contradictory(obs, [hyp], "symbolic")
+        with pytest.raises(ContradictoryPremise):
+            symbolic_label(obs, [hyp, Not(hyp)], hyp)
         symbolic_label(obs, [hyp], hyp)
         assert kept_store() is store
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import epistle
@@ -32,9 +33,14 @@ EXPECTED_KEYS = [
 
 # sha256 of the shipped dataset, ``epistle generate --seed 7``
 DEFAULT_DATASET_SHA256 = "b32783b3ba329e0e57bd51f5d3a9df7bd77d0b42760403b0c8fd6b700251feda"
-# sha256 of ``epistle generate --seed 7 --n-agents 6 --max-order 3
-# --per-setup 100 --backend symbolic``
-SYMBOLIC_DATASET_SHA256 = "4f289d4da55ef13ef2e9d4dcf699cba1684b5dc2a315fe98037d8b87a40f4b84"
+# sha256 of ``epistle generate --seed 7 --max-order 3 --backend symbolic``
+# with ``--n-agents 6 --per-setup 100`` and with ``--n-agents 20 --per-setup
+# 20``; the second is also what a run writes that rejects contradictory
+# draws on the explicit backend and labels on the symbolic one
+SYMBOLIC_DATASETS = [
+    (6, 100, "4f289d4da55ef13ef2e9d4dcf699cba1684b5dc2a315fe98037d8b87a40f4b84"),
+    (20, 20, "71458b2b33ef227ec7f91fe808050944ac14f61331f6cf5b9ab9955bcab0d596"),
+]
 
 
 def run_cli(*args, **env):
@@ -106,12 +112,13 @@ class TestRecords:
         assert write_jsonl(map(record_from_instance, instances), str(path)) == 1600
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_DATASET_SHA256
 
-    def test_symbolic_checker_dataset_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("n, per_setup, sha256", SYMBOLIC_DATASETS)
+    def test_symbolic_checker_dataset_bytes_are_pinned(self, tmp_path, n, per_setup, sha256):
         path = tmp_path / "d.jsonl"
-        cfg = GenConfig(seed=7, n_agents_choices=(6,), max_order=3, per_setup_count=100)
+        cfg = GenConfig(seed=7, n_agents_choices=(n,), max_order=3, per_setup_count=per_setup)
         instances = generate_balanced(cfg, checker=get_checker("symbolic"))
-        assert write_jsonl(map(record_from_instance, instances), str(path)) == 400
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == SYMBOLIC_DATASET_SHA256
+        assert write_jsonl(map(record_from_instance, instances), str(path)) == 4 * per_setup
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_records_reverify_from_serialized_formulas(self):
         cfg = GenConfig(seed=43, per_setup_count=4)
@@ -229,13 +236,14 @@ class TestGenerateCommand:
         assert len(read_jsonl(str(out))) == 8
         assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
 
-    def test_explicit_size_limit_in_filter_exits_2_without_traceback(self, tmp_path):
-        # labeling is symbolic, but the contradiction filter is explicit
+    def test_symbolic_backend_generates_past_the_explicit_limit(self, tmp_path):
         out = tmp_path / "big.jsonl"
-        proc = run_cli(
-            "generate", "--n-agents", "25", "--backend", "symbolic",
-            "--per-setup", "2", "--out", str(out),
-        )
+        args = ["generate", "--n-agents", "25", "--per-setup", "2", "--out", str(out)]
+        result = CliRunner().invoke(cli.main, [*args, "--backend", "symbolic"])
+        assert result.exit_code == 0, result.output
+        assert len(read_jsonl(str(out))) == 8
+        out.unlink()
+        proc = run_cli(*args, "--backend", "both")
         assert_one_line_exit_2(proc, "resource limit: explicit backend handles 1..20 agents")
         assert list(tmp_path.iterdir()) == []
 
@@ -269,7 +277,7 @@ class TestGenerateCommand:
             raise BackendMismatch("forced")
 
         monkeypatch.setattr(cli, "generate_balanced", disagree)
-        monkeypatch.setattr(cli, "contradictory", disagree)
+        monkeypatch.setattr(cli, "get_checker", lambda backend: disagree)
         for args in (
             ["generate", "--backend", "both", "--out", str(tmp_path / "x.jsonl")],
             ["check", "--n", "2", "--hyp", "p0", "--backend", "both"],
@@ -314,6 +322,17 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert "explicit: False" in result.output
         assert "symbolic: False" in result.output
+
+    def test_both_backends_label_mismatch_exits_5_with_one_line(self, monkeypatch):
+        from epistle import backends
+
+        monkeypatch.setattr(backends, "symbolic_label", lambda *args: True)
+        result = self._check("--n", "2", "--announce", "p0 | p1", "--hyp", "p0", "--backend", "both")
+        assert result.exit_code == 5
+        assert result.stdout == ""
+        assert result.stderr == (
+            "backend mismatch: explicit=False symbolic=True for the same problem\n"
+        )
 
     def test_contradiction_exit_4(self):
         result = self._check(
@@ -398,8 +417,7 @@ class TestCheckCommand:
         def never(*args):
             raise AssertionError("labeled before rejecting --explain")
 
-        monkeypatch.setattr(cli, "contradictory", never)
-        monkeypatch.setattr(cli, "symbolic_label", never)
+        monkeypatch.setattr(cli, "get_checker", never)
         result = self._check("--n", "2", "--hyp", "p0", "--backend", "symbolic", "--explain")
         assert result.exit_code == 2
         assert result.stdout == ""

@@ -82,8 +82,8 @@ class TestSampleObservability:
 class TestSampleStatement:
     def test_forced_single_agent(self):
         rng = ScriptedRng(belows=[1], chances=[False])
-        formula, spec = sample_statement(rng, 3)
-        assert formula == Atom(1)
+        spec = sample_statement(rng, 3)
+        assert ExpressionSpec((), spec).to_formula(3) == Atom(1)
         assert spec.subject == 1 and spec.negated is False
 
     def test_forced_nobody_with_negation_collapses(self):
@@ -91,9 +91,9 @@ class TestSampleStatement:
         from epistle.formula import And
 
         rng = ScriptedRng(belows=[4], chances=[True])
-        formula, spec = sample_statement(rng, 2)
+        spec = sample_statement(rng, 2)
         assert spec.subject is Quantifier.NOBODY and spec.negated
-        assert formula == And((Atom(0), Atom(1)))
+        assert ExpressionSpec((), spec).to_formula(2) == And((Atom(0), Atom(1)))
 
     def test_subjects_uniform_chi_square(self):
         # 6 categories for n=3; chi-square df=5 critical value at p=0.01
@@ -102,8 +102,7 @@ class TestSampleStatement:
         draws = 10_000
         counts = Counter()
         for _ in range(draws):
-            _, spec = sample_statement(rng, n)
-            counts[spec.subject] += 1
+            counts[sample_statement(rng, n).subject] += 1
         assert len(counts) == n + 3
         expected = draws / (n + 3)
         statistic = sum((c - expected) ** 2 / expected for c in counts.values())
