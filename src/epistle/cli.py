@@ -89,6 +89,19 @@ def _parse_setups(spec: str) -> tuple[SetupKind, ...]:
     return tuple(out)
 
 
+def _gen_config(n_agents: str, **fields) -> GenConfig:
+    """``GenConfig`` from command options; ``n_agents`` is the comma list
+    of agent counts."""
+    try:
+        counts = tuple(int(part) for part in n_agents.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad --n-agents value {n_agents!r}")
+    try:
+        return GenConfig(n_agents_choices=counts, **fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _parse_dsl(text: str, n: int):
     try:
         return parse_formula(text, n)
@@ -159,20 +172,13 @@ def main():
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     """Write a balanced JSON-Lines dataset."""
-    try:
-        counts = tuple(int(part) for part in n_agents.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad --n-agents value {n_agents!r}")
-    try:
-        cfg = GenConfig(
-            seed=seed,
-            per_setup_count=per_setup,
-            setups=_parse_setups(setups),
-            n_agents_choices=counts,
-            max_order=max_order,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    cfg = _gen_config(
+        n_agents,
+        seed=seed,
+        per_setup_count=per_setup,
+        setups=_parse_setups(setups),
+        max_order=max_order,
+    )
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise click.UsageError(f"cannot write to directory {out_dir!r}")
@@ -248,9 +254,10 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 @main.command()
 @click.option("--count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def crosscheck(count, seed):
+@click.option("--n-agents", default="2,3", show_default=True, help="Comma list of counts.")
+def crosscheck(count, seed, n_agents):
     """Label random instances with both backends and report disagreements."""
-    cfg = GenConfig(seed=seed)
+    cfg = _gen_config(n_agents, seed=seed)
     mismatches = 0
     explicit_times = []
     symbolic_times = []

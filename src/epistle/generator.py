@@ -15,7 +15,9 @@ substream, so drawing it on a rejected draw changes no other draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import lru_cache
+from itertools import islice, product
+from typing import NamedTuple
 
 from .backends import Checker, explicit_label
 from .dsl import MAX_NESTING
@@ -34,12 +36,14 @@ __all__ = [
     "GenConfig",
     "Hypothesis",
     "ProblemInstance",
+    "Draw",
     "Rejected",
     "sample_observability",
     "sample_statement",
     "sample_announcement",
     "sample_hypothesis",
     "make_problem",
+    "render",
     "iter_problems",
     "generate_balanced",
 ]
@@ -117,14 +121,6 @@ class ProblemInstance:
     def announcement_formulas(self) -> tuple[Formula, ...]:
         return tuple(f for f, _ in self.announcements)
 
-    def dedup_key(self):
-        return (
-            self.setup,
-            self.n_agents,
-            self.announcement_formulas(),
-            self.hypothesis.formula,
-        )
-
 
 @dataclass(frozen=True)
 class Rejected:
@@ -137,26 +133,39 @@ class Rejected:
 def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> ObservabilityMatrix:
     """Matrix for the setup; only the explicit-card setup is random.
 
-    Each explicit entry is independently true with probability ``1/n``, so
-    the expected number of true entries is ``n``.
+    Each explicit entry, drawn row by row, is independently true with
+    probability ``1/n``, so the expected number of true entries is ``n``.
     """
     if kind is SetupKind.EXPLICIT:
-        p = 1.0 / n
-        return ObservabilityMatrix.from_rows(
-            [[rng.chance(p) for _ in range(n)] for _ in range(n)]
-        )
+        flat = rng.coins(1.0 / n, n * n)
+        return ObservabilityMatrix.from_rows(flat[i : i + n] for i in range(0, n * n, n))
     return fixed_observability(kind, n)
 
 
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
 
 
+@lru_cache(maxsize=DEFAULT_NAME_POOL.max_names)
+def _spec_tables(n: int) -> tuple[tuple[StatementSpec, ...], tuple[BeliefLayer, ...]]:
+    """Every statement and belief layer over ``n`` agents, in draw order:
+    statement ``2 * subject_index + negated`` and layer
+    ``4 * knower + 2 * whether + negated``."""
+    coin = (False, True)
+    statements = product((*range(n), *_QUANTIFIERS), coin)
+    layers = product(range(n), coin, coin)
+    return tuple(StatementSpec(*t) for t in statements), tuple(BeliefLayer(*t) for t in layers)
+
+
+def _sample_layer(rng: SplitMix64, n: int, p_negate: float) -> BeliefLayer:
+    """Knower, then a fair coin for "whether", then the negation coin."""
+    return _spec_tables(n)[1][4 * rng.below(n) + 2 * rng.chance(0.5) + rng.chance(p_negate)]
+
+
 def sample_statement(rng: SplitMix64, n: int) -> StatementSpec:
     """Subject uniform over the ``n`` agents plus the three quantifiers;
     predicate negated with ``P_NEGATE_OTHER``."""
     idx = rng.below(n + len(_QUANTIFIERS))
-    subject = idx if idx < n else _QUANTIFIERS[idx - n]
-    return StatementSpec(subject, rng.chance(P_NEGATE_OTHER))
+    return _spec_tables(n)[0][2 * idx + rng.chance(P_NEGATE_OTHER)]
 
 
 def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpec]:
@@ -164,10 +173,7 @@ def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpe
     if rng.chance(0.5):
         spec = ExpressionSpec((), sample_statement(rng, n))
     else:
-        knower = rng.below(n)
-        whether = rng.chance(0.5)
-        negate_knowledge = rng.chance(P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
-        layer = BeliefLayer(knower, whether, negate_knowledge)
+        layer = _sample_layer(rng, n, P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
         spec = ExpressionSpec((layer,), sample_statement(rng, n))
     return spec.to_formula(n), spec
 
@@ -175,15 +181,28 @@ def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpe
 def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula, ExpressionSpec]:
     """Belief order uniform on ``1..max_order``; layers drawn outermost first."""
     order = 1 + rng.below(max_order)
-    layers = tuple(
-        BeliefLayer(rng.below(n), rng.chance(0.5), rng.chance(P_NEGATE_OTHER))
-        for _ in range(order)
-    )
+    layers = tuple(_sample_layer(rng, n, P_NEGATE_OTHER) for _ in range(order))
     spec = ExpressionSpec(layers, sample_statement(rng, n))
     return spec.to_formula(n), spec
 
 
 _EXISTENTIAL = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE, False))
+
+
+class Draw(NamedTuple):
+    """An accepted draw before its text is rendered."""
+
+    setup: SetupKind
+    n_agents: int
+    names: tuple[str, ...]
+    obs: ObservabilityMatrix
+    ann_formulas: tuple[Formula, ...]
+    ann_specs: tuple[ExpressionSpec, ...]
+    hyp_formula: Formula
+    hyp_spec: ExpressionSpec
+    label: bool
+    seed: int
+    draw_index: int
 
 
 def make_problem(
@@ -192,8 +211,8 @@ def make_problem(
     draw_index: int = 0,
     checker: Checker = explicit_label,
 ):
-    """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when
-    ``checker`` finds the announcements contradictory."""
+    """One candidate draw: a ``Draw``, or ``Rejected`` when ``checker``
+    finds the announcements contradictory."""
     setup = rng.choice(cfg.setups)
     n = rng.choice(cfg.n_agents_choices)
     names = DEFAULT_NAME_POOL.sample(rng, n)
@@ -212,33 +231,33 @@ def make_problem(
         verdict = checker(obs, ann_formulas, hyp_formula)
     except ContradictoryPremise:
         return Rejected("contradictory", draw_index)
+    return Draw(
+        setup, n, names, obs, tuple(ann_formulas), tuple(specs),
+        hyp_formula, hyp_spec, verdict, cfg.seed, draw_index,
+    )
 
+
+def render(draw: Draw) -> ProblemInstance:
+    """The draw with its announcement clauses and hypothesis sentence."""
+    setup, names = draw.setup, draw.names
     announcements = tuple(
         (formula, announcement_clause(setup, spec, names))
-        for formula, spec in zip(ann_formulas, specs)
+        for formula, spec in zip(draw.ann_formulas, draw.ann_specs)
     )
+    hyp_spec = draw.hyp_spec
     hypothesis = Hypothesis(
-        hyp_formula,
-        render_hypothesis(setup, hyp_spec, names),
-        hyp_spec.order,
+        draw.hyp_formula, render_hypothesis(setup, hyp_spec, names), hyp_spec.order
     )
     return ProblemInstance(
-        setup=setup,
-        n_agents=n,
-        names=names,
-        obs=obs,
-        announcements=announcements,
-        hypothesis=hypothesis,
-        label=verdict,
-        seed=cfg.seed,
-        draw_index=draw_index,
+        setup, draw.n_agents, names, draw.obs, announcements, hypothesis,
+        draw.label, draw.seed, draw.draw_index,
     )
 
 
 def _accepted(cfg: GenConfig, seed: int, checker: Checker):
-    """The accepted instances of the draw stream keyed by ``seed``, in draw
-    order; raises ``GenerationStall`` once ``MAX_DRAWS_PER_BUCKET`` draws
-    are spent."""
+    """The accepted draws of the stream keyed by ``seed``, in draw order;
+    raises ``GenerationStall`` once ``MAX_DRAWS_PER_BUCKET`` draws are
+    spent."""
     for draw in range(MAX_DRAWS_PER_BUCKET):
         result = make_problem(substream(seed, draw), cfg, draw, checker)
         if not isinstance(result, Rejected):
@@ -248,7 +267,7 @@ def _accepted(cfg: GenConfig, seed: int, checker: Checker):
 
 def iter_problems(cfg: GenConfig, count: int, checker: Checker = explicit_label):
     """Yield ``count`` accepted instances from the unbucketed draw stream."""
-    return islice(_accepted(cfg, cfg.seed, checker), count)
+    return map(render, islice(_accepted(cfg, cfg.seed, checker), count))
 
 
 def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[ProblemInstance]:
@@ -256,7 +275,8 @@ def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[Prob
 
     Draws keep the earliest instances of each label (undersampling the
     majority label) and skip duplicates of
-    (setup, n, announcement formulas, hypothesis formula).
+    (setup, n, announcement formulas, hypothesis formula).  Only kept draws
+    are rendered.
     """
     half = cfg.per_setup_count // 2
     bucket_cfg = replace(cfg, setups=(setup,))
@@ -264,14 +284,14 @@ def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[Prob
     kept: dict[bool, list[ProblemInstance]] = {True: [], False: []}
     seen: set = set()
     try:
-        for result in _accepted(bucket_cfg, bucket_seed, checker):
-            key = result.dedup_key()
-            if key in seen:
+        for draw in _accepted(bucket_cfg, bucket_seed, checker):
+            n_seen = len(seen)  # add, then test growth: the key is hashed once
+            seen.add((draw.setup, draw.n_agents, draw.ann_formulas, draw.hyp_formula))
+            if len(seen) == n_seen:
                 continue
-            seen.add(key)
-            side = kept[result.label]
+            side = kept[draw.label]
             if len(side) < half:
-                side.append(result)
+                side.append(render(draw))
                 if len(kept[True]) == len(kept[False]) == half:
                     break
     except GenerationStall:

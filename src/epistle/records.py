@@ -6,8 +6,8 @@ identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from typing import Iterable
 
 from .dsl import print_formula
@@ -33,13 +33,22 @@ class DatasetRecord:
     index: int
 
     def to_json(self) -> str:
-        # json writes the tuple fields as arrays
-        payload = {name: getattr(self, name) for name in _FIELD_ORDER}
-        return json.dumps(payload, ensure_ascii=False)
+        """The text ``json.dumps(payload, ensure_ascii=False)`` gives for the
+        fields in declaration order, tuples as arrays."""
+        items = [key + encode(getattr(self, name)) for key, name, encode in _FIELDS]
+        return "{" + ", ".join(items) + "}"
 
 
-# keys are written in field declaration order
-_FIELD_ORDER = tuple(f.name for f in fields(DatasetRecord))
+def _string_array(items) -> str:
+    return "[" + ", ".join(map(encode_basestring, items)) + "]"
+
+
+# each field's JSON key, name and value encoder, in declaration order; the
+# types are the annotations as written
+_ENCODERS = {"str": encode_basestring, "int": str, "tuple[str, ...]": _string_array}
+_FIELDS = tuple(
+    (encode_basestring(f.name) + ": ", f.name, _ENCODERS[f.type]) for f in fields(DatasetRecord)
+)
 
 
 def record_from_instance(instance: ProblemInstance) -> DatasetRecord:

@@ -196,6 +196,16 @@ def check_reduced(store: DdStore) -> None:
             assert child.var is None or var < child.var, f"order violated at var {var}"
 
 
+def dedup_key(instance) -> tuple:
+    """What the generator deduplicates a setup's draws on."""
+    return (
+        instance.setup,
+        instance.n_agents,
+        instance.announcement_formulas(),
+        instance.hypothesis.formula,
+    )
+
+
 def read_jsonl(path: str) -> list[dict]:
     """The records of a JSON-Lines file, one dict per nonblank line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -323,3 +333,43 @@ def reference_sample_names(pool, rng: SplitMix64, n: int) -> tuple[str, ...]:
         picked.append(names.pop(rng.below(len(names))))
         side = 1 - side
     return tuple(picked)
+
+
+# ---------------------------------------------------------------------------
+# scalar SplitMix64 (the reference for the generator's blocked outputs)
+
+_MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+class ScalarSplitMix64:
+    """SplitMix64 stepped one output at a time, as Steele, Lea & Flood
+    define it, with the library's derived draws written on top."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        z = self.state = (self.state + GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def chance(self, p: float) -> bool:
+        return random_float(self) < p
+
+    def coins(self, p: float, k: int) -> list[bool]:
+        return [self.chance(p) for _ in range(k)]
+
+
+def random_float(rng) -> float:
+    """Float in [0, 1) with 53 bits of precision: the top 53 bits of the
+    next output, the float that ``chance`` compares."""
+    return (rng.next_u64() >> 11) * 2.0 ** -53

@@ -40,7 +40,7 @@ from epistle.symbolic import (
     translate,
 )
 
-from support import oracle_label, random_formula, reduce_announcements, worlds
+from support import dedup_key, oracle_label, random_formula, reduce_announcements, worlds
 
 
 def _report(criterion: str):
@@ -211,7 +211,7 @@ def test_criterion_6_dataset_contract(tmp_path):
         assert per_label[(setup, True)] == 200
         assert per_label[(setup, False)] == 200
 
-    keys = [i.dedup_key() for i in instances]
+    keys = [dedup_key(i) for i in instances]
     assert len(keys) == len(set(keys))
 
     for instance in instances:

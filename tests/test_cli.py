@@ -6,13 +6,15 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epistle
 import epistle.cli as cli
 from epistle.backends import explicit_label, get_checker, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula
 from epistle.generator import GenConfig, generate_balanced
-from epistle.records import record_from_instance, write_jsonl
+from epistle.records import DatasetRecord, record_from_instance, write_jsonl
 
 from support import read_jsonl
 
@@ -34,12 +36,15 @@ EXPECTED_KEYS = [
 # sha256 of the shipped dataset, ``epistle generate --seed 7``
 DEFAULT_DATASET_SHA256 = "b32783b3ba329e0e57bd51f5d3a9df7bd77d0b42760403b0c8fd6b700251feda"
 # sha256 of ``epistle generate --seed 7 --max-order 3 --backend symbolic``
-# with ``--n-agents 6 --per-setup 100`` and with ``--n-agents 20 --per-setup
-# 20``; the second is also what a run writes that rejects contradictory
-# draws on the explicit backend and labels on the symbolic one
+# with ``--n-agents 6 --per-setup 100``, with ``--n-agents 20 --per-setup
+# 20`` and with ``--n-agents 32 --per-setup 24``; the second is also what a
+# run writes that rejects contradictory draws on the explicit backend and
+# labels on the symbolic one.  Each explicit draw of the third flips 1,024
+# coins, 64 blocks of generator outputs.
 SYMBOLIC_DATASETS = [
     (6, 100, "4f289d4da55ef13ef2e9d4dcf699cba1684b5dc2a315fe98037d8b87a40f4b84"),
     (20, 20, "71458b2b33ef227ec7f91fe808050944ac14f61331f6cf5b9ab9955bcab0d596"),
+    (32, 24, "b55b4b4acf51d463a19c8396300c716f14fe12e6a610795240bad36bd312049b"),
 ]
 
 
@@ -87,7 +92,27 @@ class TestGroup:
         assert "Commands:" in proc.stderr and "Error" not in proc.stderr
 
 
+# text that JSON must escape (quotes, backslashes, control characters) mixed
+# with arbitrary, often non-ASCII, characters
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é中😀'), st.characters()), max_size=20)
+_TEXTS = st.lists(_TEXT, max_size=4).map(tuple)
+
+
 class TestRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            DatasetRecord,
+            premise=_TEXT, hypothesis=_TEXT, label=_TEXT, setup=_TEXT,
+            n_agents=st.integers(), n_announcements=st.integers(),
+            hypothesis_order=st.integers(), premise_formulas=_TEXTS,
+            hypothesis_formula=_TEXT, names=_TEXTS, seed=st.integers(), index=st.integers(),
+        )
+    )
+    def test_to_json_is_json_dumps(self, record):
+        payload = {name: getattr(record, name) for name in EXPECTED_KEYS}
+        assert record.to_json() == json.dumps(payload, ensure_ascii=False)
+
     def test_key_order_and_label_strings(self):
         cfg = GenConfig(seed=41, per_setup_count=2)
         instances = generate_balanced(cfg)
@@ -478,6 +503,25 @@ class TestCrosscheckCommand:
         )
         assert result.exit_code == 0, result.output
         assert "60 instances: 0 mismatches" in result.output
+
+    def test_n_agents_takes_the_generate_list(self):
+        result = CliRunner().invoke(
+            cli.main, ["crosscheck", "--count", "30", "--seed", "1", "--n-agents", "4,8"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "30 instances: 0 mismatches" in result.output
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("2,x", "bad --n-agents value '2,x'"),
+            ("1", "problems need at least two agents"),
+            ("2,201", "the name pool names at most 200 agents"),
+        ],
+    )
+    def test_bad_n_agents_is_the_generate_usage_error(self, tmp_path, value, message):
+        for args in (["crosscheck"], ["generate", "--out", str(tmp_path / "x.jsonl")]):
+            assert_usage_error(run_cli(*args, "--n-agents", value), message)
 
     def test_zero_count_trivially_passes(self):
         result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "0"])

@@ -21,6 +21,7 @@ from epistle.generator import (
     generate_balanced,
     iter_problems,
     make_problem,
+    render,
     sample_announcement,
     sample_hypothesis,
     sample_observability,
@@ -32,7 +33,7 @@ from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 
-from support import modal_depth
+from support import dedup_key, modal_depth
 
 
 class ScriptedRng:
@@ -203,6 +204,14 @@ class TestMakeProblem:
             assert not is_contradictory(instance.obs, live, list(anns))
             assert len(set(instance.names)) == instance.n_agents
 
+    def test_iter_problems_yields_rendered_instances(self):
+        cfg = GenConfig(seed=17)
+        for instance in iter_problems(cfg, 50):
+            draw = make_problem(substream(cfg.seed, instance.draw_index), cfg, instance.draw_index)
+            assert instance == render(draw)
+            assert all(clause for _, clause in instance.announcements)
+            assert instance.hypothesis.text.endswith(".")
+
 
 class TestGenerateBalanced:
     def test_smoke_run_is_balanced(self):
@@ -214,6 +223,20 @@ class TestGenerateBalanced:
             assert per_setup[(setup, True)] == 2
             assert per_setup[(setup, False)] == 2
 
+    def test_only_kept_draws_are_rendered(self, monkeypatch):
+        calls = Counter()
+        for name in ("announcement_clause", "render_hypothesis"):
+
+            def counting(*args, _name=name, _render=getattr(generator, name)):
+                calls[_name] += 1
+                return _render(*args)
+
+            monkeypatch.setattr(generator, name, counting)
+        instances = generate_balanced(GenConfig(seed=7))
+        # 2,160 draws are labeled; only the 1,600 kept ones get text
+        assert calls["render_hypothesis"] == len(instances) == 1600
+        assert calls["announcement_clause"] == sum(len(i.announcements) for i in instances)
+
     def test_rerun_is_identical(self):
         cfg = GenConfig(seed=5, per_setup_count=4)
         assert generate_balanced(cfg) == generate_balanced(cfg)
@@ -221,7 +244,7 @@ class TestGenerateBalanced:
     def test_no_duplicates(self):
         cfg = GenConfig(seed=11, per_setup_count=10)
         instances = generate_balanced(cfg)
-        keys = [i.dedup_key() for i in instances]
+        keys = [dedup_key(i) for i in instances]
         assert len(keys) == len(set(keys))
 
     def test_labels_verify_under_both_backends(self):

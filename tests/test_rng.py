@@ -1,12 +1,15 @@
 """Known-answer tests for the SplitMix64 generator.
 
 The dataset hash pins the generator only through everything built on it;
-these pin its raw outputs and each derived draw directly.
+these pin its raw outputs and each derived draw directly, and check the
+blocked outputs against the scalar generator in ``tests/support.py``.
 """
 
 import pytest
 
-from epistle.rng import SplitMix64, split_seed, substream
+from epistle.rng import LANES, SplitMix64, split_seed, substream
+
+from support import GOLDEN, ScalarSplitMix64, random_float
 
 
 def test_next_u64_matches_reference_vector():
@@ -34,12 +37,12 @@ def test_chance_is_pinned_and_agrees_with_random():
     floats, coins = SplitMix64(99), SplitMix64(99)
     for p in (0.0, 0.25, 0.5, 0.8, 1.0):
         for _ in range(200):
-            assert coins.chance(p) == (floats.random() < p)
+            assert coins.chance(p) == (random_float(floats) < p)
 
 
 def test_random_is_pinned():
     rng = SplitMix64(1234567)
-    assert [rng.random() for _ in range(3)] == [
+    assert [random_float(rng) for _ in range(3)] == [
         0.3500795420214081, 0.17364409667091263, 0.5322073040624192
     ]
 
@@ -67,3 +70,41 @@ def test_below_rejects_bounds_outside_one_to_two_pow_64(bound):
 
 def test_below_full_range_returns_raw_output():
     assert SplitMix64(1234567).below(2**64) == 6457827717110365317
+
+
+# One call of each kind a program may make; the bounds include 2**63 + 1,
+# which rejects about half of its outputs, and the coin counts cross a block.
+_CALLS = (
+    ("next_u64",),
+    *(("below", b) for b in (1, 2, 3, 7, 2**32, 2**63 + 1, 2**64)),
+    *(("chance", p) for p in (0.0, 0.25, 0.5, 0.8, 1.0)),
+    *(("coins", p, k) for p in (1 / 3, 0.5) for k in (0, 1, LANES - 1, LANES, LANES + 1, 40)),
+)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1234567, 2**64 - 1, *(split_seed(7, k) for k in range(4))],
+)
+def test_blocked_outputs_are_the_scalar_outputs(seed):
+    script = ScalarSplitMix64(seed ^ 0x5EED)
+    for _ in range(12):
+        blocked, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+        for _ in range(script.below(101)):
+            name, *args = _CALLS[script.below(len(_CALLS))]
+            assert getattr(blocked, name)(*args) == getattr(scalar, name)(*args), (name, args)
+        # the stream goes on where the scalar one is, mid-block or not
+        assert [blocked.next_u64() for _ in range(LANES + 1)] == [
+            scalar.next_u64() for _ in range(LANES + 1)
+        ]
+
+
+def test_below_with_high_rejection_rate_matches_scalar():
+    blocked, scalar = SplitMix64(1234567), ScalarSplitMix64(1234567)
+    bound = 2**63 + 1
+    assert [blocked.below(bound) for _ in range(3 * LANES)] == [
+        scalar.below(bound) for _ in range(3 * LANES)
+    ]
+    # about half the outputs were rejected: count the steps the stream took
+    steps = (scalar.state - 1234567) * pow(GOLDEN, -1, 2**64) % 2**64
+    assert steps >= 5 * LANES
