@@ -24,6 +24,8 @@ recursion limit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import IndexOutOfRange, ParseError
 from .formula import (
     And,
@@ -231,6 +233,7 @@ def _child(f: Formula, min_level: int) -> str:
     return text
 
 
+@lru_cache(maxsize=1 << 12)
 def print_formula(f: Formula) -> str:
-    """Canonical rendering; parsing it back yields a structurally equal tree."""
+    """Canonical rendering; parsing it back yields the same node."""
     return _render(f)[0]

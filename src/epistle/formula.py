@@ -8,7 +8,9 @@ subjects ("everyone is thirsty") desugar to flat conjunctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+import threading
+import weakref
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Union
@@ -32,68 +34,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+_table: dict[tuple, weakref.ref] = {}  # (cls, *fields) -> the live node
+_lock = threading.Lock()
+_sweep_at = 1 << 12
+_DEAD = weakref.ref(set())  # stands in for a missing entry
+
+
+def _sweep() -> None:
+    """Drop the dead entries, newest first.  A node's entry comes after its
+    children's, so dropping its key first frees the children only it held."""
+    global _sweep_at
+    keys = list(_table)
+    while keys:
+        key = keys.pop()
+        if _table[key]() is None:
+            del _table[key]
+    _sweep_at = max(1 << 12, 2 * len(_table))
+
+
+class _Node:
+    """Base of the formula node types.
+
+    Nodes are hash-consed: building a node whose fields equal those of a live
+    one returns that node, so ``==`` is identity and ``hash`` is O(1).  A miss
+    takes the lock, so threads cannot build two equal nodes, and passes an
+    index field through ``operator.index``.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _table.get(key, _DEAD)()
+        if node is not None:
+            return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+        if fields == ((),):
+            raise ValueError(f"{cls.__name__} requires at least one child")
+        if type(fields[0]) is not int and cls in (Atom, Knows, KnowsWhether):
+            fields = (operator.index(fields[0]), *fields[1:])
+        with _lock:
+            node = _table.get(key, _DEAD)()  # another thread may have built it
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    object.__setattr__(node, name, value)
+                if len(_table) >= _sweep_at:
+                    _sweep()
+                _table[key] = weakref.ref(node)
+        return node
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Atom(_Node):
     """Proposition ``p<prop>`` -- the predicate about agent ``prop``."""
 
-    prop: int
+    __slots__ = ("prop",)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+class Not(_Node):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("And requires at least one child")
+class And(_Node):
+    __slots__ = ("children",)
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("Or requires at least one child")
+class Or(_Node):
+    __slots__ = ("children",)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Knows:
+class Knows(_Node):
     """Agent ``agent`` knows that ``child`` holds."""
 
-    agent: int
-    child: "Formula"
+    __slots__ = ("agent", "child")
 
 
-@dataclass(frozen=True)
-class KnowsWhether:
+class KnowsWhether(_Node):
     """Agent ``agent`` knows whether ``child`` holds.
 
     Semantically equal to ``Knows(a, f) | Knows(a, ~f)``; kept as its own node
     because the surface language distinguishes the two verb forms.
     """
 
-    agent: int
-    child: "Formula"
+    __slots__ = ("agent", "child")
 
 
-@dataclass(frozen=True)
-class Announced:
+class Announced(_Node):
     """``continuation`` evaluated after ``announcement`` is publicly made."""
 
-    announcement: "Formula"
-    continuation: "Formula"
+    __slots__ = ("announcement", "continuation")
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Knows, KnowsWhether, Announced]
@@ -139,8 +185,7 @@ def negated(f: Formula) -> Formula:
 def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula:
     """Rewrite a quantified subject to a plain boolean formula over ``n`` atoms.
 
-    Cached: there are ``(n + 4) * 2`` distinct calls per agent count, and
-    the result is immutable, so every caller shares one tree per key.
+    Cached: there are ``(n + 4) * 2`` distinct calls per agent count.
 
     With the per-agent literal ``l_i`` (``p_i``, or ``~p_i`` when
     ``negate_predicate``):

@@ -39,7 +39,6 @@ __all__ = [
     "Draw",
     "Rejected",
     "sample_observability",
-    "sample_statement",
     "sample_announcement",
     "sample_hypothesis",
     "make_problem",
@@ -156,34 +155,38 @@ def _spec_tables(n: int) -> tuple[tuple[StatementSpec, ...], tuple[BeliefLayer, 
     return tuple(StatementSpec(*t) for t in statements), tuple(BeliefLayer(*t) for t in layers)
 
 
-def _sample_layer(rng: SplitMix64, n: int, p_negate: float) -> BeliefLayer:
+# 16,384 entries hold all 9,030 announcement expressions at n=32; a cache
+# that churns rebuilds their nodes through the unique table, about 3 µs each.
+@lru_cache(maxsize=1 << 14)
+def _expression(n: int, layers: tuple[int, ...], statement: int) -> tuple[Formula, ExpressionSpec]:
+    """The expression of the given table indices, and its formula."""
+    statements, belief_layers = _spec_tables(n)
+    spec = ExpressionSpec(tuple(map(belief_layers.__getitem__, layers)), statements[statement])
+    return spec.to_formula(n), spec
+
+
+def _statement(rng: SplitMix64, n: int) -> int:
+    """Subject uniform over the ``n`` agents plus the three quantifiers, then
+    the negation coin of the predicate."""
+    return 2 * rng.below(n + len(_QUANTIFIERS)) + rng.chance(P_NEGATE_OTHER)
+
+
+def _layer(rng: SplitMix64, n: int, p_negate: float) -> int:
     """Knower, then a fair coin for "whether", then the negation coin."""
-    return _spec_tables(n)[1][4 * rng.below(n) + 2 * rng.chance(0.5) + rng.chance(p_negate)]
-
-
-def sample_statement(rng: SplitMix64, n: int) -> StatementSpec:
-    """Subject uniform over the ``n`` agents plus the three quantifiers;
-    predicate negated with ``P_NEGATE_OTHER``."""
-    idx = rng.below(n + len(_QUANTIFIERS))
-    return _spec_tables(n)[0][2 * idx + rng.chance(P_NEGATE_OTHER)]
+    return 4 * rng.below(n) + 2 * rng.chance(0.5) + rng.chance(p_negate)
 
 
 def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpec]:
     """Fair coin between a bare statement and a first-order belief about one."""
     if rng.chance(0.5):
-        spec = ExpressionSpec((), sample_statement(rng, n))
-    else:
-        layer = _sample_layer(rng, n, P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
-        spec = ExpressionSpec((layer,), sample_statement(rng, n))
-    return spec.to_formula(n), spec
+        return _expression(n, (), _statement(rng, n))
+    return _expression(n, (_layer(rng, n, P_NEGATE_ANNOUNCEMENT_KNOWLEDGE),), _statement(rng, n))
 
 
 def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula, ExpressionSpec]:
     """Belief order uniform on ``1..max_order``; layers drawn outermost first."""
-    order = 1 + rng.below(max_order)
-    layers = tuple(_sample_layer(rng, n, P_NEGATE_OTHER) for _ in range(order))
-    spec = ExpressionSpec(layers, sample_statement(rng, n))
-    return spec.to_formula(n), spec
+    layers = tuple(_layer(rng, n, P_NEGATE_OTHER) for _ in range(1 + rng.below(max_order)))
+    return _expression(n, layers, _statement(rng, n))
 
 
 _EXISTENTIAL = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE, False))

@@ -93,47 +93,86 @@ def reduce_announcements(f: Formula) -> Formula:
     """Eliminate every announcement operator via the standard equivalences.
 
     The result contains no ``Announced`` node and is true at exactly the same
-    worlds of every model.
+    worlds of every model.  One memo per call, keyed on the hash-consed nodes,
+    rewrites each distinct subformula, and pushes each announcement into each
+    subformula, once: the result is a DAG whose size is polynomial in the
+    announcement nesting, where the tree it unfolds to is exponential.
     """
+    memo: dict = {}
+
+    def reduce(f: Formula) -> Formula:
+        if f not in memo:
+            memo[f] = _reduce_node(f, reduce, push)
+        return memo[f]
+
+    def push(psi: Formula, f: Formula) -> Formula:
+        if (psi, f) not in memo:
+            memo[psi, f] = _push_announcement(psi, f, push)
+        return memo[psi, f]
+
+    return reduce(f)
+
+
+def _reduce_node(f: Formula, reduce, push) -> Formula:
+    """One rewriting step of ``reduce_announcements``; ``reduce`` and
+    ``push`` are its memoised recursions."""
     if isinstance(f, Atom):
         return f
     if isinstance(f, Knows):
-        return Knows(f.agent, reduce_announcements(f.child))
+        return Knows(f.agent, reduce(f.child))
     if isinstance(f, KnowsWhether):
-        return KnowsWhether(f.agent, reduce_announcements(f.child))
+        return KnowsWhether(f.agent, reduce(f.child))
     if isinstance(f, Not):
-        return Not(reduce_announcements(f.child))
+        return Not(reduce(f.child))
     if isinstance(f, And):
-        return And(tuple(reduce_announcements(c) for c in f.children))
+        return And(tuple(reduce(c) for c in f.children))
     if isinstance(f, Or):
-        return Or(tuple(reduce_announcements(c) for c in f.children))
+        return Or(tuple(reduce(c) for c in f.children))
     if isinstance(f, Implies):
-        return Implies(reduce_announcements(f.left), reduce_announcements(f.right))
+        return Implies(reduce(f.left), reduce(f.right))
     if isinstance(f, Announced):
-        psi = reduce_announcements(f.announcement)
-        cont = reduce_announcements(f.continuation)
-        return _push_announcement(psi, cont)
+        return push(reduce(f.announcement), reduce(f.continuation))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _push_announcement(psi: Formula, f: Formula) -> Formula:
-    """Rewrite ``[!psi] f`` for an announcement-free ``f``."""
+def _push_announcement(psi: Formula, f: Formula, push) -> Formula:
+    """Rewrite ``[!psi] f`` for an announcement-free ``f``; ``push`` is the
+    memoised recursion."""
     if isinstance(f, Atom):
         return Implies(psi, f)
     if isinstance(f, Not):
-        return Implies(psi, Not(_push_announcement(psi, f.child)))
+        return Implies(psi, Not(push(psi, f.child)))
     if isinstance(f, And):
-        return And(tuple(_push_announcement(psi, c) for c in f.children))
+        return And(tuple(push(psi, c) for c in f.children))
     if isinstance(f, Or):
-        return Or(tuple(_push_announcement(psi, c) for c in f.children))
+        return Or(tuple(push(psi, c) for c in f.children))
     if isinstance(f, Implies):
-        return Implies(_push_announcement(psi, f.left), _push_announcement(psi, f.right))
+        return Implies(push(psi, f.left), push(psi, f.right))
     if isinstance(f, Knows):
-        return Implies(psi, Knows(f.agent, _push_announcement(psi, f.child)))
+        return Implies(psi, Knows(f.agent, push(psi, f.child)))
     if isinstance(f, KnowsWhether):
         # No direct equivalence for "knows whether"; expand it first.
-        return _push_announcement(psi, expand_whether(f.agent, f.child))
+        return push(psi, expand_whether(f.agent, f.child))
     raise TypeError(f"unexpected node under announcement: {f!r}")
+
+
+def distinct_nodes(f: Formula) -> int:
+    """The number of distinct nodes reachable from ``f``."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        if isinstance(g, (And, Or)):
+            stack.extend(g.children)
+        elif isinstance(g, (Not, Knows, KnowsWhether)):
+            stack.append(g.child)
+        elif isinstance(g, Implies):
+            stack += (g.left, g.right)
+        elif isinstance(g, Announced):
+            stack += (g.announcement, g.continuation)
+    return len(seen)
 
 
 def modal_depth(f: Formula) -> int:

@@ -137,6 +137,17 @@ class TestRecords:
         assert write_jsonl(map(record_from_instance, instances), str(path)) == 1600
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_DATASET_SHA256
 
+    def test_dataset_bytes_survive_warm_tables_and_caches(self, tmp_path):
+        # seed 8 in between fills the node table and the expression and
+        # print caches with entries seed 7 did not make
+        digests = []
+        for seed in (7, 8, 7):
+            path = tmp_path / f"d{len(digests)}.jsonl"
+            write_jsonl(map(record_from_instance, generate_balanced(GenConfig(seed=seed))), str(path))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[2] == DEFAULT_DATASET_SHA256
+        assert digests[1] != DEFAULT_DATASET_SHA256
+
     @pytest.mark.parametrize("n, per_setup, sha256", SYMBOLIC_DATASETS)
     def test_symbolic_checker_dataset_bytes_are_pinned(self, tmp_path, n, per_setup, sha256):
         path = tmp_path / "d.jsonl"

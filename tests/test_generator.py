@@ -25,7 +25,6 @@ from epistle.generator import (
     sample_announcement,
     sample_hypothesis,
     sample_observability,
-    sample_statement,
 )
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.names import DEFAULT_NAME_POOL
@@ -81,20 +80,23 @@ class TestSampleObservability:
 
 
 class TestSampleStatement:
+    """The statement draw, through the bare-statement branch of
+    ``sample_announcement`` (its first coin)."""
+
     def test_forced_single_agent(self):
-        rng = ScriptedRng(belows=[1], chances=[False])
-        spec = sample_statement(rng, 3)
-        assert ExpressionSpec((), spec).to_formula(3) == Atom(1)
-        assert spec.subject == 1 and spec.negated is False
+        rng = ScriptedRng(belows=[1], chances=[True, False])
+        formula, spec = sample_announcement(rng, 3)
+        assert formula is Atom(1) and spec.layers == ()
+        assert spec.statement.subject == 1 and spec.statement.negated is False
 
     def test_forced_nobody_with_negation_collapses(self):
         # "nobody" over a negated predicate double-negates back to the atoms
         from epistle.formula import And
 
-        rng = ScriptedRng(belows=[4], chances=[True])
-        spec = sample_statement(rng, 2)
-        assert spec.subject is Quantifier.NOBODY and spec.negated
-        assert ExpressionSpec((), spec).to_formula(2) == And((Atom(0), Atom(1)))
+        rng = ScriptedRng(belows=[4], chances=[True, True])
+        formula, spec = sample_announcement(rng, 2)
+        assert spec.statement.subject is Quantifier.NOBODY and spec.statement.negated
+        assert formula is And((Atom(0), Atom(1)))
 
     def test_subjects_uniform_chi_square(self):
         # 6 categories for n=3; chi-square df=5 critical value at p=0.01
@@ -103,7 +105,7 @@ class TestSampleStatement:
         draws = 10_000
         counts = Counter()
         for _ in range(draws):
-            counts[sample_statement(rng, n).subject] += 1
+            counts[sample_announcement(rng, n)[1].statement.subject] += 1
         assert len(counts) == n + 3
         expected = draws / (n + 3)
         statistic = sum((c - expected) ** 2 / expected for c in counts.values())
