@@ -262,8 +262,7 @@ def crosscheck(count, seed, n_agents):
     explicit_times = []
     symbolic_times = []
     for instance in iter_problems(cfg, count):
-        anns = list(instance.announcement_formulas())
-        hyp = instance.hypothesis.formula
+        anns, hyp = list(instance.ann_formulas), instance.hyp_formula
 
         t0 = time.perf_counter()
         a = explicit_label(instance.obs, anns, hyp)

@@ -10,6 +10,10 @@ setup, agent count, names, observability, extra-announcement count, the extra
 announcements in order, then the hypothesis.  The hypothesis is drawn for
 every draw, rejected ones included; it is the last value drawn from the
 substream, so drawing it on a rejected draw changes no other draw.
+
+An instance holds the specs its text is rendered from, not the text: the
+text is rendered when it is read, so a record renders it once, when it is
+written.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice, product
-from typing import NamedTuple
 
 from .backends import Checker, explicit_label
 from .dsl import MAX_NESTING
@@ -36,13 +39,11 @@ __all__ = [
     "GenConfig",
     "Hypothesis",
     "ProblemInstance",
-    "Draw",
     "Rejected",
     "sample_observability",
     "sample_announcement",
     "sample_hypothesis",
     "make_problem",
-    "render",
     "iter_problems",
     "generate_balanced",
 ]
@@ -105,20 +106,39 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A labeled problem, with formulas and surface text locked together."""
+    """A labeled problem: its formulas and the specs their text is rendered
+    from."""
 
     setup: SetupKind
     n_agents: int
     names: tuple[str, ...]
     obs: ObservabilityMatrix
-    announcements: tuple[tuple[Formula, str], ...]
-    hypothesis: Hypothesis
+    ann_formulas: tuple[Formula, ...]
+    ann_specs: tuple[ExpressionSpec, ...]
+    hyp_formula: Formula
+    hyp_spec: ExpressionSpec
     label: bool
     seed: int
     draw_index: int
 
+    @property
+    def announcements(self) -> tuple[tuple[Formula, str], ...]:
+        """Each announcement formula with its clause, rendered on every read."""
+        setup, names = self.setup, self.names
+        return tuple(
+            (formula, announcement_clause(setup, spec, names))
+            for formula, spec in zip(self.ann_formulas, self.ann_specs)
+        )
+
+    @property
+    def hypothesis(self) -> Hypothesis:
+        """The hypothesis with its sentence, rendered on every read."""
+        spec = self.hyp_spec
+        text = render_hypothesis(self.setup, spec, self.names)
+        return Hypothesis(self.hyp_formula, text, spec.order)
+
     def announcement_formulas(self) -> tuple[Formula, ...]:
-        return tuple(f for f, _ in self.announcements)
+        return self.ann_formulas
 
 
 @dataclass(frozen=True)
@@ -192,68 +212,33 @@ def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula,
 _EXISTENTIAL = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE, False))
 
 
-class Draw(NamedTuple):
-    """An accepted draw before its text is rendered."""
-
-    setup: SetupKind
-    n_agents: int
-    names: tuple[str, ...]
-    obs: ObservabilityMatrix
-    ann_formulas: tuple[Formula, ...]
-    ann_specs: tuple[ExpressionSpec, ...]
-    hyp_formula: Formula
-    hyp_spec: ExpressionSpec
-    label: bool
-    seed: int
-    draw_index: int
-
-
 def make_problem(
     rng: SplitMix64,
     cfg: GenConfig,
     draw_index: int = 0,
     checker: Checker = explicit_label,
-):
-    """One candidate draw: a ``Draw``, or ``Rejected`` when ``checker``
-    finds the announcements contradictory."""
+) -> ProblemInstance | Rejected:
+    """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when
+    ``checker`` finds the announcements contradictory."""
     setup = rng.choice(cfg.setups)
     n = rng.choice(cfg.n_agents_choices)
     names = DEFAULT_NAME_POOL.sample(rng, n)
     obs = sample_observability(setup, n, rng)
 
-    specs = [_EXISTENTIAL]
-    ann_formulas = [_EXISTENTIAL.to_formula(n)]
-    n_extra = rng.below(n + 1)
-    for _ in range(n_extra):
+    ann_formulas, specs = [_EXISTENTIAL.to_formula(n)], [_EXISTENTIAL]
+    for _ in range(rng.below(n + 1)):
         formula, spec = sample_announcement(rng, n)
-        specs.append(spec)
         ann_formulas.append(formula)
+        specs.append(spec)
 
     hyp_formula, hyp_spec = sample_hypothesis(rng, n, cfg.max_order)
     try:
         verdict = checker(obs, ann_formulas, hyp_formula)
     except ContradictoryPremise:
         return Rejected("contradictory", draw_index)
-    return Draw(
+    return ProblemInstance(
         setup, n, names, obs, tuple(ann_formulas), tuple(specs),
         hyp_formula, hyp_spec, verdict, cfg.seed, draw_index,
-    )
-
-
-def render(draw: Draw) -> ProblemInstance:
-    """The draw with its announcement clauses and hypothesis sentence."""
-    setup, names = draw.setup, draw.names
-    announcements = tuple(
-        (formula, announcement_clause(setup, spec, names))
-        for formula, spec in zip(draw.ann_formulas, draw.ann_specs)
-    )
-    hyp_spec = draw.hyp_spec
-    hypothesis = Hypothesis(
-        draw.hyp_formula, render_hypothesis(setup, hyp_spec, names), hyp_spec.order
-    )
-    return ProblemInstance(
-        setup, draw.n_agents, names, draw.obs, announcements, hypothesis,
-        draw.label, draw.seed, draw.draw_index,
     )
 
 
@@ -268,9 +253,10 @@ def _accepted(cfg: GenConfig, seed: int, checker: Checker):
     raise GenerationStall(f"draw budget of {MAX_DRAWS_PER_BUCKET} spent")
 
 
-def iter_problems(cfg: GenConfig, count: int, checker: Checker = explicit_label):
-    """Yield ``count`` accepted instances from the unbucketed draw stream."""
-    return map(render, islice(_accepted(cfg, cfg.seed, checker), count))
+def iter_problems(cfg: GenConfig, count: int):
+    """Yield ``count`` accepted instances from the unbucketed draw stream;
+    the explicit checker accepts and labels each draw."""
+    return islice(_accepted(cfg, cfg.seed, explicit_label), count)
 
 
 def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[ProblemInstance]:
@@ -278,33 +264,30 @@ def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[Prob
 
     Draws keep the earliest instances of each label (undersampling the
     majority label) and skip duplicates of
-    (setup, n, announcement formulas, hypothesis formula).  Only kept draws
-    are rendered.
+    (setup, n, announcement formulas, hypothesis formula).
     """
     half = cfg.per_setup_count // 2
     bucket_cfg = replace(cfg, setups=(setup,))
     bucket_seed = split_seed(cfg.seed, setup_ordinal(setup))
-    kept: dict[bool, list[ProblemInstance]] = {True: [], False: []}
+    kept: list[ProblemInstance] = []
+    counts = {True: 0, False: 0}
     seen: set = set()
     try:
-        for draw in _accepted(bucket_cfg, bucket_seed, checker):
+        for instance in _accepted(bucket_cfg, bucket_seed, checker):
             n_seen = len(seen)  # add, then test growth: the key is hashed once
-            seen.add((draw.setup, draw.n_agents, draw.ann_formulas, draw.hyp_formula))
-            if len(seen) == n_seen:
+            seen.add((setup, instance.n_agents, instance.ann_formulas, instance.hyp_formula))
+            if len(seen) == n_seen or counts[instance.label] == half:
                 continue
-            side = kept[draw.label]
-            if len(side) < half:
-                side.append(render(draw))
-                if len(kept[True]) == len(kept[False]) == half:
-                    break
+            counts[instance.label] += 1
+            kept.append(instance)
+            if counts[True] == counts[False] == half:
+                break
     except GenerationStall:
         raise GenerationStall(
-            f"setup {setup.value}: {len(kept[True])} True / {len(kept[False])} "
+            f"setup {setup.value}: {counts[True]} True / {counts[False]} "
             f"False after {MAX_DRAWS_PER_BUCKET} draws (need {half} of each)"
         ) from None
-    merged = kept[True] + kept[False]
-    merged.sort(key=lambda inst: inst.draw_index)
-    return merged
+    return kept
 
 
 def generate_balanced(
@@ -312,7 +295,4 @@ def generate_balanced(
 ) -> list[ProblemInstance]:
     """The full dataset: ``per_setup_count`` instances per configured setup,
     each setup exactly label-balanced, in draw order within each setup."""
-    out: list[ProblemInstance] = []
-    for setup in cfg.setups:
-        out.extend(_fill_setup(cfg, setup, checker))
-    return out
+    return [instance for setup in cfg.setups for instance in _fill_setup(cfg, setup, checker)]

@@ -52,18 +52,18 @@ _FIELDS = tuple(
 
 
 def record_from_instance(instance: ProblemInstance) -> DatasetRecord:
+    """The record of an instance; its text is rendered here, once."""
+    hypothesis = instance.hypothesis
     return DatasetRecord(
         premise=render_premise(instance),
-        hypothesis=instance.hypothesis.text,
+        hypothesis=hypothesis.text,
         label="True" if instance.label else "False",
         setup=instance.setup.value,
         n_agents=instance.n_agents,
-        n_announcements=len(instance.announcements),
-        hypothesis_order=instance.hypothesis.order,
-        premise_formulas=tuple(
-            print_formula(f) for f in instance.announcement_formulas()
-        ),
-        hypothesis_formula=print_formula(instance.hypothesis.formula),
+        n_announcements=len(instance.ann_formulas),
+        hypothesis_order=hypothesis.order,
+        premise_formulas=tuple(map(print_formula, instance.ann_formulas)),
+        hypothesis_formula=print_formula(hypothesis.formula),
         names=instance.names,
         seed=instance.seed,
         index=instance.draw_index,

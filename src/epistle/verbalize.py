@@ -124,11 +124,8 @@ def render_premise(instance) -> str:
         f"There are {number_word(n)} persons.",
         "Everyone is visible to others.",
     ]
-    sentences.extend(
-        observation_sentences(instance.setup, instance.names, instance.obs.rows)
-    )
-    for _, clause in instance.announcements:
-        sentences.append(f"It is publicly announced that {clause}.")
+    sentences.extend(observation_sentences(instance.setup, instance.names, instance.obs.rows))
+    sentences.extend(f"It is publicly announced that {c}." for _, c in instance.announcements)
     return " ".join(sentences)
 
 

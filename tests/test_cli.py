@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import epistle
 import epistle.cli as cli
-from epistle.backends import explicit_label, get_checker, symbolic_label
+import epistle.generator as generator
+from epistle.backends import both_label, explicit_label, get_checker, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula
-from epistle.generator import GenConfig, generate_balanced
+from epistle.generator import GenConfig, generate_balanced, iter_problems
 from epistle.records import DatasetRecord, record_from_instance, write_jsonl
 
 from support import read_jsonl
@@ -131,9 +132,12 @@ class TestRecords:
         assert len(loaded) == len(records)
         assert loaded[0]["premise"] == records[0].premise
 
-    def test_default_dataset_bytes_are_pinned(self, tmp_path):
+    # the backends agree on every draw of the shipped dataset, contradictions
+    # included
+    @pytest.mark.parametrize("checker", [explicit_label, symbolic_label, both_label])
+    def test_default_dataset_bytes_are_pinned(self, tmp_path, checker):
         path = tmp_path / "d.jsonl"
-        instances = generate_balanced(GenConfig(seed=7))
+        instances = generate_balanced(GenConfig(seed=7), checker=checker)
         assert write_jsonl(map(record_from_instance, instances), str(path)) == 1600
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_DATASET_SHA256
 
@@ -546,6 +550,17 @@ class TestCrosscheckCommand:
         proc = run_cli("crosscheck", "--count", "-3")
         assert_usage_error(proc, "Invalid value for '--count': -3 is not in the range x>=0.")
         assert proc.stdout == ""
+
+    def test_draws_are_checked_without_rendering_text(self, monkeypatch):
+        def unrendered(*args):
+            raise AssertionError("crosscheck rendered text")
+
+        for name in ("render_hypothesis", "announcement_clause"):
+            monkeypatch.setattr(generator, name, unrendered)
+        assert len(list(iter_problems(GenConfig(seed=1), 50))) == 50
+        result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "200", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        assert "200 instances: 0 mismatches" in result.output
 
     def test_injected_backend_bug_is_caught(self, monkeypatch):
         from epistle.formula import Not

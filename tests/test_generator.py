@@ -21,13 +21,13 @@ from epistle.generator import (
     generate_balanced,
     iter_problems,
     make_problem,
-    render,
     sample_announcement,
     sample_hypothesis,
     sample_observability,
 )
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.names import DEFAULT_NAME_POOL
+from epistle.records import record_from_instance
 from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
@@ -209,8 +209,8 @@ class TestMakeProblem:
     def test_iter_problems_yields_rendered_instances(self):
         cfg = GenConfig(seed=17)
         for instance in iter_problems(cfg, 50):
-            draw = make_problem(substream(cfg.seed, instance.draw_index), cfg, instance.draw_index)
-            assert instance == render(draw)
+            index = instance.draw_index
+            assert instance == make_problem(substream(cfg.seed, index), cfg, index)
             assert all(clause for _, clause in instance.announcements)
             assert instance.hypothesis.text.endswith(".")
 
@@ -235,9 +235,14 @@ class TestGenerateBalanced:
 
             monkeypatch.setattr(generator, name, counting)
         instances = generate_balanced(GenConfig(seed=7))
-        # 2,160 draws are labeled; only the 1,600 kept ones get text
-        assert calls["render_hypothesis"] == len(instances) == 1600
-        assert calls["announcement_clause"] == sum(len(i.announcements) for i in instances)
+        # the 2,160 accepted draws, the 1,600 kept ones included, hold no text
+        assert not calls
+        for instance in instances:
+            record_from_instance(instance)
+        # each of the 1,600 written records renders its text once
+        rendered = dict(calls)
+        assert rendered["render_hypothesis"] == len(instances) == 1600
+        assert rendered["announcement_clause"] == sum(len(i.announcements) for i in instances)
 
     def test_rerun_is_identical(self):
         cfg = GenConfig(seed=5, per_setup_count=4)
