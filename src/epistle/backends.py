@@ -25,6 +25,7 @@ __all__ = [
     "symbolic_label",
     "both_label",
     "get_checker",
+    "outcome",
 ]
 
 Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
@@ -77,17 +78,21 @@ def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> b
         _thread.store = store if kept else None
 
 
+def outcome(checker: Checker, obs, anns, hyp) -> bool | str:
+    """``checker``'s label, or ``"contradictory"`` when it finds the
+    announcements contradictory."""
+    try:
+        return checker(obs, anns, hyp)
+    except ContradictoryPremise:
+        return "contradictory"
+
+
 def both_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
-    """Label with both backends.  Each outcome is a label or a contradictory
-    premise; outcomes that differ raise ``BackendMismatch``, and a
-    contradiction found by both raises ``ContradictoryPremise``."""
-    outcomes = []
-    for checker in (explicit_label, symbolic_label):
-        try:
-            outcomes.append(checker(obs, anns, hyp))
-        except ContradictoryPremise:
-            outcomes.append("contradictory")
-    explicit, symbolic = outcomes
+    """Label with both backends.  Outcomes that differ raise
+    ``BackendMismatch``, and a contradiction found by both raises
+    ``ContradictoryPremise``."""
+    explicit = outcome(explicit_label, obs, anns, hyp)
+    symbolic = outcome(symbolic_label, obs, anns, hyp)
     if explicit != symbolic:
         raise BackendMismatch(f"explicit={explicit} symbolic={symbolic} for the same problem")
     if explicit == "contradictory":

@@ -19,7 +19,7 @@ import time
 
 import click
 
-from .backends import explicit_label, get_checker, symbolic_label
+from .backends import explicit_label, get_checker, outcome, symbolic_label
 from .bdd import DdStore, default_node_capacity
 from .dsl import parse_formula, print_formula
 from .errors import (
@@ -265,9 +265,9 @@ def crosscheck(count, seed, n_agents):
         anns, hyp = list(instance.ann_formulas), instance.hyp_formula
 
         t0 = time.perf_counter()
-        a = explicit_label(instance.obs, anns, hyp)
+        a = outcome(explicit_label, instance.obs, anns, hyp)
         t1 = time.perf_counter()
-        b = symbolic_label(instance.obs, anns, hyp)
+        b = outcome(symbolic_label, instance.obs, anns, hyp)
         t2 = time.perf_counter()
         explicit_times.append(t1 - t0)
         symbolic_times.append(t2 - t1)

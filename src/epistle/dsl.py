@@ -68,7 +68,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             while j < n and text[j] in _DIGITS:
                 j += 1
             atom = ch == "p"
-            tokens.append((_ATOM if atom else _INT, int(text[i + atom : j]), start))
+            try:
+                value = int(text[i + atom : j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"index of {j - i - atom} digits is too long", start) from None
+            tokens.append((_ATOM if atom else _INT, value, start))
             i = j
         elif ch.isalpha():
             j = i

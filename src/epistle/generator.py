@@ -29,7 +29,7 @@ from .formula import Formula, Quantifier
 # build_initial_model and is_contradictory are not called here; the
 # benchmark's tracer (bench/tracing.py) patches them under these names.
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory
-from .names import DEFAULT_NAME_POOL
+from .names import MAX_NAMES, sample_names
 from .rng import SplitMix64, split_seed, substream
 from .setups import ALL_SETUPS, SetupKind, fixed_observability, setup_ordinal
 from .statements import BeliefLayer, ExpressionSpec, StatementSpec
@@ -84,8 +84,8 @@ class GenConfig:
             raise ValueError("n_agents_choices must be nonempty")
         if any(n < 2 for n in self.n_agents_choices):
             raise ValueError("problems need at least two agents")
-        if max(self.n_agents_choices) > DEFAULT_NAME_POOL.max_names:
-            raise ValueError(f"the name pool names at most {DEFAULT_NAME_POOL.max_names} agents")
+        if max(self.n_agents_choices) > MAX_NAMES:
+            raise ValueError(f"the name pool names at most {MAX_NAMES} agents")
         if not self.setups:
             raise ValueError("setups must be nonempty")
         # normalize so flag order cannot change the stream
@@ -164,7 +164,7 @@ def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> Observabil
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
 
 
-@lru_cache(maxsize=DEFAULT_NAME_POOL.max_names)
+@lru_cache(maxsize=MAX_NAMES)
 def _spec_tables(n: int) -> tuple[tuple[StatementSpec, ...], tuple[BeliefLayer, ...]]:
     """Every statement and belief layer over ``n`` agents, in draw order:
     statement ``2 * subject_index + negated`` and layer
@@ -222,7 +222,7 @@ def make_problem(
     ``checker`` finds the announcements contradictory."""
     setup = rng.choice(cfg.setups)
     n = rng.choice(cfg.n_agents_choices)
-    names = DEFAULT_NAME_POOL.sample(rng, n)
+    names = sample_names(rng, n)
     obs = sample_observability(setup, n, rng)
 
     ann_formulas, specs = [_EXISTENTIAL.to_formula(n)], [_EXISTENTIAL]

@@ -2,17 +2,15 @@
 
 A static list keeps output reproducible across environments.  Names carry a
 feminine/masculine tag used only for balance: within a problem the draws
-alternate tags, starting from a randomly chosen one.
+alternate tags, starting from a randomly chosen one, and ``sample_names``
+draws each name uniformly from the untaken names of its tag.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass, field
-
 from .rng import SplitMix64
 
-__all__ = ["FEMININE_NAMES", "MASCULINE_NAMES", "NamePool", "DEFAULT_NAME_POOL"]
+__all__ = ["FEMININE_NAMES", "MASCULINE_NAMES", "MAX_NAMES", "sample_names"]
 
 FEMININE_NAMES = (
     "Mary", "Alice", "Emma", "Olivia", "Sophia", "Isabella", "Charlotte",
@@ -50,44 +48,19 @@ MASCULINE_NAMES = (
     "Liam", "Mason", "Owen",
 )
 
-
-@dataclass(frozen=True)
-class NamePool:
-    """Source of distinct display names for the agents of one problem."""
-
-    feminine: tuple[str, ...] = field(default=FEMININE_NAMES)
-    masculine: tuple[str, ...] = field(default=MASCULINE_NAMES)
-
-    def __post_init__(self):
-        combined = self.feminine + self.masculine
-        if len(set(combined)) != len(combined):
-            raise ValueError("name pool contains duplicates")
-
-    @property
-    def max_names(self) -> int:
-        """The most names ``sample`` can draw: twice the shorter tag list."""
-        return min(len(self.feminine), len(self.masculine)) * 2
-
-    def sample(self, rng: SplitMix64, n: int) -> tuple[str, ...]:
-        """Draw ``n`` distinct names, alternating gender tags."""
-        if n > self.max_names:
-            raise ValueError(f"cannot draw {n} names from this pool")
-        pools = (self.feminine, self.masculine)
-        taken: tuple[list[int], list[int]] = ([], [])  # ascending indices
-        side = 0 if rng.chance(0.5) else 1
-        picked: list[str] = []
-        for _ in range(n):
-            pool, used = pools[side], taken[side]
-            # the k-th untaken name: step past each taken index at or below k
-            k = rng.below(len(pool) - len(used))
-            for t in used:
-                if t > k:
-                    break
-                k += 1
-            insort(used, k)
-            picked.append(pool[k])
-            side = 1 - side
-        return tuple(picked)
+MAX_NAMES = 2 * min(len(FEMININE_NAMES), len(MASCULINE_NAMES))
+"""The most names ``sample_names`` can draw for one problem."""
 
 
-DEFAULT_NAME_POOL = NamePool()
+def sample_names(rng: SplitMix64, n: int) -> tuple[str, ...]:
+    """Draw ``n`` distinct names, alternating gender tags."""
+    if n > MAX_NAMES:
+        raise ValueError(f"cannot draw {n} names from the bundled pool")
+    pools = [list(FEMININE_NAMES), list(MASCULINE_NAMES)]
+    side = 0 if rng.chance(0.5) else 1
+    picked = []
+    for _ in range(n):
+        pool = pools[side]
+        picked.append(pool.pop(rng.below(len(pool))))
+        side = 1 - side
+    return tuple(picked)

@@ -1,13 +1,14 @@
 """Dataset records and their JSON-Lines serialization.
 
-One record per line, UTF-8, LF endings, keys always in the same order, so
-identical configurations produce byte-identical files.
+One record per line, UTF-8, LF endings, as the standard library's JSON
+encoder writes it with ``ensure_ascii=False``: keys in field declaration
+order, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from json.encoder import encode_basestring
+import json
+from dataclasses import dataclass
 from typing import Iterable
 
 from .dsl import print_formula
@@ -15,6 +16,8 @@ from .generator import ProblemInstance
 from .verbalize import render_premise
 
 __all__ = ["DatasetRecord", "record_from_instance", "write_jsonl"]
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -33,22 +36,8 @@ class DatasetRecord:
     index: int
 
     def to_json(self) -> str:
-        """The text ``json.dumps(payload, ensure_ascii=False)`` gives for the
-        fields in declaration order, tuples as arrays."""
-        items = [key + encode(getattr(self, name)) for key, name, encode in _FIELDS]
-        return "{" + ", ".join(items) + "}"
-
-
-def _string_array(items) -> str:
-    return "[" + ", ".join(map(encode_basestring, items)) + "]"
-
-
-# each field's JSON key, name and value encoder, in declaration order; the
-# types are the annotations as written
-_ENCODERS = {"str": encode_basestring, "int": str, "tuple[str, ...]": _string_array}
-_FIELDS = tuple(
-    (encode_basestring(f.name) + ": ", f.name, _ENCODERS[f.type]) for f in fields(DatasetRecord)
-)
+        """``json.dumps(vars(self), ensure_ascii=False)``: tuples as arrays."""
+        return _ENCODER.encode(vars(self))
 
 
 def record_from_instance(instance: ProblemInstance) -> DatasetRecord:

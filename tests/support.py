@@ -8,6 +8,7 @@ sets) so that agreement between the two is meaningful.
 from __future__ import annotations
 
 import json
+from bisect import insort
 
 from epistle.formula import (
     And,
@@ -22,6 +23,7 @@ from epistle.formula import (
 )
 from epistle.bdd import DdNode, DdStore
 from epistle.kripke import ObservabilityMatrix, announce
+from epistle.names import FEMININE_NAMES, MASCULINE_NAMES
 from epistle.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -355,21 +357,29 @@ def random_formula(
 
 
 # ---------------------------------------------------------------------------
-# reference name sampler (the list-copy-and-pop form of ``NamePool.sample``)
+# reference name sampler (the "k-th untaken name" form of ``sample_names``)
 
 
-def reference_sample_names(pool, rng: SplitMix64, n: int) -> tuple[str, ...]:
-    """Draw ``n`` distinct names from ``pool`` by copying each tag's names
-    into a list and popping the drawn index; the same draws as
-    ``NamePool.sample``, in the same order."""
-    if n > min(len(pool.feminine), len(pool.masculine)) * 2:
-        raise ValueError(f"cannot draw {n} names from this pool")
-    lists = [list(pool.feminine), list(pool.masculine)]
+def reference_sample_names(rng: SplitMix64, n: int) -> tuple[str, ...]:
+    """Draw ``n`` distinct bundled names without copying the name lists:
+    each draw picks the k-th name of its tag not yet taken, stepping past
+    the taken indices.  The same draws as ``sample_names``, in the same
+    order."""
+    pools = (FEMININE_NAMES, MASCULINE_NAMES)
+    if n > 2 * min(map(len, pools)):
+        raise ValueError(f"cannot draw {n} names from the bundled pool")
+    taken: tuple[list[int], list[int]] = ([], [])  # ascending indices
     side = 0 if rng.chance(0.5) else 1
     picked: list[str] = []
     for _ in range(n):
-        names = lists[side]
-        picked.append(names.pop(rng.below(len(names))))
+        pool, used = pools[side], taken[side]
+        k = rng.below(len(pool) - len(used))
+        for t in used:
+            if t > k:
+                break
+            k += 1
+        insort(used, k)
+        picked.append(pool[k])
         side = 1 - side
     return tuple(picked)
 

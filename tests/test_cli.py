@@ -6,14 +6,15 @@ import sys
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epistle
 import epistle.cli as cli
 import epistle.generator as generator
 from epistle.backends import both_label, explicit_label, get_checker, symbolic_label
-from epistle.dsl import MAX_NESTING, parse_formula
+from epistle.dsl import MAX_NESTING, parse_formula, print_formula
+from epistle.errors import ContradictoryPremise
 from epistle.generator import GenConfig, generate_balanced, iter_problems
 from epistle.records import DatasetRecord, record_from_instance, write_jsonl
 
@@ -108,6 +109,16 @@ class TestRecords:
             n_agents=st.integers(), n_announcements=st.integers(),
             hypothesis_order=st.integers(), premise_formulas=_TEXTS,
             hypothesis_formula=_TEXT, names=_TEXTS, seed=st.integers(), index=st.integers(),
+        )
+    )
+    # a fixed case with quotes, backslashes, control and non-ASCII characters
+    @example(
+        DatasetRecord(
+            premise='Zoë said "hi"\\ \x00\x1f\x7f\n\t\u2028 中 😀',
+            hypothesis="back\\slash \"quote\"", label="True", setup="\u00e9\b\f\r",
+            n_agents=2, n_announcements=-1, hypothesis_order=2**70,
+            premise_formulas=("p0 \"&\" p1", "\x01", ""), hypothesis_formula="\\",
+            names=("Zoë", "Åsa", "李"), seed=-7, index=0,
         )
     )
     def test_to_json_is_json_dumps(self, record):
@@ -481,6 +492,17 @@ class TestCheckCommand:
         proc = run_cli("check", "--n", "2", "--hyp", "p\u00b2")
         assert_usage_error(proc, "cannot parse 'p\u00b2': unknown operator 'p' (at offset 0)")
 
+    @pytest.mark.parametrize(
+        "hyp, offset",
+        [("p" + "1" * 5000, 0), ("K[" + "1" * 5000 + "] p0", 2)],
+        ids=["proposition", "agent"],
+    )
+    def test_overlong_index_is_a_one_line_parse_error(self, hyp, offset):
+        proc = run_cli("check", "--n", "2", "--hyp", hyp)
+        assert_one_line_exit_2(proc, f"Error: cannot parse {hyp!r}: ")
+        assert proc.stderr.endswith(f"(at offset {offset})\n")
+        assert proc.stdout == ""
+
     def test_literal_matrix_rows(self):
         result = self._check(
             "--n", "2",
@@ -578,6 +600,25 @@ class TestCrosscheckCommand:
         )
         assert result.exit_code == 5
         assert "mismatch" in result.output
+
+    def test_contradiction_found_by_one_backend_is_a_mismatch(self, monkeypatch):
+        calls = []
+
+        def contradicts_fifth(obs, anns, hyp):
+            calls.append(hyp)
+            if len(calls) == 5:
+                raise ContradictoryPremise("seeded: no world survives")
+            return symbolic_label(obs, anns, hyp)
+
+        monkeypatch.setattr(cli, "symbolic_label", contradicts_fifth)
+        fifth = list(iter_problems(GenConfig(seed=1), 5))[-1]
+        result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "20", "--seed", "1"])
+        assert result.exit_code == 5, result.output
+        assert result.stderr == (
+            f"mismatch at draw {fifth.draw_index}: explicit={fifth.label} "
+            f"symbolic=contradictory hyp={print_formula(fifth.hyp_formula)}\n"
+        )
+        assert "checked 20 instances: 1 mismatches" in result.stdout
 
 
 class TestPuzzleCommand:

@@ -63,7 +63,11 @@ class TestParse:
             ("K[0 p1", 4),
             ("Q p0", 0),
             ("p0 - p1", 3),
+            # indices past the interpreter's int() digit limit
+            ("p" + "1" * 5000, 0),
+            ("p0 & K[" + "1" * 5000 + "] p1", 7),
         ],
+        ids=lambda value: value[:20] if isinstance(value, str) else None,
     )
     def test_syntax_error_offsets(self, text, offset):
         with pytest.raises(ParseError) as err:

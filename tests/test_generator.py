@@ -26,7 +26,7 @@ from epistle.generator import (
     sample_observability,
 )
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
-from epistle.names import DEFAULT_NAME_POOL
+from epistle.names import MAX_NAMES, sample_names
 from epistle.records import record_from_instance
 from epistle.rng import SplitMix64, substream
 from epistle.setups import SetupKind
@@ -295,13 +295,12 @@ class TestGenerateBalanced:
             GenConfig(max_order=0)
 
     def test_agent_count_stops_where_the_name_pool_stops(self):
-        most = DEFAULT_NAME_POOL.max_names
-        assert len(set(DEFAULT_NAME_POOL.sample(SplitMix64(3), most))) == most
-        assert GenConfig(n_agents_choices=(2, most)).n_agents_choices == (2, most)
-        with pytest.raises(ValueError, match=f"names at most {most} agents"):
-            GenConfig(n_agents_choices=(2, most + 1))
+        assert len(set(sample_names(SplitMix64(3), MAX_NAMES))) == MAX_NAMES
+        assert GenConfig(n_agents_choices=(2, MAX_NAMES)).n_agents_choices == (2, MAX_NAMES)
+        with pytest.raises(ValueError, match=f"names at most {MAX_NAMES} agents"):
+            GenConfig(n_agents_choices=(2, MAX_NAMES + 1))
         with pytest.raises(ValueError, match="cannot draw"):
-            DEFAULT_NAME_POOL.sample(SplitMix64(3), most + 1)
+            sample_names(SplitMix64(3), MAX_NAMES + 1)
 
     def test_max_order_stops_where_the_hypothesis_text_stops_parsing(self):
         def deepest(order):

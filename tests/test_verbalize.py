@@ -4,7 +4,7 @@ import pytest
 
 from epistle.formula import Quantifier
 from epistle.generator import GenConfig, generate_balanced, iter_problems
-from epistle.names import DEFAULT_NAME_POOL, FEMININE_NAMES, MASCULINE_NAMES, NamePool
+from epistle.names import FEMININE_NAMES, MASCULINE_NAMES, MAX_NAMES, sample_names
 from epistle.rng import SplitMix64
 from epistle.setups import SetupKind
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
@@ -217,45 +217,45 @@ class TestNamePool:
 
     def test_sample_distinct(self):
         rng = SplitMix64(4)
-        pool = NamePool()
         for _ in range(200):
-            names = pool.sample(rng, 3)
+            names = sample_names(rng, 3)
             assert len(set(names)) == 3
 
     def test_sample_alternates_tags(self):
         rng = SplitMix64(9)
         feminine = set(FEMININE_NAMES)
         for _ in range(100):
-            names = DEFAULT_NAME_POOL.sample(rng, 3)
+            names = sample_names(rng, 3)
             tags = [name in feminine for name in names]
             assert tags[0] != tags[1] and tags[1] != tags[2]
 
+    def test_full_draw_uses_every_name_once(self):
+        feminine = set(FEMININE_NAMES)
+        for seed in range(20):
+            names = sample_names(SplitMix64(seed), MAX_NAMES)
+            assert sorted(names) == sorted(FEMININE_NAMES + MASCULINE_NAMES)
+            tags = [name in feminine for name in names]
+            assert all(a != b for a, b in zip(tags, tags[1:]))
+
     @pytest.mark.parametrize(
-        "pool",
-        [
-            DEFAULT_NAME_POOL,
-            NamePool(("Ann", "Bea", "Cat", "Dee", "Eve"), ("Al", "Bo", "Cy", "Don")),
-        ],
-        ids=["default", "small"],
+        "sizes", [range(1, 11), (MAX_NAMES - 1, MAX_NAMES)], ids=["small", "full"]
     )
-    def test_sample_matches_list_pop_reference(self, pool):
+    def test_sample_matches_reference(self, sizes):
         # same names and the same draws, so the stream stays aligned after
-        limit = min(len(pool.feminine), len(pool.masculine)) * 2
-        for n in range(1, min(10, limit) + 1):
+        for n in sizes:
             for seed in range(300):
                 ours, ref = SplitMix64(seed * 31 + n), SplitMix64(seed * 31 + n)
-                assert pool.sample(ours, n) == reference_sample_names(pool, ref, n)
+                assert sample_names(ours, n) == reference_sample_names(ref, n)
                 assert ours.next_u64() == ref.next_u64()
 
-    @pytest.mark.parametrize("pool", [DEFAULT_NAME_POOL, NamePool(("A", "B"), ("C", "D", "E"))])
-    def test_oversize_draw_raises_before_drawing(self, pool):
-        n = min(len(pool.feminine), len(pool.masculine)) * 2 + 1
+    def test_oversize_draw_raises_before_drawing(self):
+        n = MAX_NAMES + 1
         ours, ref = SplitMix64(5), SplitMix64(5)
         with pytest.raises(ValueError) as err:
-            pool.sample(ours, n)
+            sample_names(ours, n)
         with pytest.raises(ValueError) as ref_err:
-            reference_sample_names(pool, ref, n)
-        assert str(err.value) == str(ref_err.value) == f"cannot draw {n} names from this pool"
+            reference_sample_names(ref, n)
+        assert str(err.value) == str(ref_err.value) == f"cannot draw {n} names from the bundled pool"
         assert ours.next_u64() == ref.next_u64() == SplitMix64(5).next_u64()
 
 
