@@ -25,8 +25,8 @@ from .dsl import parse_formula, print_formula
 from .errors import (
     BackendMismatch,
     ContradictoryPremise,
-    EpistleError,
     GenerationStall,
+    ParseError,
     SizeLimit,
     StoreCapacity,
 )
@@ -58,19 +58,26 @@ _NAMED_MATRICES = {
 }
 
 
+def _quote(text: str, offset: int = 0) -> str:
+    """``text`` quoted, cut to 80 characters around ``offset``; a cut is marked ``…``."""
+    start = max(0, min(offset - 40, len(text) - 80))
+    return repr("…"[: start > 0] + text[start : start + 80] + "…"[: start + 80 < len(text)])
+
+
 def _parse_obs(spec: str, n: int) -> ObservabilityMatrix:
     """Named matrix, or literal rows of 0/1 separated by ';'."""
     builder = _NAMED_MATRICES.get(spec)
     if builder is not None:
         return builder(n)
-    rows = []
+    rows, at = [], 0
     for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk or any(c not in "01" for c in chunk):
-            raise click.UsageError(f"bad observability spec {spec!r}")
-        rows.append([c == "1" for c in chunk])
+        row = chunk.strip()
+        if not row or row.strip("01"):
+            raise click.UsageError(f"bad observability spec {_quote(spec, at)} (at offset {at})")
+        rows.append([c == "1" for c in row])
+        at += len(chunk) + 1
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise click.UsageError(f"observability spec {spec!r} is not {n}x{n}")
+        raise click.UsageError(f"observability spec {_quote(spec)} is not {n}x{n}")
     return ObservabilityMatrix.from_rows(rows)
 
 
@@ -82,9 +89,7 @@ def _parse_setups(spec: str) -> tuple[SetupKind, ...]:
     for part in spec.split(","):
         part = part.strip()
         if part not in valid:
-            raise click.UsageError(
-                f"unknown setup {part!r}; choose from {', '.join(valid)}"
-            )
+            raise click.UsageError(f"unknown setup {_quote(part)}; choose from {', '.join(valid)}")
         out.append(valid[part])
     return tuple(out)
 
@@ -95,7 +100,7 @@ def _gen_config(n_agents: str, **fields) -> GenConfig:
     try:
         counts = tuple(int(part) for part in n_agents.split(","))
     except ValueError:
-        raise click.UsageError(f"bad --n-agents value {n_agents!r}")
+        raise click.UsageError(f"bad --n-agents value {_quote(n_agents)}")
     try:
         return GenConfig(n_agents_choices=counts, **fields)
     except ValueError as exc:
@@ -105,8 +110,8 @@ def _gen_config(n_agents: str, **fields) -> GenConfig:
 def _parse_dsl(text: str, n: int):
     try:
         return parse_formula(text, n)
-    except EpistleError as exc:
-        raise click.UsageError(f"cannot parse {text!r}: {exc}")
+    except ParseError as exc:
+        raise click.UsageError(f"cannot parse {_quote(text, exc.position)}: {exc}")
 
 
 _EXITS = {

@@ -12,6 +12,8 @@ class ParseError(EpistleError):
     """
 
     def __init__(self, message: str, position: int):
+        if len(message) > 64:  # it quotes a long token: keep the two ends
+            message = message[:32] + "…" + message[-31:]
         super().__init__(f"{message} (at offset {position})")
         self.position = position
 

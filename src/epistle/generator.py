@@ -30,7 +30,7 @@ from .formula import Formula, Quantifier
 # benchmark's tracer (bench/tracing.py) patches them under these names.
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from .names import MAX_NAMES, sample_names
-from .rng import SplitMix64, split_seed, substream
+from .rng import SplitMix64, split_seed, substreams
 from .setups import ALL_SETUPS, SetupKind, fixed_observability, setup_ordinal
 from .statements import BeliefLayer, ExpressionSpec, StatementSpec
 from .verbalize import announcement_clause, render_hypothesis
@@ -59,6 +59,8 @@ MAX_DRAWS_PER_BUCKET = 1_000_000
 # deepest one negates every layer ("~K[i] ", two nesting levels each) around
 # a negated "not everyone" statement ("~(~p0 & ~p1)", three levels).
 MAX_ORDER = (MAX_NESTING - 3) // 2
+# Every explicit matrix of at most three agents (16 + 512) is built once; four give 65,536.
+_MATRICES: dict[tuple[bool, ...], ObservabilityMatrix] = {}
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class GenConfig:
     setups: tuple[SetupKind, ...] = ALL_SETUPS
 
     def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be between 0 and 2**64 - 1")
         if self.per_setup_count <= 0 or self.per_setup_count % 2:
             raise ValueError("per_setup_count must be positive and even")
         if not 1 <= self.max_order <= MAX_ORDER:
@@ -155,10 +159,15 @@ def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> Observabil
     Each explicit entry, drawn row by row, is independently true with
     probability ``1/n``, so the expected number of true entries is ``n``.
     """
-    if kind is SetupKind.EXPLICIT:
-        flat = rng.coins(1.0 / n, n * n)
-        return ObservabilityMatrix.from_rows(flat[i : i + n] for i in range(0, n * n, n))
-    return fixed_observability(kind, n)
+    if kind is not SetupKind.EXPLICIT:
+        return fixed_observability(kind, n)
+    flat = tuple(rng.coins(1.0 / n, n * n))
+    matrix = _MATRICES.get(flat) if n <= 3 else None
+    if matrix is None:
+        matrix = ObservabilityMatrix.from_rows(flat[i : i + n] for i in range(0, n * n, n))
+        if n <= 3:
+            _MATRICES[flat] = matrix
+    return matrix
 
 
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
@@ -210,6 +219,7 @@ def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula,
 
 
 _EXISTENTIAL = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE, False))
+_existential = lru_cache(maxsize=MAX_NAMES)(_EXISTENTIAL.to_formula)
 
 
 def make_problem(
@@ -225,7 +235,7 @@ def make_problem(
     names = sample_names(rng, n)
     obs = sample_observability(setup, n, rng)
 
-    ann_formulas, specs = [_EXISTENTIAL.to_formula(n)], [_EXISTENTIAL]
+    ann_formulas, specs = [_existential(n)], [_EXISTENTIAL]
     for _ in range(rng.below(n + 1)):
         formula, spec = sample_announcement(rng, n)
         ann_formulas.append(formula)
@@ -246,8 +256,8 @@ def _accepted(cfg: GenConfig, seed: int, checker: Checker):
     """The accepted draws of the stream keyed by ``seed``, in draw order;
     raises ``GenerationStall`` once ``MAX_DRAWS_PER_BUCKET`` draws are
     spent."""
-    for draw in range(MAX_DRAWS_PER_BUCKET):
-        result = make_problem(substream(seed, draw), cfg, draw, checker)
+    for draw, rng in zip(range(MAX_DRAWS_PER_BUCKET), substreams(seed)):
+        result = make_problem(rng, cfg, draw, checker)
         if not isinstance(result, Rejected):
             yield result
     raise GenerationStall(f"draw budget of {MAX_DRAWS_PER_BUCKET} spent")

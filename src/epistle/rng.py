@@ -5,25 +5,26 @@ increment, with each output passed through a fixed avalanche mix.  It is
 seedable, platform independent, and cheap to split.
 
 Output ``k`` after state ``s`` is ``mix(s + k * golden)``, so outputs are
-computed ``LANES`` at a time: the counters sit in 128-bit lanes of one
-integer, each shift is masked to the low 64 bits of every lane, and a
-product of two 64-bit values stays inside its lane.  They are the scalar
-generator's outputs, in order, whichever methods consume them.
+computed many at a time: the counters sit in 128-bit lanes of one integer,
+each shift is masked to the low 64 bits of every lane, and a product of two
+64-bit values stays inside its lane.  A generator computes ``LANES`` at a
+time, ``substreams`` the first ``FIRST`` of each of ``BLOCK`` draws.  They
+are the scalar generator's outputs, in order, whichever methods consume them.
 
 Splitting rule: ``split_seed(seed, k)`` is the ``(k+1)``-th raw output of a
 SplitMix64 seeded with ``seed``.  Dataset generation derives one substream
 per (setup bucket, draw index) as
 ``substream(split_seed(master_seed, setup_ordinal), draw_index)``, so every
 draw is reproducible in isolation and results can be merged in draw order
-regardless of scheduling.
+regardless of scheduling; it takes them in order from ``substreams``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
-__all__ = ["SplitMix64", "split_seed", "substream"]
+__all__ = ["SplitMix64", "split_seed", "substream", "substreams"]
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
@@ -38,12 +39,22 @@ _LOW = _MASK64 * _ONES  # the low 64 bits of every lane
 _STEPS = sum((LANES - j) * _GOLDEN << 128 * j for j in range(LANES))
 _UNPACK = struct.Struct("<" + "Q8x" * LANES).unpack
 
+# ``substreams``: lane d * FIRST + k holds draw d's counter FIRST - k steps
+# ahead; these constants are built from bytes, in time linear in their size
+BLOCK = FIRST = 32
+_FIRST_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * (BLOCK * FIRST), "little")
+_STEP_LANES = b"".join(((FIRST - k) * _GOLDEN).to_bytes(16, "little") for k in range(FIRST))
+_FIRST_STEPS = int.from_bytes(_STEP_LANES * BLOCK, "little")
+_UNPACK_FIRST = struct.Struct("<" + "Q8x" * (BLOCK * FIRST)).unpack
+
 T = TypeVar("T")
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix(z: int, low: int = _MASK64) -> int:
+    """The output mix of each 128-bit lane of ``z`` that holds a 64-bit value;
+    ``low`` masks the low 64 bits of every lane, and high halves end garbage."""
+    z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+    z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
     return z ^ (z >> 31)
 
 
@@ -61,10 +72,7 @@ class SplitMix64:
         """Put the next ``LANES`` outputs behind the pending ones."""
         s = self._state
         self._state = (s + LANES * _GOLDEN) & _MASK64
-        z = (s * _ONES + _STEPS) & _LOW
-        z = ((z ^ ((z >> 30) & _LOW)) * 0xBF58476D1CE4E5B9) & _LOW
-        z = ((z ^ ((z >> 27) & _LOW)) * 0x94D049BB133111EB) & _LOW
-        z ^= z >> 31  # reaches only the high half of each lane, which is skipped
+        z = _mix((s * _ONES + _STEPS) & _LOW, _LOW)
         self._pending[:0] = _UNPACK(z.to_bytes(16 * LANES, "little"))
 
     def next_u64(self) -> int:
@@ -119,3 +127,18 @@ def split_seed(seed: int, index: int) -> int:
 
 def substream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(split_seed(seed, index))
+
+
+def substreams(seed: int) -> Iterator[SplitMix64]:
+    """``substream(seed, 0)``, ``substream(seed, 1)``, ... in order, each
+    with its first ``FIRST`` outputs already computed."""
+    master = SplitMix64(seed)  # its outputs are the split seeds
+    while True:
+        seeds = [master.next_u64() for _ in range(BLOCK)]
+        z = int.from_bytes(b"".join(s.to_bytes(16, "little") * FIRST for s in seeds), "little")
+        z = _mix((z + _FIRST_STEPS) & _FIRST_LOW, _FIRST_LOW)
+        outputs = _UNPACK_FIRST(z.to_bytes(16 * BLOCK * FIRST, "little"))
+        for d, s in enumerate(seeds):
+            rng = SplitMix64(s + FIRST * _GOLDEN)
+            rng._pending = list(outputs[d * FIRST : (d + 1) * FIRST])
+            yield rng

@@ -242,6 +242,20 @@ class TestGenerateCommand:
         assert_usage_error(proc, "the name pool names at most 200 agents")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_one_line_usage_error(self, tmp_path, seed):
+        # the seed would alias one inside the range, which names other records
+        out = str(tmp_path / "x.jsonl")
+        for args in (["crosscheck", "--count", "2"], ["generate", "--per-setup", "2", "--out", out]):
+            proc = run_cli(*args, "--seed", seed)
+            assert_usage_error(proc, "seed must be between 0 and 2**64 - 1")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_long_unknown_setup_is_quoted_in_a_short_line(self, tmp_path):
+        proc = run_cli("generate", "--setups", "x" * 3000, "--out", str(tmp_path / "x.jsonl"))
+        assert_one_line_exit_2(proc, "Error: unknown setup '" + "x" * 80 + "…'; choose from ")
+        assert len(proc.stderr) <= 200
+
     def test_bad_flag_exits_2(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(
@@ -499,8 +513,30 @@ class TestCheckCommand:
     )
     def test_overlong_index_is_a_one_line_parse_error(self, hyp, offset):
         proc = run_cli("check", "--n", "2", "--hyp", hyp)
-        assert_one_line_exit_2(proc, f"Error: cannot parse {hyp!r}: ")
+        assert_one_line_exit_2(proc, f"Error: cannot parse '{hyp[:80]}…': ")
         assert proc.stderr.endswith(f"(at offset {offset})\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, quoted",
+        [
+            (["--hyp", "p" + "1" * 5000], "'p" + "1" * 79 + "…'"),
+            (["--hyp", "p" + "1" * 4000], "'p" + "1" * 79 + "…'"),
+            (["--hyp", "(" + " & ".join(["p0"] * 800)], "'…" + " & p0" * 16 + "'"),
+            (["--hyp", "p0 & " * 1000 + "a" * 3000], "'…" + "p0 & " * 8 + "a" * 40 + "…'"),
+            (["--obs", ";".join(["01"] * 2000), "--hyp", "p0"], "'" + "01;" * 26 + "01…'"),
+            (
+                ["--obs", "01;" * 1000 + "0x" + ";01" * 1000, "--hyp", "p0"],
+                "'…" + ";01" * 13 + ";0x" + ";01" * 12 + ";0…' (at offset 3000)",
+            ),
+        ],
+        ids=["index-too-long", "index-out-of-range", "unclosed", "long-word", "rows", "bad-row"],
+    )
+    def test_long_input_is_quoted_in_a_short_line(self, args, quoted):
+        proc = run_cli("check", "--n", "2", *args)
+        assert_one_line_exit_2(proc, "Error: ")
+        assert len(proc.stderr) <= 200
+        assert quoted in proc.stderr
         assert proc.stdout == ""
 
     def test_literal_matrix_rows(self):
@@ -552,6 +588,7 @@ class TestCrosscheckCommand:
         "value, message",
         [
             ("2,x", "bad --n-agents value '2,x'"),
+            ("2," * 100 + "x", "bad --n-agents value '" + "2," * 40 + "…'"),
             ("1", "problems need at least two agents"),
             ("2,201", "the name pool names at most 200 agents"),
         ],

@@ -78,6 +78,21 @@ class TestSampleObservability:
         mean = total / draws
         assert abs(mean - n) <= 0.1
 
+    def test_small_explicit_matrices_are_built_once(self):
+        first = sample_observability(SetupKind.EXPLICIT, 3, SplitMix64(5))
+        again = sample_observability(SetupKind.EXPLICIT, 3, SplitMix64(5))
+        assert again is first
+        coins = SplitMix64(5).coins(1 / 3, 9)
+        assert first == ObservabilityMatrix.from_rows([coins[0:3], coins[3:6], coins[6:9]])
+
+    def test_kept_matrices_stop_at_three_agents(self):
+        cfg = GenConfig(
+            seed=3, n_agents_choices=(3, 8), setups=(SetupKind.EXPLICIT,), per_setup_count=20
+        )
+        assert {i.n_agents for i in generate_balanced(cfg)} == {3, 8}
+        assert generator._MATRICES
+        assert all(m.n <= 3 for m in generator._MATRICES.values())
+
 
 class TestSampleStatement:
     """The statement draw, through the bare-statement branch of
@@ -286,7 +301,13 @@ class TestGenerateBalanced:
         with pytest.raises(GenerationStall, match="draw budget of 30 spent"):
             list(iter_problems(cfg, accepted + 1))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be between 0 and 2\*\*64 - 1"):
+            GenConfig(seed=seed)
+
     def test_config_validation(self):
+        assert GenConfig(seed=2**64 - 1).seed == 2**64 - 1
         with pytest.raises(ValueError):
             GenConfig(per_setup_count=5)
         with pytest.raises(ValueError):

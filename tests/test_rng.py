@@ -5,9 +5,11 @@ these pin its raw outputs and each derived draw directly, and check the
 blocked outputs against the scalar generator in ``tests/support.py``.
 """
 
+from itertools import islice
+
 import pytest
 
-from epistle.rng import LANES, SplitMix64, split_seed, substream
+from epistle.rng import BLOCK, FIRST, LANES, SplitMix64, split_seed, substream, substreams
 
 from support import GOLDEN, ScalarSplitMix64, random_float
 
@@ -108,3 +110,36 @@ def test_below_with_high_rejection_rate_matches_scalar():
     # about half the outputs were rejected: count the steps the stream took
     steps = (scalar.state - 1234567) * pow(GOLDEN, -1, 2**64) % 2**64
     assert steps >= 5 * LANES
+
+
+# the first and last draw of each of the first three blocks, and one inside
+_BATCHED_DRAWS = [i for b in range(3) for i in (b * BLOCK, b * BLOCK + 7, (b + 1) * BLOCK - 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234567, 2**64 - 1])
+def test_substreams_are_the_scalar_substreams(seed):
+    draws = list(islice(substreams(seed), 3 * BLOCK))
+    for i in _BATCHED_DRAWS:
+        scalar = ScalarSplitMix64(split_seed(seed, i))
+        assert [draws[i].next_u64() for _ in range(FIRST + LANES + 1)] == [
+            scalar.next_u64() for _ in range(FIRST + LANES + 1)
+        ], i
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("index", _BATCHED_DRAWS)
+def test_batched_draws_go_on_past_their_first_outputs(seed, index):
+    """Each draw of ``substreams`` runs the call script of the blocked test
+    past its ``FIRST`` precomputed outputs."""
+    script = ScalarSplitMix64(seed ^ index)
+    batched = next(islice(substreams(seed), index, None))
+    scalar = ScalarSplitMix64(split_seed(seed, index))
+    while _steps(scalar, seed, index) <= FIRST + LANES:
+        name, *args = _CALLS[script.below(len(_CALLS))]
+        assert getattr(batched, name)(*args) == getattr(scalar, name)(*args), (name, args)
+    assert batched.next_u64() == scalar.next_u64()
+
+
+def _steps(scalar, seed, index):
+    """Outputs the scalar generator has taken since ``split_seed(seed, index)``."""
+    return (scalar.state - split_seed(seed, index)) * pow(GOLDEN, -1, 2**64) % 2**64
