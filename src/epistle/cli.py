@@ -58,10 +58,35 @@ _NAMED_MATRICES = {
 }
 
 
-def _quote(text: str, offset: int = 0) -> str:
-    """``text`` quoted, cut to 80 characters around ``offset``; a cut is marked ``…``."""
+def _cut(text: str, offset: int = 0) -> str:
+    """``text`` cut to 80 characters around ``offset``; a cut is marked ``…``."""
     start = max(0, min(offset - 40, len(text) - 80))
-    return repr("…"[: start > 0] + text[start : start + 80] + "…"[: start + 80 < len(text)])
+    return "…"[: start > 0] + text[start : start + 80] + "…"[: start + 80 < len(text)]
+
+
+def _quote(text: str, offset: int = 0) -> str:
+    """``text`` cut by ``_cut`` and quoted."""
+    return repr(_cut(text, offset))
+
+
+class _Int(click.ParamType):
+    """An integer option, at least ``min`` when one is given.  Its error
+    line cuts the rejected value as ``_quote`` does, where click's own
+    integer types print the whole value."""
+
+    name = "integer"
+
+    def __init__(self, min: int | None = None):
+        self.min = min
+
+    def convert(self, value, param, ctx) -> int:
+        try:
+            number = int(value)
+        except ValueError:  # not a number, or past sys.get_int_max_str_digits()
+            self.fail(f"{_quote(str(value))} is not a valid integer.", param, ctx)
+        if self.min is not None and number < self.min:
+            self.fail(f"{_cut(str(number))} is not in the range x>={self.min}.", param, ctx)
+        return number
 
 
 def _parse_obs(spec: str, n: int) -> ObservabilityMatrix:
@@ -162,11 +187,11 @@ def main():
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--per-setup", type=int, default=400, show_default=True)
+@click.option("--seed", type=_Int(), default=0, show_default=True)
+@click.option("--per-setup", type=_Int(), default=400, show_default=True)
 @click.option("--setups", default="all", show_default=True, help="Comma list or 'all'.")
 @click.option("--n-agents", default="2,3", show_default=True, help="Comma list of counts.")
-@click.option("--max-order", type=int, default=2, show_default=True)
+@click.option("--max-order", type=_Int(), default=2, show_default=True)
 @click.option(
     "--backend",
     type=click.Choice(["explicit", "symbolic", "both"]),
@@ -200,7 +225,7 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Number of agents.")
+@click.option("--n", type=_Int(), required=True, help="Number of agents.")
 @click.option(
     "--obs",
     default="forehead-mud",
@@ -257,8 +282,8 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 
 
 @main.command()
-@click.option("--count", type=click.IntRange(min=0), default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--count", type=_Int(min=0), default=1000, show_default=True)
+@click.option("--seed", type=_Int(), default=0, show_default=True)
 @click.option("--n-agents", default="2,3", show_default=True, help="Comma list of counts.")
 def crosscheck(count, seed, n_agents):
     """Label random instances with both backends and report disagreements."""
@@ -294,9 +319,9 @@ def crosscheck(count, seed, n_agents):
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Number of children, all muddy.")
+@click.option("--n", type=_Int(), required=True, help="Number of children, all muddy.")
 @click.option(
-    "--rounds", type=click.IntRange(min=0), default=None, help="Cap on ignorance rounds."
+    "--rounds", type=_Int(min=0), default=None, help="Cap on ignorance rounds."
 )
 @click.option(
     "--backend",

@@ -196,11 +196,15 @@ class _Parser:
         return val
 
 
+@lru_cache(maxsize=1 << 12)
 def parse_formula(text: str, n_agents: int) -> Formula:
     """Parse ``text`` into a formula over at most ``n_agents`` agents.
 
     Raises ``ParseError`` (with a byte offset) on malformed input and
     ``IndexOutOfRange`` when an agent or proposition index is too large.
+    Results are memoized on ``(text, n_agents)``: nodes are hash-consed and
+    immutable, so a repeated text gets the node a fresh parse would build.
+    Errors are not cached; a bad text raises again on every call.
     """
     return _Parser(text, n_agents).parse()
 

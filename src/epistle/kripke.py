@@ -70,7 +70,15 @@ class ObservabilityMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "ObservabilityMatrix":
-        return cls(tuple(tuple(bool(b) for b in row) for row in rows))
+        """The matrix of ``rows``; one shared instance per matrix of at most
+        three agents."""
+        rows = tuple(tuple(bool(b) for b in row) for row in rows)
+        if len(rows) > 3:
+            return cls(rows)
+        obs = _SMALL.get(rows)
+        if obs is None:
+            obs = _SMALL[rows] = cls(rows)
+        return obs
 
     @classmethod
     def identity(cls, n: int) -> "ObservabilityMatrix":
@@ -83,6 +91,10 @@ class ObservabilityMatrix:
     @classmethod
     def ones_minus_identity(cls, n: int) -> "ObservabilityMatrix":
         return cls.from_rows([[i != j for j in range(n)] for i in range(n)])
+
+
+# Every matrix of at most three agents (16 + 512), built once; four give 65,536.
+_SMALL: dict[tuple[tuple[bool, ...], ...], ObservabilityMatrix] = {}
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,10 @@ _STEP_LANES = b"".join(((FIRST - k) * _GOLDEN).to_bytes(16, "little") for k in r
 _FIRST_STEPS = int.from_bytes(_STEP_LANES * BLOCK, "little")
 _UNPACK_FIRST = struct.Struct("<" + "Q8x" * (BLOCK * FIRST)).unpack
 
+# ``below``'s rejection limit of each bound under 256, which covers every
+# bound the generator passes
+_LIMITS = (0, *(_TWO64 - _TWO64 % n for n in range(1, 256)))
+
 T = TypeVar("T")
 
 
@@ -84,9 +88,12 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), for ``1 <= n <= 2**64``; rejection
         sampling avoids modulo bias."""
-        if not 0 < n <= _TWO64:
+        if 0 < n < 256:
+            limit = _LIMITS[n]
+        elif 0 < n <= _TWO64:
+            limit = _TWO64 - _TWO64 % n
+        else:
             raise ValueError(f"need a bound in [1, 2**64], got {n}")
-        limit = _TWO64 - _TWO64 % n
         pending = self._pending
         while True:
             if not pending:

@@ -158,6 +158,54 @@ def _push_announcement(psi: Formula, f: Formula, push) -> Formula:
     raise TypeError(f"unexpected node under announcement: {f!r}")
 
 
+def reduced_worlds(live: list[int], obs_rows, f: Formula) -> frozenset[int]:
+    """The worlds of ``live`` where the announcement-free ``f`` holds, with
+    ``live`` as the model throughout.
+
+    Made for the DAG that ``reduce_announcements`` returns: one memo per
+    call, keyed on the hash-consed nodes, evaluates each distinct node once,
+    where ``oracle_eval`` walks the shared result as a tree.  Knowledge
+    groups the worlds by the propositions the agent observes.
+    """
+    everywhere = frozenset(live)
+    memo: dict = {}
+    classes: dict = {}
+
+    def agent_classes(agent: int) -> list[frozenset[int]]:
+        if agent not in classes:
+            mask = sum(1 << j for j, bit in enumerate(obs_rows[agent]) if bit)
+            buckets: dict = {}
+            for w in live:
+                buckets.setdefault(w & mask, []).append(w)
+            classes[agent] = [frozenset(b) for b in buckets.values()]
+        return classes[agent]
+
+    def ev(g: Formula) -> frozenset[int]:
+        if g in memo:
+            return memo[g]
+        if isinstance(g, Atom):
+            out = frozenset(w for w in live if w >> g.prop & 1)
+        elif isinstance(g, Not):
+            out = everywhere - ev(g.child)
+        elif isinstance(g, And):
+            out = everywhere.intersection(*map(ev, g.children))
+        elif isinstance(g, Or):
+            out = frozenset().union(*map(ev, g.children))
+        elif isinstance(g, Implies):
+            out = (everywhere - ev(g.left)) | ev(g.right)
+        elif isinstance(g, Knows):
+            holds = ev(g.child)
+            out = frozenset().union(*(c for c in agent_classes(g.agent) if c <= holds))
+        elif isinstance(g, KnowsWhether):
+            out = ev(expand_whether(g.agent, g.child))
+        else:
+            raise TypeError(f"not an announcement-free formula: {g!r}")
+        memo[g] = out
+        return out
+
+    return ev(f)
+
+
 def distinct_nodes(f: Formula) -> int:
     """The number of distinct nodes reachable from ``f``."""
     seen, stack = set(), [f]

@@ -11,13 +11,21 @@ from epistle import backends
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
-from epistle.formula import And, Announced, Atom, Knows, Not, Or
+from epistle.formula import And, Announced, Atom, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
-from epistle.kripke import ObservabilityMatrix
+from epistle.kripke import ObservabilityMatrix, announce, build_initial_model
 from epistle.rng import SplitMix64
-from epistle.symbolic import label_symbolic
+from epistle.symbolic import announce_symbolic, label_symbolic, translate
 
-from support import check_reduced, oracle_label, random_boolean_formula, random_formula
+from support import (
+    check_reduced,
+    oracle_label,
+    random_boolean_formula,
+    random_formula,
+    reduce_announcements,
+    reduced_worlds,
+    worlds,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -249,3 +257,57 @@ class TestCapacityRetry:
         with pytest.raises(StoreCapacity):
             atom_label(4, 0, 1, 2, 3)
         assert made[0] == 1
+
+
+def _chain(anns, hyp):
+    """``[!a1] … [!ak] hyp``: the problem as one formula."""
+    for a in reversed(anns):
+        hyp = Announced(a, hyp)
+    return hyp
+
+
+class TestAnnouncementElimination:
+    """Both backends against ``reduced_worlds`` on the announcement-free
+    rewriting of whole announcement chains."""
+
+    def test_puzzle_rounds_at_six_agents(self):
+        n = 6
+        obs = ObservabilityMatrix.ones_minus_identity(n)
+        existential = Or(tuple(Atom(i) for i in range(n)))
+        ignorance = And(
+            tuple(Not(Or((Knows(i, Atom(i)), Knows(i, Not(Atom(i)))))) for i in range(n))
+        )
+        everyone_knows = And(tuple(KnowsWhether(i, Atom(i)) for i in range(n)))
+        everywhere, actual = list(range(1 << n)), (1 << n) - 1
+        full = build_initial_model(obs)
+        live = announce(obs, full, existential)
+        store = DdStore()
+        law = announce_symbolic(store, obs, store.true, existential)
+        for rounds in range(n):
+            chain = _chain([existential] + [ignorance] * rounds, everyone_knows)
+            reduced = reduced_worlds(everywhere, obs.rows, reduce_announcements(chain))
+            # the chain holds outside the surviving worlds, and inside them
+            # wherever everyone knows
+            explicit = worlds((full ^ live) | announce(obs, live, everyone_knows))
+            knows = translate(store, obs, law, everyone_knows)
+            symbolic = {w for w in everywhere if not store.eval(law, w) or store.eval(knows, w)}
+            assert reduced == explicit == symbolic, rounds
+            assert (actual in reduced) == (rounds == n - 1)
+            live = announce(obs, live, ignorance)
+            law = announce_symbolic(store, obs, law, ignorance)
+
+    def test_generated_problems_at_three_agents(self):
+        everywhere = list(range(8))
+        falsum = And((Atom(0), Not(Atom(0))))
+        labels = set()
+        for instance in iter_problems(GenConfig(seed=5, n_agents_choices=(3,)), 200):
+            obs, anns = instance.obs, list(instance.ann_formulas)
+            hyp = instance.hyp_formula
+            holds = reduced_worlds(everywhere, obs.rows, reduce_announcements(_chain(anns, hyp)))
+            valid = holds == set(everywhere)
+            assert valid == explicit_label(obs, anns, hyp) == symbolic_label(obs, anns, hyp)
+            labels.add(valid)
+            # the premise is consistent: the chain before a falsehood fails somewhere
+            refuted = reduced_worlds(everywhere, obs.rows, reduce_announcements(_chain(anns, falsum)))
+            assert refuted != set(everywhere)
+        assert labels == {True, False}

@@ -87,6 +87,34 @@ class TestGroup:
     def test_unknown_group_option_is_a_one_line_usage_error(self):
         assert_usage_error(run_cli("--bogus"), "No such option '--bogus'.")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["generate", "--out", "x.jsonl", "--seed", "9" * 5000],
+                "Invalid value for '--seed': '" + "9" * 80 + "…' is not a valid integer.",
+            ),
+            (
+                ["check", "--hyp", "p0", "--n", "2x" + "9" * 3000],
+                "Invalid value for '--n': '2x" + "9" * 78 + "…' is not a valid integer.",
+            ),
+            (
+                ["crosscheck", "--count", "-" + "9" * 4000],
+                "Invalid value for '--count': -" + "9" * 79 + "… is not in the range x>=0.",
+            ),
+            (
+                ["puzzle", "--n", "3", "--rounds", "r" * 300],
+                "Invalid value for '--rounds': '" + "r" * 80 + "…' is not a valid integer.",
+            ),
+        ],
+        ids=["generate", "check", "crosscheck", "puzzle"],
+    )
+    def test_long_integer_option_is_quoted_in_a_short_line(self, tmp_path, args, message):
+        proc = run_cli(*(str(tmp_path / a) if a == "x.jsonl" else a for a in args))
+        assert_usage_error(proc, message)
+        assert len(proc.stderr.encode()) <= 200
+        assert list(tmp_path.iterdir()) == []
+
     def test_bare_command_prints_its_help(self):
         proc = run_cli()
         assert proc.returncode == 2

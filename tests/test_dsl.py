@@ -70,9 +70,10 @@ class TestParse:
         ids=lambda value: value[:20] if isinstance(value, str) else None,
     )
     def test_syntax_error_offsets(self, text, offset):
-        with pytest.raises(ParseError) as err:
-            parse_formula(text, 3)
-        assert err.value.position == offset
+        for _ in range(2):  # an error is not memoized: the second call raises again
+            with pytest.raises(ParseError) as err:
+                parse_formula(text, 3)
+            assert err.value.position == offset
 
     def test_prop_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -110,6 +111,26 @@ class TestParse:
         assert parse_formula(print_formula(f), 2) == f
         with pytest.raises(ParseError):
             parse_formula(opener * (MAX_NESTING + 1) + "p0" + closer * (MAX_NESTING + 1), 2)
+
+
+class TestParseMemo:
+    """``parse_formula`` is memoized on the text and the agent count."""
+
+    def test_a_second_parse_returns_the_same_node_from_the_memo(self):
+        text = "[! p0 | ~K[1] p1] (Kw[0] p1 -> p0 & p1)"
+        first = parse_formula(text, 2)
+        hits = parse_formula.cache_info().hits
+        assert parse_formula(text, 2) is first
+        assert parse_formula.cache_info().hits == hits + 1
+
+    def test_the_agent_count_is_part_of_the_key(self):
+        assert parse_formula("p2", 3) == Atom(2)
+        with pytest.raises(IndexOutOfRange):
+            parse_formula("p2", 2)
+
+    def test_the_memo_has_the_printers_bound(self):
+        assert parse_formula.cache_info().maxsize == 4096
+        assert print_formula.cache_info().maxsize == 4096
 
 
 class TestPrint:

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from epistle import generator
+from epistle import generator, kripke
 from epistle.backends import explicit_label, symbolic_label
 from epistle.dsl import parse_formula, print_formula
 from epistle.errors import GenerationStall, ParseError
@@ -90,8 +90,9 @@ class TestSampleObservability:
             seed=3, n_agents_choices=(3, 8), setups=(SetupKind.EXPLICIT,), per_setup_count=20
         )
         assert {i.n_agents for i in generate_balanced(cfg)} == {3, 8}
-        assert generator._MATRICES
-        assert all(m.n <= 3 for m in generator._MATRICES.values())
+        for kept in (generator._MATRICES, kripke._SMALL):
+            assert kept
+            assert all(m.n <= 3 for m in kept.values())
 
 
 class TestSampleStatement:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epistle.kripke as kripke
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.dsl import parse_formula
 from epistle.errors import ContradictoryPremise, DeadWorld, SizeLimit
@@ -89,6 +90,27 @@ class TestObservabilityMatrix:
         flipped = [list(row) for row in rows]
         flipped[0][0] = not flipped[0][0]
         assert ObservabilityMatrix.from_rows(flipped) != obs
+
+    def test_small_matrices_are_shared_whatever_the_row_type(self):
+        rows = [[True, False, True], [False, False, True], [True, True, True]]
+        obs = ObservabilityMatrix.from_rows(rows)
+        as_ints = [[int(b) for b in row] for row in rows]
+        assert ObservabilityMatrix.from_rows(as_ints) is obs
+        assert ObservabilityMatrix.from_rows(tuple(map(tuple, rows))) is obs
+        assert ObservabilityMatrix.identity(1) is ObservabilityMatrix.ones(1)
+
+    def test_larger_matrices_are_built_each_time(self):
+        first, again = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(4)
+        assert first == again and first is not again
+        assert all(m.n <= 3 for m in kripke._SMALL.values())
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0], [1]], [[1], [0, 1]], [[1, 0, 1], [0, 1, 1], [1, 1]], [[1, 1]] * 4]
+    )
+    def test_ragged_rows_raise(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            ObservabilityMatrix.from_rows(rows)
+        assert tuple(tuple(bool(b) for b in row) for row in rows) not in kripke._SMALL
 
 
 class TestBuildInitialModel:

@@ -112,6 +112,22 @@ def test_below_with_high_rejection_rate_matches_scalar():
     assert steps >= 5 * LANES
 
 
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 5, 255, 256, 257, 2**63, 2**64 - 1, 2**64]
+)
+def test_below_rejects_from_the_limit_of_the_formula(bound):
+    """Below 256 the limit comes from a table; it is still ``2**64 - 2**64
+    % bound``: the output under it is kept, the output at it rejected."""
+    limit = 2**64 - 2**64 % bound
+    rng = SplitMix64(1)
+    rng._pending = [12345, limit - 1]  # ``pop`` takes the last first
+    assert rng.below(bound) == (limit - 1) % bound
+    if limit < 2**64:
+        rng._pending = [12345, limit]
+        assert rng.below(bound) == 12345 % bound
+        assert rng._pending == []
+
+
 # the first and last draw of each of the first three blocks, and one inside
 _BATCHED_DRAWS = [i for b in range(3) for i in (b * BLOCK, b * BLOCK + 7, (b + 1) * BLOCK - 1)]
 
