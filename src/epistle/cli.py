@@ -39,6 +39,7 @@ from .kripke import (
     evaluate,
     label,
 )
+from .names import MAX_NAMES
 from .records import record_from_instance, write_jsonl
 from .setups import ALL_SETUPS, SetupKind
 from .symbolic import announce_symbolic, label_symbolic, translate
@@ -70,23 +71,33 @@ def _quote(text: str, offset: int = 0) -> str:
 
 
 class _Int(click.ParamType):
-    """An integer option, at least ``min`` when one is given.  Its error
-    line cuts the rejected value as ``_quote`` does, where click's own
-    integer types print the whole value."""
+    """An integer option, at least ``min`` and at most ``max`` where they are
+    given (``max`` only with ``min``).  Its error line states the range as
+    click does (``x>=0``, ``1<=x<=200``) and cuts the rejected value as
+    ``_quote`` does, where click's own integer types print the whole value."""
 
     name = "integer"
 
-    def __init__(self, min: int | None = None):
-        self.min = min
+    def __init__(self, min: int | None = None, max: int | None = None):
+        self.min, self.max = min, max
+        self.range = f"x>={min}" if max is None else f"{min}<=x<={max}"
 
     def convert(self, value, param, ctx) -> int:
         try:
             number = int(value)
         except ValueError:  # not a number, or past sys.get_int_max_str_digits()
             self.fail(f"{_quote(str(value))} is not a valid integer.", param, ctx)
-        if self.min is not None and number < self.min:
-            self.fail(f"{_cut(str(number))} is not in the range x>={self.min}.", param, ctx)
+        below = self.min is not None and number < self.min
+        if below or (self.max is not None and number > self.max):
+            self.fail(f"{_cut(str(number))} is not in the range {self.range}.", param, ctx)
         return number
+
+
+def _backend(*choices: str, **attrs):
+    """The ``--backend`` option over ``choices``; the default is the explicit checker."""
+    return click.option(
+        "--backend", type=click.Choice(choices), default="explicit", show_default=True, **attrs
+    )
 
 
 def _parse_obs(spec: str, n: int) -> ObservabilityMatrix:
@@ -192,13 +203,7 @@ def main():
 @click.option("--setups", default="all", show_default=True, help="Comma list or 'all'.")
 @click.option("--n-agents", default="2,3", show_default=True, help="Comma list of counts.")
 @click.option("--max-order", type=_Int(), default=2, show_default=True)
-@click.option(
-    "--backend",
-    type=click.Choice(["explicit", "symbolic", "both"]),
-    default="explicit",
-    show_default=True,
-    help="Checker used to label instances.",
-)
+@_backend("explicit", "symbolic", "both", help="Checker used to label instances.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     """Write a balanced JSON-Lines dataset."""
@@ -209,6 +214,8 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
         setups=_parse_setups(setups),
         max_order=max_order,
     )
+    if os.path.basename(out) in ("", ".", ".."):
+        raise click.UsageError(f"--out {_quote(out)} names no file")
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise click.UsageError(f"cannot write to directory {out_dir!r}")
@@ -225,30 +232,22 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
 
 
 @main.command()
-@click.option("--n", type=_Int(), required=True, help="Number of agents.")
+@click.option("--n", type=_Int(1, MAX_NAMES), required=True, help="Number of agents.")
 @click.option(
     "--obs",
     default="forehead-mud",
     show_default=True,
-    help="Named matrix (forehead-mud, mirror, thirst, ones, identity, "
-    "ones-minus-identity) or rows of 0/1 separated by ';'.",
+    help=f"Named matrix ({', '.join(_NAMED_MATRICES)}) or rows of 0/1 separated by ';'.",
 )
 @click.option("--announce", "announcements", multiple=True, help="May repeat.")
 @click.option("--hyp", required=True)
-@click.option(
-    "--backend",
-    type=click.Choice(["explicit", "symbolic", "both"]),
-    default="explicit",
-    show_default=True,
-)
+@_backend("explicit", "symbolic", "both")
 @click.option(
     "--explain", is_flag=True, help="Print surviving worlds (explicit or both backends)."
 )
 @click.option("--allow-contradiction", is_flag=True)
 def check(n, obs, announcements, hyp, backend, explain, allow_contradiction):
     """Label one problem given in the formula language."""
-    if n < 1:
-        raise click.UsageError("--n must be at least 1")
     if explain and backend == "symbolic":
         raise click.UsageError("--explain needs the explicit backend (--backend explicit or both)")
     matrix = _parse_obs(obs, n)
@@ -319,21 +318,14 @@ def crosscheck(count, seed, n_agents):
 
 
 @main.command()
-@click.option("--n", type=_Int(), required=True, help="Number of children, all muddy.")
 @click.option(
-    "--rounds", type=_Int(min=0), default=None, help="Cap on ignorance rounds."
+    "--n", type=_Int(2, MAX_NAMES), required=True, help="Number of children, all muddy."
 )
-@click.option(
-    "--backend",
-    type=click.Choice(["explicit", "symbolic"]),
-    default="explicit",
-    show_default=True,
-)
+@click.option("--rounds", type=_Int(min=0), default=None, help="Cap on ignorance rounds.")
+@_backend("explicit", "symbolic")
 def puzzle(n, rounds, backend):
     """Run the classic muddy-children scenario: everyone muddy, the
     existential announcement, then repeated joint ignorance while it is true."""
-    if n < 2:
-        raise click.UsageError("--n must be at least 2")
     obs = ObservabilityMatrix.ones_minus_identity(n)
     existential = disj(Atom(i) for i in range(n))
     ignorance = conj(

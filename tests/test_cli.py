@@ -305,6 +305,18 @@ class TestGenerateCommand:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("out", ["", "newdir/"])
+    def test_out_naming_no_file_exits_2_before_generating(self, tmp_path, monkeypatch, out):
+        def never(cfg, checker):
+            raise AssertionError("generated before checking the output path")
+
+        monkeypatch.setattr(cli, "generate_balanced", never)
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(cli.main, ["generate", "--out", out])
+        assert result.exit_code == 2
+        assert (result.stdout, result.stderr) == ("", f"Error: --out {out!r} names no file\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail_midway(records, path):
             with open(path, "w") as fh:
@@ -457,9 +469,21 @@ class TestCheckCommand:
         assert result.exit_code == 2
 
     def test_n_below_one_is_a_usage_error(self):
-        result = self._check("--n", "0", "--hyp", "p0")
-        assert result.exit_code == 2
-        assert "--n must be at least 1" in result.output
+        proc = run_cli("check", "--n", "0", "--hyp", "p0")
+        assert_usage_error(proc, "Invalid value for '--n': 0 is not in the range 1<=x<=200.")
+
+    def test_n_past_the_name_pool_is_a_usage_error(self):
+        # the name pool's bound; much larger counts overflow the recursion
+        proc = run_cli("check", "--n", "201", "--hyp", "p0")
+        assert_usage_error(proc, "Invalid value for '--n': 201 is not in the range 1<=x<=200.")
+
+    def test_largest_n_labels_deep_knowledge_on_the_symbolic_backend(self):
+        someone = " | ".join(f"p{i}" for i in range(200))
+        hyp = "".join(f"K[{i}] " for i in range(99)) + f"({someone})"
+        proc = run_cli(
+            "check", "--n", "200", "--backend", "symbolic", "--announce", someone, "--hyp", hyp
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
     def test_deep_nesting_exits_2_without_traceback(self):
         proc = run_cli("check", "--n", "2", "--hyp", "~" * 5000 + "p0")
@@ -720,7 +744,18 @@ class TestPuzzleCommand:
         assert proc.stdout == ""
 
     def test_one_child_is_a_one_line_usage_error(self):
-        assert_usage_error(run_cli("puzzle", "--n", "1"), "--n must be at least 2")
+        assert_usage_error(
+            run_cli("puzzle", "--n", "1"),
+            "Invalid value for '--n': 1 is not in the range 2<=x<=200.",
+        )
+
+    @pytest.mark.parametrize("n", ["201", "1000"])
+    def test_more_children_than_the_name_pool_is_a_one_line_usage_error(self, n):
+        # at 1000 the symbolic backend once overflowed the recursion
+        assert_usage_error(
+            run_cli("puzzle", "--n", n, "--backend", "symbolic"),
+            f"Invalid value for '--n': {n} is not in the range 2<=x<=200.",
+        )
 
     def test_size_limit(self):
         result = CliRunner().invoke(cli.main, ["puzzle", "--n", "25"])

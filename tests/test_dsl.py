@@ -63,6 +63,8 @@ class TestParse:
             ("K[0 p1", 4),
             ("Q p0", 0),
             ("p0 - p1", 3),
+            ("p0 # p1", 3),
+            ("K[p0] p1", 2),
             # indices past the interpreter's int() digit limit
             ("p" + "1" * 5000, 0),
             ("p0 & K[" + "1" * 5000 + "] p1", 7),
