@@ -17,7 +17,7 @@ from .formula import Formula
 # is_contradictory and is_contradictory_symbolic are not called here; the
 # benchmark's tracer (bench/tracing.py) patches them under these names.
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label
-from .symbolic import is_contradictory_symbolic, label_symbolic
+from .symbolic import is_contradictory_symbolic, label_symbolic, prune_translations
 
 __all__ = [
     "Checker",
@@ -32,14 +32,26 @@ Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
 
 # Nodes a thread's store may still hold when a symbolic call ends and be kept
 # for the next one; a larger store is dropped, since nodes are never freed.
-# Kept across all 5,000 label-mix problems (n=2-3), the store ends at 95
-# nodes (1,041 ite and 218 forall cache entries); across the n=6,
-# max_order=3 generation (gen-large) at 607 nodes, and across generation at
-# n=16 and n=20 (max_order=4, 400 per setup) at 10,642 and 15,104 nodes.
+# Kept across all 5,000 label-mix problems (n=2-3), the store ends at 82-98
+# nodes at seeds 1, 2, 3, 7, 13 and 42 (95 at seed 7, with 1,041 ite and 218
+# forall cache entries), and across the n=6, max_order=3 generation
+# (gen-large) at 727 nodes.  Generation at n=16 and n=20 (max_order=4, 400
+# per setup) passes the limit and drops the store once and three times.
 # Nodes and cache entries together take about 0.6 KB per node (8.6 MB at
-# 15,104 nodes under tracemalloc), so 2^14 keeps every measured run's store
-# while capping what a thread holds between calls at about 10 MB.
+# 15,104 nodes under tracemalloc), so 2^14 caps what a thread holds between
+# calls at about 10 MB.
 RETAINED_NODE_LIMIT = 1 << 14
+
+# Entries the store's translation table may hold when a symbolic call ends;
+# past it, ``prune_translations`` drops the entries of matrices that are
+# gone, or all of them.  label-mix ends at 6,120-6,277 entries at the seeds
+# above, all of matrices that live as long as the process (every matrix of
+# at most three agents is shared), so it is never pruned.  gen-large holds
+# 1,942 and 2,051 entries of live matrices at seeds 7 and 3, and each pass
+# leaves about 770 entries whose matrix is gone (a discarded draw's, or a
+# record's of the pass before); a prune every eight passes or so drops them,
+# and no later label could have found them.
+RETAINED_TRANSLATION_LIMIT = 1 << 13
 
 _thread = threading.local()
 
@@ -76,6 +88,8 @@ def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> b
         size = len(store)
         kept = size <= RETAINED_NODE_LIMIT and size < store.capacity
         _thread.store = store if kept else None
+        if kept:
+            prune_translations(store, RETAINED_TRANSLATION_LIMIT)
 
 
 def outcome(checker: Checker, obs, anns, hyp) -> bool | str:

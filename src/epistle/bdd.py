@@ -9,7 +9,9 @@ memoized if-then-else.
 A store and every diagram built from it belong to one thread; diagrams from
 different stores must never be mixed.  The symbolic backend keeps one store
 per thread across labels (``epistle.backends``), so nodes and cached results
-outlive the label that made them.
+outlive the label that made them.  A third table, which ``epistle.symbolic``
+fills, maps translated formulas to their diagrams, and lives as long as the
+store.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def default_node_capacity() -> int:
 
 
 class DdStore:
-    """Owns the unique table, the operation caches, and the two terminals;
-    holds at most ``default_node_capacity()`` nodes."""
+    """Owns the unique table, the operation caches, the translation table
+    and the two terminals; holds at most ``default_node_capacity()`` nodes."""
 
     def __init__(self):
         self.capacity = default_node_capacity()
@@ -72,6 +74,7 @@ class DdStore:
         self._unique: dict[tuple, DdNode] = {}
         self._ite_cache: dict[tuple, DdNode] = {}
         self._forall_cache: dict[tuple, DdNode] = {}
+        self._translate_cache: dict[tuple, DdNode] = {}
         self._count = 2  # the terminals
 
     def __len__(self) -> int:

@@ -14,6 +14,7 @@ or agent index outside ``0..n-1`` is a ``ValueError``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,6 +46,16 @@ __all__ = [
 MAX_EXPLICIT_AGENTS = 20
 
 
+class _IdentityRef(weakref.ref):
+    """Weak reference that hashes and compares by identity, so a dead
+    reference never matches a live one."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
 @dataclass(frozen=True)
 class ObservabilityMatrix:
     """Square boolean matrix: entry (i, j) means agent i initially knows
@@ -52,13 +63,17 @@ class ObservabilityMatrix:
 
     ``n`` is the number of rows.  ``hidden[i]`` lists the propositions agent
     ``i`` does not observe, ascending: the variables both backends quantify
-    over for ``K_i``.  Both are derived from the rows once and left out of
-    comparison, hashing and ``repr``.
+    over for ``K_i``.  ``ref`` is a weak reference to the matrix that hashes
+    and compares by identity: through it a table keys on this matrix in O(1)
+    without keeping it alive (the symbolic backend's translation table does).
+    All three are derived once and left out of comparison, hashing, ``repr``
+    and pickling.
     """
 
     rows: tuple[tuple[bool, ...], ...]
     n: int = field(init=False, repr=False, compare=False)
     hidden: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    ref: _IdentityRef = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rows)
@@ -67,6 +82,10 @@ class ObservabilityMatrix:
         hidden = tuple([tuple([j for j, seen in enumerate(row) if not seen]) for row in self.rows])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "ref", _IdentityRef(self))
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     @classmethod
     def from_rows(cls, rows) -> "ObservabilityMatrix":

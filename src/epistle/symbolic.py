@@ -12,6 +12,18 @@ The translation takes the law it works under as an argument, so a label
 folds its announcements into one local law (as the explicit backend folds a
 mask of live worlds).  A proposition or agent index outside ``0..n-1`` is a
 ``ValueError``, as on the explicit backend.
+
+The store keeps a translation table beside its ``ite`` and ``forall``
+caches.  It maps ``(matrix, law, subformula)`` to the translated diagram for
+every subformula but atoms and negations, which cost one ``var`` or ``ite``
+lookup anyway.  Formula nodes are hash-consed, diagram nodes canonical, and
+the matrix enters through ``ObservabilityMatrix.ref``, a weak reference that
+hashes by identity, so a key hashes in O(1) and never keeps a drawn matrix
+alive.  Every matrix of at most three agents is one shared instance; an equal
+matrix of more agents built apart gets entries of its own.  ``translate``
+checks the table before it recurses, and recurses through its module-level
+name, so a wrapper installed under that name sees every call.  A translation
+that raises enters nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ __all__ = [
     "announce_symbolic",
     "is_contradictory_symbolic",
     "label_symbolic",
+    "prune_translations",
 ]
 
 
@@ -48,40 +61,45 @@ def _knows(store: DdStore, obs: ObservabilityMatrix, agent: int, law: DdNode, x:
 
 def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula) -> DdNode:
     """Diagram whose satisfying ``law``-states are exactly the worlds where
-    ``f`` holds."""
+    ``f`` holds; found in, or entered into, the store's translation table."""
     if isinstance(f, Atom):
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return store.var(f.prop)
     if isinstance(f, Not):
         return store.not_(translate(store, obs, law, f.child))
+    key = (obs.ref, law, f)
+    out = store._translate_cache.get(key)
+    if out is not None:
+        return out
     if isinstance(f, And):
         out = store.true
         for c in f.children:
             out = store.and_(out, translate(store, obs, law, c))
-        return out
-    if isinstance(f, Or):
+    elif isinstance(f, Or):
         out = store.false
         for c in f.children:
             out = store.or_(out, translate(store, obs, law, c))
-        return out
-    if isinstance(f, Implies):
-        return store.implies(
+    elif isinstance(f, Implies):
+        out = store.implies(
             translate(store, obs, law, f.left), translate(store, obs, law, f.right)
         )
-    if isinstance(f, Knows):
-        return _knows(store, obs, f.agent, law, translate(store, obs, law, f.child))
-    if isinstance(f, KnowsWhether):
+    elif isinstance(f, Knows):
+        out = _knows(store, obs, f.agent, law, translate(store, obs, law, f.child))
+    elif isinstance(f, KnowsWhether):
         # one translation of the child serves both disjuncts
         body = translate(store, obs, law, f.child)
-        return store.or_(
+        out = store.or_(
             _knows(store, obs, f.agent, law, body),
             _knows(store, obs, f.agent, law, store.not_(body)),
         )
-    if isinstance(f, Announced):
+    elif isinstance(f, Announced):
         made = translate(store, obs, law, f.announcement)
-        return store.implies(made, translate(store, obs, store.and_(law, made), f.continuation))
-    raise TypeError(f"not a formula: {f!r}")
+        out = store.implies(made, translate(store, obs, store.and_(law, made), f.continuation))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    store._translate_cache[key] = out
+    return out
 
 
 def announce_symbolic(
@@ -121,3 +139,20 @@ def label_symbolic(
     if isinstance(law, int):
         raise ContradictoryPremise(f"announcement {law + 1} falsifies the state law")
     return store.implies(law, translate(store, obs, law, hyp)) is store.true
+
+
+def prune_translations(store: DdStore, limit: int) -> None:
+    """Bound the store's translation table once it passes ``limit`` entries.
+
+    The entries of a matrix that is gone can never match again and are
+    dropped; if more than half the limit is left, every entry is.  Either
+    way a prune frees at least half the limit, so its scan costs O(1) per
+    entry made.
+    """
+    table = store._translate_cache
+    if len(table) <= limit:
+        return
+    for key in [key for key in table if key[0]() is None]:
+        del table[key]
+    if len(table) > limit // 2:
+        table.clear()

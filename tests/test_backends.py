@@ -1,17 +1,21 @@
 """The checkers' shared contracts: the symbolic backend's per-thread store
 (kept across labels, dropped past its retention bound, retried once on a
-fresh store when full), and ``both_label`` comparing the two outcomes."""
+fresh store when full, its translation table pruned past its own bound),
+and ``both_label`` comparing the two outcomes."""
 
+import gc
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistle import backends
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
-from epistle.formula import And, Announced, Atom, Knows, KnowsWhether, Not, Or
+from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
 from epistle.kripke import ObservabilityMatrix, announce, build_initial_model
 from epistle.rng import SplitMix64
@@ -178,6 +182,27 @@ class TestRetainedStore:
         atom_label(2, 0)
         assert kept_store() is not None and kept_store() is not store
 
+    def test_translation_bound_prunes_the_table(self, monkeypatch):
+        monkeypatch.setattr(backends, "RETAINED_TRANSLATION_LIMIT", 2)
+        both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
+        drawn, shared = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(2)
+        symbolic_label(drawn, [], both)
+        symbolic_label(drawn, [], either)
+        store = kept_store()
+        table = store._translate_cache
+        assert len(table) == 2
+        del drawn
+        gc.collect()
+        # a third entry passes the limit: the two of the matrix that is gone go
+        symbolic_label(shared, [], both)
+        assert kept_store() is store
+        assert list(table) == [(shared.ref, store.true, both)]
+        symbolic_label(shared, [], either)
+        assert len(table) == 2
+        # three live entries, more than half the limit: all of them go
+        symbolic_label(shared, [], Implies(Atom(0), Atom(1)))
+        assert kept_store() is store and not table
+
     def test_threads_get_distinct_stores(self):
         # more threads than cores, switching often, all labeling at once
         rng = SplitMix64(0x7E4D)
@@ -209,6 +234,50 @@ class TestRetainedStore:
         assert kept_store() is None  # nothing leaked into this thread
         for store in stores.values():
             check_reduced(store)
+
+
+class TestTranslationTable:
+    """The store's translation table changes no outcome."""
+
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_full_table_fresh_store_and_explicit_agree(self, seed):
+        # the thread's store is kept across examples, so its table fills
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(4)
+        obs, anns, hyp = random_problem(rng, n)
+        hyp = Announced(
+            random_formula(rng, n, depth=2), Announced(random_formula(rng, n, depth=2), hyp)
+        )
+        expected = outcome(explicit_label, obs, anns, hyp)
+        assert outcome(fresh_store_label, obs, anns, hyp) == expected
+        assert outcome(symbolic_label, obs, anns, hyp) == expected
+        entries = len(kept_store()._translate_cache)
+        # once more: every translation is found, and none is entered
+        assert outcome(symbolic_label, obs, anns, hyp) == expected
+        assert len(kept_store()._translate_cache) == entries
+
+    def test_an_index_error_enters_nothing_and_a_larger_matrix_labels(self):
+        hyp = And((Atom(0), Knows(1, Atom(3))))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                symbolic_label(ObservabilityMatrix.identity(3), [], hyp)
+            assert all(key[2] is not hyp for key in kept_store()._translate_cache)
+        obs = ObservabilityMatrix.identity(4)
+        assert symbolic_label(obs, [], hyp) is explicit_label(obs, [], hyp) is False
+        assert (obs.ref, kept_store().true, hyp) in kept_store()._translate_cache
+
+    def test_equal_matrices_built_apart_give_the_same_labels(self):
+        rng = SplitMix64(0x7AB1E)
+        rows = [[rng.chance(0.5) for _ in range(4)] for _ in range(4)]
+        first, second = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix.from_rows(rows)
+        assert first == second and first is not second
+        problems = [random_problem(rng, 4)[1:] for _ in range(40)]
+        labels = [outcome(symbolic_label, first, anns, hyp) for anns, hyp in problems]
+        assert labels == [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
+        assert [outcome(symbolic_label, second, anns, hyp) for anns, hyp in problems] == labels
+        keyed = {key[0] for key in kept_store()._translate_cache}
+        assert {first.ref, second.ref} <= keyed  # each matrix has entries of its own
 
 
 class TestCapacityRetry:

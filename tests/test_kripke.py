@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +102,24 @@ class TestObservabilityMatrix:
         assert ObservabilityMatrix.from_rows(as_ints) is obs
         assert ObservabilityMatrix.from_rows(tuple(map(tuple, rows))) is obs
         assert ObservabilityMatrix.identity(1) is ObservabilityMatrix.ones(1)
+
+    def test_ref_stands_for_the_matrix_without_keeping_it(self):
+        rows = [[True, False, False, True], [False] * 4, [True] * 4, [False, True, True, False]]
+        first, twin = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix.from_rows(rows)
+        assert first.ref() is first and twin.ref() is twin
+        # by identity: equal matrices built apart have distinct references
+        assert first.ref == first.ref and first.ref != twin.ref
+        assert {first.ref: 1}.get(first.ref) == 1 and twin.ref not in {first.ref: 1}
+        assert first == twin and hash(first) == hash(twin)
+        assert repr(first) == f"ObservabilityMatrix(rows={first.rows!r})"
+        for copied in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+            assert copied == first and copied is not first and copied.ref() is copied
+        small = ObservabilityMatrix.identity(3)
+        assert ObservabilityMatrix.from_rows(small.rows) is small
+        ref = first.ref
+        del first
+        gc.collect()
+        assert ref() is None and ref != twin.ref and ref == ref
 
     def test_larger_matrices_are_built_each_time(self):
         first, again = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(4)
