@@ -16,8 +16,8 @@ from .errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from .formula import Formula
 # is_contradictory and is_contradictory_symbolic are not called here; the
 # benchmark's tracer (bench/tracing.py) patches them under these names.
-from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label
-from .symbolic import is_contradictory_symbolic, label_symbolic, prune_translations
+from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label, prune_table
+from .symbolic import is_contradictory_symbolic, label_symbolic
 
 __all__ = [
     "Checker",
@@ -42,16 +42,12 @@ Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
 # calls at about 10 MB.
 RETAINED_NODE_LIMIT = 1 << 14
 
-# Entries the store's translation table may hold when a symbolic call ends;
-# past it, ``prune_translations`` drops the entries of matrices that are
-# gone, or all of them.  label-mix ends at 6,120-6,277 entries at the seeds
-# above, all of matrices that live as long as the process (every matrix of
-# at most three agents is shared), so it is never pruned.  gen-large holds
-# 1,942 and 2,051 entries of live matrices at seeds 7 and 3, and each pass
-# leaves about 770 entries whose matrix is gone (a discarded draw's, or a
-# record's of the pass before); a prune every eight passes or so drops them,
-# and no later label could have found them.
-RETAINED_TRANSLATION_LIMIT = 1 << 13
+# The store's translation table is bounded by ``kripke.prune_table`` when a
+# symbolic call ends, as the explicit evaluation table is on every entry.
+# gen-large holds 1,942 and 2,051 translations of live matrices at seeds 7
+# and 3, and each pass leaves about 770 entries whose matrix is gone (a
+# discarded draw's, or a record's of the pass before); a prune every eight
+# passes or so drops them, and no later label could have found them.
 
 _thread = threading.local()
 
@@ -89,7 +85,7 @@ def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> b
         kept = size <= RETAINED_NODE_LIMIT and size < store.capacity
         _thread.store = store if kept else None
         if kept:
-            prune_translations(store, RETAINED_TRANSLATION_LIMIT)
+            prune_table(store._translate_cache)
 
 
 def outcome(checker: Checker, obs, anns, hyp) -> bool | str:

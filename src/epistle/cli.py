@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from itertools import islice
 
 import click
 
@@ -36,6 +37,7 @@ from .kripke import (
     ObservabilityMatrix,
     announce,
     build_initial_model,
+    clear_table,
     evaluate,
     label,
 )
@@ -48,6 +50,10 @@ EXIT_USAGE = 2
 EXIT_STALL = 3
 EXIT_CONTRADICTION = 4
 EXIT_MISMATCH = 5
+
+# Problems crosscheck draws, then times, at a time: its memory stays bounded
+# whatever --count is.
+CROSSCHECK_BLOCK = 1000
 
 _NAMED_MATRICES = {
     "forehead-mud": ObservabilityMatrix.ones_minus_identity,
@@ -287,26 +293,33 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 def crosscheck(count, seed, n_agents):
     """Label random instances with both backends and report disagreements."""
     cfg = _gen_config(n_agents, seed=seed)
+    instances = iter_problems(cfg, count)
     mismatches = 0
     explicit_times = []
     symbolic_times = []
-    for instance in iter_problems(cfg, count):
-        anns, hyp = list(instance.ann_formulas), instance.hyp_formula
+    # drawing labels each problem on the explicit backend, so a block is
+    # drawn whole and this thread's explicit table emptied before it is
+    # timed: the latencies are not lookups of labels the drawing entered
+    while block := list(islice(instances, CROSSCHECK_BLOCK)):
+        clear_table()
+        for instance in block:
+            anns, hyp = list(instance.ann_formulas), instance.hyp_formula
 
-        t0 = time.perf_counter()
-        a = outcome(explicit_label, instance.obs, anns, hyp)
-        t1 = time.perf_counter()
-        b = outcome(symbolic_label, instance.obs, anns, hyp)
-        t2 = time.perf_counter()
-        explicit_times.append(t1 - t0)
-        symbolic_times.append(t2 - t1)
-        if a != b:
-            mismatches += 1
-            click.echo(
-                f"mismatch at draw {instance.draw_index}: explicit={a} symbolic={b} "
-                f"hyp={print_formula(hyp)}",
-                err=True,
-            )
+            t0 = time.perf_counter()
+            a = outcome(explicit_label, instance.obs, anns, hyp)
+            t1 = time.perf_counter()
+            b = outcome(symbolic_label, instance.obs, anns, hyp)
+            t2 = time.perf_counter()
+            explicit_times.append(t1 - t0)
+            symbolic_times.append(t2 - t1)
+            if a != b:
+                mismatches += 1
+                click.echo(
+                    f"mismatch at draw {instance.draw_index}: explicit={a} symbolic={b} "
+                    f"hyp={print_formula(hyp)}",
+                    err=True,
+                )
+        del block  # its matrices die while the next block is drawn
     click.echo(f"checked {len(explicit_times)} instances: {mismatches} mismatches")
     for name, times in (("explicit", explicit_times), ("symbolic", symbolic_times)):
         if times:

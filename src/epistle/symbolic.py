@@ -23,7 +23,8 @@ alive.  Every matrix of at most three agents is one shared instance; an equal
 matrix of more agents built apart gets entries of its own.  ``translate``
 checks the table before it recurses, and recurses through its module-level
 name, so a wrapper installed under that name sees every call.  A translation
-that raises enters nothing.
+that raises enters nothing.  ``backends`` bounds the table with
+``kripke.prune_table`` when a call ends.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "announce_symbolic",
     "is_contradictory_symbolic",
     "label_symbolic",
-    "prune_translations",
 ]
 
 
@@ -139,20 +139,3 @@ def label_symbolic(
     if isinstance(law, int):
         raise ContradictoryPremise(f"announcement {law + 1} falsifies the state law")
     return store.implies(law, translate(store, obs, law, hyp)) is store.true
-
-
-def prune_translations(store: DdStore, limit: int) -> None:
-    """Bound the store's translation table once it passes ``limit`` entries.
-
-    The entries of a matrix that is gone can never match again and are
-    dropped; if more than half the limit is left, every entry is.  Either
-    way a prune frees at least half the limit, so its scan costs O(1) per
-    entry made.
-    """
-    table = store._translate_cache
-    if len(table) <= limit:
-        return
-    for key in [key for key in table if key[0]() is None]:
-        del table[key]
-    if len(table) > limit // 2:
-        table.clear()

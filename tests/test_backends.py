@@ -1,7 +1,8 @@
 """The checkers' shared contracts: the symbolic backend's per-thread store
 (kept across labels, dropped past its retention bound, retried once on a
-fresh store when full, its translation table pruned past its own bound),
-and ``both_label`` comparing the two outcomes."""
+fresh store when full, its translation table pruned past the tables' bound),
+the explicit backend's per-thread evaluation table, and ``both_label``
+comparing the two outcomes."""
 
 import gc
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epistle import backends
+from epistle import backends, kripke
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
@@ -62,6 +63,29 @@ def outcome(checker, obs, anns, hyp):
         return checker(obs, anns, hyp)
     except ContradictoryPremise:
         return None
+
+
+def on_threads_at_once(work, names="abcd"):
+    """Run ``work(name)`` on one thread per name: more threads than cores,
+    all started together and switching often.  Returns the names."""
+    all_started = threading.Barrier(len(names))
+
+    def start(name):
+        all_started.wait(timeout=30)
+        work(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=start, args=(name,)) for name in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return names
 
 
 def atom_label(n, *props):
@@ -183,7 +207,7 @@ class TestRetainedStore:
         assert kept_store() is not None and kept_store() is not store
 
     def test_translation_bound_prunes_the_table(self, monkeypatch):
-        monkeypatch.setattr(backends, "RETAINED_TRANSLATION_LIMIT", 2)
+        monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
         both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
         drawn, shared = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(2)
         symbolic_label(drawn, [], both)
@@ -204,36 +228,42 @@ class TestRetainedStore:
         assert kept_store() is store and not table
 
     def test_threads_get_distinct_stores(self):
-        # more threads than cores, switching often, all labeling at once
         rng = SplitMix64(0x7E4D)
         problems = [random_problem(rng, 2 + rng.below(3)) for _ in range(60)]
         expected = [outcome(explicit_label, *p) for p in problems]
-        names = "abcd"
-        all_started = threading.Barrier(len(names))
         stores, got = {}, {}
 
         def work(name):
-            all_started.wait(timeout=30)
             got[name] = [outcome(symbolic_label, *p) for p in problems]
             stores[name] = kept_store()  # holding it keeps its id unique
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(name,)) for name in names]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        names = on_threads_at_once(work)
         assert got == {name: expected for name in names}
         assert None not in stores.values()
         assert len({id(store) for store in stores.values()}) == len(names)
         assert kept_store() is None  # nothing leaked into this thread
         for store in stores.values():
             check_reduced(store)
+
+
+class TestEvaluationTable:
+    def test_threads_get_distinct_tables(self):
+        rng = SplitMix64(0x7AB1)
+        problems = [random_problem(rng, 2 + rng.below(5)) for _ in range(60)]
+        expected = [outcome(symbolic_label, *p) for p in problems]
+        kripke.clear_table()
+        tables, got = {}, {}
+
+        def work(name):
+            got[name] = [outcome(explicit_label, *p) for p in problems]
+            tables[name] = kripke._thread.table  # holding it keeps its id unique
+
+        names = on_threads_at_once(work)
+        assert got == {name: expected for name in names}
+        assert all(tables.values())
+        assert len({id(table) for table in tables.values()}) == len(names)
+        assert all(table == tables["a"] for table in tables.values())
+        assert not kripke._thread.table  # nothing leaked into this thread
 
 
 class TestTranslationTable:

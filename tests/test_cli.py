@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import epistle
 import epistle.cli as cli
 import epistle.generator as generator
+import epistle.kripke as kripke
 from epistle.backends import both_label, explicit_label, get_checker, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula, print_formula
 from epistle.errors import ContradictoryPremise
@@ -672,6 +673,32 @@ class TestCrosscheckCommand:
         result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "200", "--seed", "1"])
         assert result.exit_code == 0, result.output
         assert "200 instances: 0 mismatches" in result.output
+
+    def test_each_block_is_drawn_whole_before_it_is_timed(self, monkeypatch):
+        # so the explicit latencies are not lookups of the labels the draws
+        # just entered in this thread's evaluation table
+        draws, timed = [0], []
+        make_problem = generator.make_problem
+
+        def draw(*args):
+            draws[0] += 1
+            return make_problem(*args)
+
+        def explicit(obs, anns, hyp):
+            timed.append((draws[0], len(kripke._thread.table)))
+            return explicit_label(obs, anns, hyp)
+
+        monkeypatch.setattr(generator, "make_problem", draw)
+        monkeypatch.setattr(cli, "explicit_label", explicit)
+        monkeypatch.setattr(cli, "CROSSCHECK_BLOCK", 25)
+        result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "60", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        assert "checked 60 instances: 0 mismatches" in result.output
+        starts = (0, 25, 50)
+        assert [timed[i][1] for i in starts] == [0, 0, 0]  # each block starts cold
+        drawn_by = [timed[i][0] for i in starts]
+        assert drawn_by[0] < drawn_by[1] < drawn_by[2] == draws[0]
+        assert [d for d, _ in timed] == [drawn_by[i // 25] for i in range(60)]
 
     def test_injected_backend_bug_is_caught(self, monkeypatch):
         from epistle.formula import Not

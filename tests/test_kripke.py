@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epistle.kripke as kripke
-from epistle.backends import both_label, explicit_label, symbolic_label
+from epistle.backends import both_label, explicit_label, outcome, symbolic_label
 from epistle.dsl import parse_formula
 from epistle.errors import ContradictoryPremise, DeadWorld, SizeLimit
 from epistle.formula import (
@@ -374,6 +374,103 @@ class TestLabel:
                         checker(obs, anns, hyp)
                 else:
                     assert checker(obs, anns, hyp) == expected
+
+
+def oracle_outcome(n, rows, anns, hyp):
+    """``oracle_label`` in the form ``backends.outcome`` gives."""
+    label = oracle_label(n, rows, anns, hyp)
+    return "contradictory" if label is None else label
+
+
+class TestEvaluationTable:
+    """The thread's evaluation table changes no outcome and stays bounded."""
+
+    CONTRADICTION = And((Atom(0), Not(Atom(0))))
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        kripke.clear_table()
+        yield
+        kripke.clear_table()
+
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_warm_and_emptied_tables_symbolic_and_oracle_agree(self, seed):
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(5)
+        depth = 2 if n <= 4 else 1  # keeps the brute-force oracle quick at 32-64 worlds
+        obs = random_observability(rng, n)
+        anns = [random_formula(rng, n, depth=depth) for _ in range(rng.below(3))]
+        if rng.chance(0.2):
+            anns.insert(rng.below(len(anns) + 1), self.CONTRADICTION)
+        inner = self.CONTRADICTION if rng.chance(0.2) else random_formula(rng, n, depth=depth)
+        hyp = Announced(
+            random_formula(rng, n, depth=depth),
+            Announced(inner, random_formula(rng, n, depth=depth)),
+        )
+        every = list(range(1 << n))
+        holds = frozenset(w for w in every if oracle_eval(every, obs.rows, w, hyp))
+        expected = oracle_outcome(n, obs.rows, anns, hyp)
+        for _ in range(2):  # the second pass finds every entry and enters none
+            entries = len(kripke._thread.table)
+            assert worlds_where(obs, build_initial_model(obs), hyp) == holds
+            assert outcome(explicit_label, obs, anns, hyp) == expected
+        assert len(kripke._thread.table) == entries
+        kripke.clear_table()
+        assert outcome(explicit_label, obs, anns, hyp) == expected
+        assert outcome(symbolic_label, obs, anns, hyp) == expected
+
+    def test_an_index_error_enters_nothing_and_a_larger_matrix_labels(self):
+        hyp = And((Or((Atom(0), Atom(1))), Knows(1, Atom(3))))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                explicit_label(thirst(3), [], hyp)
+            assert kripke._thread.table  # the disjunction was entered
+            assert all(key[2] is not hyp for key in kripke._thread.table)
+        assert explicit_label(thirst(4), [], hyp) is False
+
+    def test_more_than_three_agents_enter_nothing(self):
+        hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(2)))))))
+        for n in (4, 6, 7):
+            assert explicit_label(forehead(n), [Or((Atom(0), Atom(1)))], hyp) is False
+            assert not kripke._thread.table
+        assert explicit_label(forehead(3), [Or((Atom(0), Atom(1)))], hyp) is False
+        assert kripke._thread.table
+
+    def test_equal_matrices_built_apart_give_the_same_labels(self):
+        rng = SplitMix64(0x7AB1E)
+        rows = tuple(tuple(rng.chance(0.5) for _ in range(3)) for _ in range(3))
+        first, second = ObservabilityMatrix(rows), ObservabilityMatrix(rows)
+        assert first == second and first is not second
+        problems = []
+        for _ in range(40):
+            anns = [random_formula(rng, 3, depth=2) for _ in range(rng.below(3))]
+            problems.append((anns, random_formula(rng, 3, depth=2)))
+        labels = [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
+        assert labels == [oracle_outcome(3, rows, anns, hyp) for anns, hyp in problems]
+        assert [outcome(explicit_label, second, anns, hyp) for anns, hyp in problems] == labels
+        keyed = {key[0] for key in kripke._thread.table}
+        assert {first.ref, second.ref} <= keyed  # each matrix has entries of its own
+
+    def test_bound_prunes_dead_matrices_first_then_everything(self, monkeypatch):
+        monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
+        both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
+        # a matrix of three agents built apart, not the one ``from_rows`` shares
+        drawn, shared = ObservabilityMatrix(thirst(3).rows), thirst(2)
+        explicit_label(drawn, [], both)
+        explicit_label(drawn, [], either)
+        table = kripke._thread.table
+        assert len(table) == 2
+        del drawn
+        gc.collect()
+        # a third entry passes the limit: the two of the matrix that is gone go
+        explicit_label(shared, [], both)
+        assert list(table) == [(shared.ref, 0b1111, both)]
+        explicit_label(shared, [], either)
+        assert len(table) == 2
+        # three live entries, more than half the limit: all of them go
+        explicit_label(shared, [], Implies(Atom(0), Atom(1)))
+        assert not table and kripke._thread.table is table
 
 
 class TestS5Axioms:
