@@ -16,7 +16,7 @@ from .errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from .formula import Formula
 # is_contradictory and is_contradictory_symbolic are not called here; the
 # benchmark's tracer (bench/tracing.py) patches them under these names.
-from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label, prune_table
+from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory, label
 from .symbolic import is_contradictory_symbolic, label_symbolic
 
 __all__ = [
@@ -41,13 +41,6 @@ Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
 # 15,104 nodes under tracemalloc), so 2^14 caps what a thread holds between
 # calls at about 10 MB.
 RETAINED_NODE_LIMIT = 1 << 14
-
-# The store's translation table is bounded by ``kripke.prune_table`` when a
-# symbolic call ends, as the explicit evaluation table is on every entry.
-# gen-large holds 1,942 and 2,051 translations of live matrices at seeds 7
-# and 3, and each pass leaves about 770 entries whose matrix is gone (a
-# discarded draw's, or a record's of the pass before); a prune every eight
-# passes or so drops them, and no later label could have found them.
 
 _thread = threading.local()
 
@@ -84,8 +77,6 @@ def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> b
         size = len(store)
         kept = size <= RETAINED_NODE_LIMIT and size < store.capacity
         _thread.store = store if kept else None
-        if kept:
-            prune_table(store._translate_cache)
 
 
 def outcome(checker: Checker, obs, anns, hyp) -> bool | str:

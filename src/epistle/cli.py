@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from itertools import islice
 
 import click
 
@@ -33,14 +32,7 @@ from .errors import (
 )
 from .formula import Atom, Knows, KnowsWhether, Not, Or, conj, disj
 from .generator import GenConfig, generate_balanced, iter_problems
-from .kripke import (
-    ObservabilityMatrix,
-    announce,
-    build_initial_model,
-    clear_table,
-    evaluate,
-    label,
-)
+from .kripke import ObservabilityMatrix, announce, build_initial_model, evaluate, label
 from .names import MAX_NAMES
 from .records import record_from_instance, write_jsonl
 from .setups import ALL_SETUPS, SetupKind
@@ -50,10 +42,6 @@ EXIT_USAGE = 2
 EXIT_STALL = 3
 EXIT_CONTRADICTION = 4
 EXIT_MISMATCH = 5
-
-# Problems crosscheck draws, then times, at a time: its memory stays bounded
-# whatever --count is.
-CROSSCHECK_BLOCK = 1000
 
 _NAMED_MATRICES = {
     "forehead-mud": ObservabilityMatrix.ones_minus_identity,
@@ -291,36 +279,41 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 @click.option("--seed", type=_Int(), default=0, show_default=True)
 @click.option("--n-agents", default="2,3", show_default=True, help="Comma list of counts.")
 def crosscheck(count, seed, n_agents):
-    """Label random instances with both backends and report disagreements."""
+    """Label random draws with both backends as they are drawn, contradictory
+    draws included, and report disagreements."""
     cfg = _gen_config(n_agents, seed=seed)
-    instances = iter_problems(cfg, count)
     mismatches = 0
     explicit_times = []
     symbolic_times = []
-    # drawing labels each problem on the explicit backend, so a block is
-    # drawn whole and this thread's explicit table emptied before it is
-    # timed: the latencies are not lookups of labels the drawing entered
-    while block := list(islice(instances, CROSSCHECK_BLOCK)):
-        clear_table()
-        for instance in block:
-            anns, hyp = list(instance.ann_formulas), instance.hyp_formula
 
-            t0 = time.perf_counter()
-            a = outcome(explicit_label, instance.obs, anns, hyp)
-            t1 = time.perf_counter()
-            b = outcome(symbolic_label, instance.obs, anns, hyp)
-            t2 = time.perf_counter()
-            explicit_times.append(t1 - t0)
-            symbolic_times.append(t2 - t1)
-            if a != b:
-                mismatches += 1
-                click.echo(
-                    f"mismatch at draw {instance.draw_index}: explicit={a} symbolic={b} "
-                    f"hyp={print_formula(hyp)}",
-                    err=True,
-                )
-        del block  # its matrices die while the next block is drawn
-    click.echo(f"checked {len(explicit_times)} instances: {mismatches} mismatches")
+    def compare(obs, anns, hyp):
+        # called once on each draw, in draw order; the explicit outcome
+        # accepts or rejects the draw, as it does for the explicit checker
+        nonlocal mismatches
+        t0 = time.perf_counter()
+        a = outcome(explicit_label, obs, anns, hyp)
+        t1 = time.perf_counter()
+        b = outcome(symbolic_label, obs, anns, hyp)
+        t2 = time.perf_counter()
+        explicit_times.append(t1 - t0)
+        symbolic_times.append(t2 - t1)
+        if a != b:
+            mismatches += 1
+            click.echo(
+                f"mismatch at draw {len(explicit_times) - 1}: explicit={a} symbolic={b} "
+                f"hyp={print_formula(hyp)}",
+                err=True,
+            )
+        if a == "contradictory":
+            raise ContradictoryPremise("the explicit backend rejects the draw")
+        return a
+
+    checked = sum(1 for _ in iter_problems(cfg, count, compare))
+    draws = len(explicit_times)
+    click.echo(
+        f"checked {checked} instances: {mismatches} mismatches; "
+        f"compared {draws} draws, {draws - checked} of them contradictory"
+    )
     for name, times in (("explicit", explicit_times), ("symbolic", symbolic_times)):
         if times:
             times = sorted(times)

@@ -263,10 +263,11 @@ def _accepted(cfg: GenConfig, seed: int, checker: Checker):
     raise GenerationStall(f"draw budget of {MAX_DRAWS_PER_BUCKET} spent")
 
 
-def iter_problems(cfg: GenConfig, count: int):
+def iter_problems(cfg: GenConfig, count: int, checker: Checker = explicit_label):
     """Yield ``count`` accepted instances from the unbucketed draw stream;
-    the explicit checker accepts and labels each draw."""
-    return islice(_accepted(cfg, cfg.seed, explicit_label), count)
+    ``checker`` is called once on each draw, in draw order, and accepts and
+    labels it."""
+    return islice(_accepted(cfg, cfg.seed, checker), count)
 
 
 def _fill_setup(cfg: GenConfig, setup: SetupKind, checker: Checker) -> list[ProblemInstance]:

@@ -20,7 +20,8 @@ through ``ObservabilityMatrix.ref``, so a key hashes in O(1) and never keeps
 a matrix alive.  ``_eval`` checks the table before it recurses, and recurses
 through its module-level name, so a wrapper installed under that name sees
 every call.  An evaluation that raises enters nothing.  ``prune_table`` bounds
-this table and the symbolic backend's translation table alike.
+this table, and the symbolic backend's translation table alike, each time the
+recursion that fills it enters a result; no caller empties either.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "announce",
     "is_contradictory",
     "label",
-    "clear_table",
     "prune_table",
 ]
 
@@ -111,11 +111,6 @@ class _PerThread(threading.local):
 
 
 _thread = _PerThread()
-
-
-def clear_table() -> None:
-    """Empty this thread's evaluation table."""
-    _thread.table.clear()
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ alive.  Every matrix of at most three agents is one shared instance; an equal
 matrix of more agents built apart gets entries of its own.  ``translate``
 checks the table before it recurses, and recurses through its module-level
 name, so a wrapper installed under that name sees every call.  A translation
-that raises enters nothing.  ``backends`` bounds the table with
-``kripke.prune_table`` when a call ends.
+that raises enters nothing.  Each time it enters a result, ``translate``
+bounds the table with ``kripke.prune_table``, so every store's table is
+bounded, ``puzzle``'s and a library caller's included.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .formula import (
     Not,
     Or,
 )
-from .kripke import ObservabilityMatrix
+from .kripke import ObservabilityMatrix, prune_table
 
 __all__ = [
     "translate",
@@ -68,8 +69,9 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         return store.var(f.prop)
     if isinstance(f, Not):
         return store.not_(translate(store, obs, law, f.child))
+    table = store._translate_cache
     key = (obs.ref, law, f)
-    out = store._translate_cache.get(key)
+    out = table.get(key)
     if out is not None:
         return out
     if isinstance(f, And):
@@ -98,7 +100,8 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         out = store.implies(made, translate(store, obs, store.and_(law, made), f.continuation))
     else:
         raise TypeError(f"not a formula: {f!r}")
-    store._translate_cache[key] = out
+    table[key] = out
+    prune_table(table)
     return out
 
 

@@ -4,7 +4,7 @@ PASS line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 import time
 from collections import Counter
 
-from epistle.backends import explicit_label, symbolic_label
+from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.dsl import parse_formula
 from epistle.formula import (
@@ -134,21 +134,20 @@ def test_criterion_2_generalized_muddy_children():
 
 
 def test_criterion_3_backend_equivalence_5000():
-    """5,000 sampled problems labeled identically by both backends."""
+    """5,000 sampled problems labeled identically by both backends, and every
+    draw before them, contradictory ones included, given the same outcome."""
     cfg = GenConfig(seed=2024)
-    mismatches = 0
     start = time.perf_counter()
-    for instance in iter_problems(cfg, 5000):
-        anns = list(instance.announcement_formulas())
-        hyp = instance.hypothesis.formula
-        if explicit_label(instance.obs, anns, hyp) != symbolic_label(
-            instance.obs, anns, hyp
-        ):
-            mismatches += 1
+    # both_label raises BackendMismatch on any difference of outcome
+    instances = list(iter_problems(cfg, 5000, both_label))
     elapsed = time.perf_counter() - start
-    assert mismatches == 0
+    assert len(instances) == 5000
     assert elapsed < 300.0, f"cross-validation took {elapsed:.1f} s"
-    _report(f"3 backend equivalence on 5000 instances ({elapsed:.1f} s, 0 mismatches)")
+    draws = instances[-1].draw_index + 1
+    _report(
+        f"3 backend equivalence on {draws} draws, 5000 accepted "
+        f"({elapsed:.1f} s, 0 mismatches)"
+    )
 
 
 def test_criterion_4_announcement_reduction_oracle():

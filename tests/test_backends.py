@@ -251,7 +251,7 @@ class TestEvaluationTable:
         rng = SplitMix64(0x7AB1)
         problems = [random_problem(rng, 2 + rng.below(5)) for _ in range(60)]
         expected = [outcome(symbolic_label, *p) for p in problems]
-        kripke.clear_table()
+        kripke._thread.table.clear()
         tables, got = {}, {}
 
         def work(name):

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import epistle
 import epistle.cli as cli
 import epistle.generator as generator
-import epistle.kripke as kripke
-from epistle.backends import both_label, explicit_label, get_checker, symbolic_label
+from epistle.backends import both_label, explicit_label, get_checker, outcome, symbolic_label
 from epistle.dsl import MAX_NESTING, parse_formula, print_formula
 from epistle.errors import ContradictoryPremise
 from epistle.generator import GenConfig, generate_balanced, iter_problems
 from epistle.records import DatasetRecord, record_from_instance, write_jsonl
+from epistle.rng import substreams
 
 from support import read_jsonl
 
@@ -674,31 +674,66 @@ class TestCrosscheckCommand:
         assert result.exit_code == 0, result.output
         assert "200 instances: 0 mismatches" in result.output
 
-    def test_each_block_is_drawn_whole_before_it_is_timed(self, monkeypatch):
-        # so the explicit latencies are not lookups of the labels the draws
-        # just entered in this thread's evaluation table
-        draws, timed = [0], []
+    def test_each_draw_is_labeled_by_both_backends_before_the_next_is_made(
+        self, monkeypatch
+    ):
+        draws, calls = [0], []
         make_problem = generator.make_problem
 
         def draw(*args):
             draws[0] += 1
             return make_problem(*args)
 
-        def explicit(obs, anns, hyp):
-            timed.append((draws[0], len(kripke._thread.table)))
-            return explicit_label(obs, anns, hyp)
+        def logged(name, checker):
+            def call(obs, anns, hyp):
+                calls.append((draws[0], name))
+                return checker(obs, anns, hyp)
+
+            return call
 
         monkeypatch.setattr(generator, "make_problem", draw)
-        monkeypatch.setattr(cli, "explicit_label", explicit)
-        monkeypatch.setattr(cli, "CROSSCHECK_BLOCK", 25)
+        monkeypatch.setattr(cli, "explicit_label", logged("explicit", explicit_label))
+        monkeypatch.setattr(cli, "symbolic_label", logged("symbolic", symbolic_label))
         result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "60", "--seed", "1"])
         assert result.exit_code == 0, result.output
         assert "checked 60 instances: 0 mismatches" in result.output
-        starts = (0, 25, 50)
-        assert [timed[i][1] for i in starts] == [0, 0, 0]  # each block starts cold
-        drawn_by = [timed[i][0] for i in starts]
-        assert drawn_by[0] < drawn_by[1] < drawn_by[2] == draws[0]
-        assert [d for d, _ in timed] == [drawn_by[i // 25] for i in range(60)]
+        assert draws[0] > 60  # contradictory draws are compared too
+        assert f"compared {draws[0]} draws, {draws[0] - 60} of them contradictory" in result.output
+        assert calls == [
+            (d, name) for d in range(1, draws[0] + 1) for name in ("explicit", "symbolic")
+        ]
+
+    def test_a_contradiction_the_symbolic_backend_misses_is_a_mismatch(self, monkeypatch):
+        def misses_contradictions(obs, anns, hyp):
+            if outcome(explicit_label, obs, anns, hyp) == "contradictory":
+                return True
+            return symbolic_label(obs, anns, hyp)
+
+        # every draw up to the 20th accepted one, with the explicit outcome
+        cfg = GenConfig(seed=1)
+        last = list(iter_problems(cfg, 20))[-1].draw_index
+        drawn = []
+
+        def record(obs, anns, hyp):
+            drawn.append((outcome(explicit_label, obs, anns, hyp), hyp))
+            return True
+
+        for draw, rng in zip(range(last + 1), substreams(cfg.seed)):
+            generator.make_problem(rng, cfg, draw, record)
+        expected = "".join(
+            f"mismatch at draw {d}: explicit=contradictory symbolic=True "
+            f"hyp={print_formula(hyp)}\n"
+            for d, (verdict, hyp) in enumerate(drawn)
+            if verdict == "contradictory"
+        )
+        rejected = last + 1 - 20
+        assert expected.count("\n") == rejected > 0
+
+        monkeypatch.setattr(cli, "symbolic_label", misses_contradictions)
+        result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "20", "--seed", "1"])
+        assert result.exit_code == 5, result.output
+        assert result.stderr == expected
+        assert f"checked 20 instances: {rejected} mismatches" in result.stdout
 
     def test_injected_backend_bug_is_caught(self, monkeypatch):
         from epistle.formula import Not
@@ -718,16 +753,19 @@ class TestCrosscheckCommand:
         assert "mismatch" in result.output
 
     def test_contradiction_found_by_one_backend_is_a_mismatch(self, monkeypatch):
+        # each draw gets one symbolic call; the fifth accepted draw is not
+        # the fifth draw, since draw 4 is contradictory
+        fifth = list(iter_problems(GenConfig(seed=1), 5))[-1]
+        assert fifth.draw_index > 4
         calls = []
 
         def contradicts_fifth(obs, anns, hyp):
             calls.append(hyp)
-            if len(calls) == 5:
+            if len(calls) == fifth.draw_index + 1:
                 raise ContradictoryPremise("seeded: no world survives")
             return symbolic_label(obs, anns, hyp)
 
         monkeypatch.setattr(cli, "symbolic_label", contradicts_fifth)
-        fifth = list(iter_problems(GenConfig(seed=1), 5))[-1]
         result = CliRunner().invoke(cli.main, ["crosscheck", "--count", "20", "--seed", "1"])
         assert result.exit_code == 5, result.output
         assert result.stderr == (

@@ -389,9 +389,9 @@ class TestEvaluationTable:
 
     @pytest.fixture(autouse=True)
     def empty_table(self):
-        kripke.clear_table()
+        kripke._thread.table.clear()
         yield
-        kripke.clear_table()
+        kripke._thread.table.clear()
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
@@ -416,7 +416,7 @@ class TestEvaluationTable:
             assert worlds_where(obs, build_initial_model(obs), hyp) == holds
             assert outcome(explicit_label, obs, anns, hyp) == expected
         assert len(kripke._thread.table) == entries
-        kripke.clear_table()
+        kripke._thread.table.clear()
         assert outcome(explicit_label, obs, anns, hyp) == expected
         assert outcome(symbolic_label, obs, anns, hyp) == expected
 

@@ -1,11 +1,14 @@
 import pytest
 
+import epistle.kripke as kripke
 import epistle.symbolic as symbolic
 from epistle.bdd import DdStore
 from epistle.dsl import parse_formula
 from epistle.errors import ContradictoryPremise
 from epistle.formula import (
+    And,
     Atom,
+    Implies,
     Knows,
     KnowsWhether,
     Not,
@@ -118,6 +121,22 @@ class TestTranslate:
                     f = random_formula(rng, n, depth=3)
                     node = store.and_(law, translate(store, matrix, law, f))
                     assert sat_worlds(store, node, n) == worlds_where(matrix, live, f)
+
+    def test_a_store_made_directly_bounds_its_table(self, monkeypatch):
+        # as ``puzzle`` makes one, outside the backends' retained store
+        monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
+        store, obs = DdStore(), forehead(2)
+        p, q = store.var(0), store.var(1)
+        compounds = [
+            (And((Atom(0), Atom(1))), store.and_(p, q)),
+            (Or((Atom(0), Atom(1))), store.or_(p, q)),
+            (Implies(Atom(0), Atom(1)), store.implies(p, q)),
+        ]
+        for f, expected in compounds:
+            assert translate(store, obs, store.true, f) is expected
+            assert len(store._translate_cache) <= 2
+        # the third entry passed the limit with every matrix live: all went
+        assert not store._translate_cache
 
 
 class TestAnnounceSymbolic:
