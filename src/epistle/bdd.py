@@ -10,8 +10,8 @@ A store and every diagram built from it belong to one thread; diagrams from
 different stores must never be mixed.  The symbolic backend keeps one store
 per thread across labels (``epistle.backends``), so nodes and cached results
 outlive the label that made them.  A third table, which ``epistle.symbolic``
-fills, maps translated formulas to their diagrams, and lives as long as the
-store.
+fills, maps translated formulas under a matrix the process keeps to their
+diagrams; it is emptied past ``kripke.TABLE_LIMIT`` entries.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from array import array
 
 import click
 
@@ -35,7 +36,7 @@ from .generator import GenConfig, generate_balanced, iter_problems
 from .kripke import ObservabilityMatrix, announce, build_initial_model, evaluate, label
 from .names import MAX_NAMES
 from .records import record_from_instance, write_jsonl
-from .setups import ALL_SETUPS, SetupKind
+from .setups import ALL_SETUPS, SetupKind, fixed_observability
 from .symbolic import announce_symbolic, label_symbolic, translate
 
 EXIT_USAGE = 2
@@ -283,8 +284,8 @@ def crosscheck(count, seed, n_agents):
     draws included, and report disagreements."""
     cfg = _gen_config(n_agents, seed=seed)
     mismatches = 0
-    explicit_times = []
-    symbolic_times = []
+    explicit_times = array("d")
+    symbolic_times = array("d")
 
     def compare(obs, anns, hyp):
         # called once on each draw, in draw order; the explicit outcome
@@ -332,7 +333,7 @@ def crosscheck(count, seed, n_agents):
 def puzzle(n, rounds, backend):
     """Run the classic muddy-children scenario: everyone muddy, the
     existential announcement, then repeated joint ignorance while it is true."""
-    obs = ObservabilityMatrix.ones_minus_identity(n)
+    obs = fixed_observability(SetupKind.FOREHEAD_MUD, n)
     existential = disj(Atom(i) for i in range(n))
     ignorance = conj(
         Not(Or((Knows(i, Atom(i)), Knows(i, Not(Atom(i)))))) for i in range(n)

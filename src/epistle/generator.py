@@ -59,8 +59,6 @@ MAX_DRAWS_PER_BUCKET = 1_000_000
 # deepest one negates every layer ("~K[i] ", two nesting levels each) around
 # a negated "not everyone" statement ("~(~p0 & ~p1)", three levels).
 MAX_ORDER = (MAX_NESTING - 3) // 2
-# Every explicit matrix of at most three agents (16 + 512) is built once; four give 65,536.
-_MATRICES: dict[tuple[bool, ...], ObservabilityMatrix] = {}
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,8 @@ def sample_observability(kind: SetupKind, n: int, rng: SplitMix64) -> Observabil
     """
     if kind is not SetupKind.EXPLICIT:
         return fixed_observability(kind, n)
-    flat = tuple(rng.coins(1.0 / n, n * n))
-    matrix = _MATRICES.get(flat) if n <= 3 else None
-    if matrix is None:
-        matrix = ObservabilityMatrix.from_rows(flat[i : i + n] for i in range(0, n * n, n))
-        if n <= 3:
-            _MATRICES[flat] = matrix
-    return matrix
+    coins = iter(rng.coins(1.0 / n, n * n))
+    return ObservabilityMatrix.from_rows(zip(*[coins] * n))  # n rows of n coins
 
 
 _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)

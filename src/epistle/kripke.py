@@ -11,23 +11,22 @@ propositions ``i`` does not observe reaches a live world without ``f``.  A
 public announcement keeps exactly the worlds where it holds.  A proposition
 or agent index outside ``0..n-1`` is a ``ValueError``.
 
-Each thread keeps an evaluation table that maps ``(matrix, live, subformula)``
-to the world set the subformula holds at, for every subformula but atoms and
-negations (one mask or one ``xor`` anyway), at up to three agents only:
-the matrices ``ObservabilityMatrix.from_rows`` shares, whose entries a later
-problem can find.  Formula nodes are hash-consed and the matrix enters
-through ``ObservabilityMatrix.ref``, so a key hashes in O(1) and never keeps
-a matrix alive.  ``_eval`` checks the table before it recurses, and recurses
-through its module-level name, so a wrapper installed under that name sees
-every call.  An evaluation that raises enters nothing.  ``prune_table`` bounds
-this table, and the symbolic backend's translation table alike, each time the
-recursion that fills it enters a result; no caller empties either.
+The process keeps one matrix per rows of at most three agents, and one per
+fixed setup and agent count (``setups.fixed_observability``); each carries
+``key``, an int no other rows get in this process, and every other matrix
+has ``key = None``.  Each thread keeps an evaluation table that maps
+``(key, live, subformula)`` to the world set the subformula holds at, for
+every subformula but atoms and negations (one mask or one ``xor`` anyway),
+at up to three agents.  ``_eval`` checks the table before it recurses, and
+recurses through its module-level name, so a wrapper installed under that
+name sees every call.  An evaluation that raises enters nothing.  A table
+past ``TABLE_LIMIT`` entries is emptied, as the symbolic translation table
+is.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,57 +51,25 @@ __all__ = [
     "announce",
     "is_contradictory",
     "label",
-    "prune_table",
 ]
 
 # A world set is a 2^n-bit integer (128 KiB at n=20); larger problems
 # belong to the symbolic backend.
 MAX_EXPLICIT_AGENTS = 20
 
-# Agents up to which the evaluation table enters a world set.  A matrix of
-# four or more agents is drawn anew for each problem, so its entries serve
-# only the labels of that one problem: tabling four to six agents halved
-# ``_eval`` calls but left generation there no faster end to end, and put
-# 15-25% on the p90 and p99 of a cold ``crosscheck`` label (2 vCPUs,
-# Python 3.11).
+# Agents up to which the evaluation table enters a world set, which takes
+# 2^n bits.  Tabling four to six agents halved ``_eval`` calls but left
+# generation there no faster end to end, and put 15-25% on the p90 and p99 of
+# a cold ``crosscheck`` label (2 vCPUs, Python 3.11).
 _MAX_TABLED_AGENTS = 3
 
-# Entries a table keyed on ``ObservabilityMatrix.ref`` may hold; past it,
-# ``prune_table`` drops the entries of matrices that are gone, or all of them.
-# Over the 5,000 label-mix problems (n=2-3) the evaluation table ends at
-# 6,883-7,060 entries and the translation table at 6,120-6,277, at seeds 1, 2,
-# 3, 7, 13 and 42, all of matrices that live as long as the process (every
-# matrix of at most three agents is shared), so neither is pruned there.  An
-# evaluation entry takes about 110 B (the dict slot, the key tuple and the
+# Entries a table may hold before it is emptied.  Every key names a matrix
+# kept for the process.  Over the 5,000 label-mix problems (n=2-3) the
+# evaluation table ends at 6,883-7,060 entries and the translation table at
+# 6,120-6,277, at seeds 1, 2, 3, 7, 13 and 42, so neither is emptied there.
+# An evaluation entry takes about 110 B (the dict slot, the key tuple and the
 # world-set ints), so a full evaluation table holds about 1 MB.
 TABLE_LIMIT = 1 << 13
-
-
-class _IdentityRef(weakref.ref):
-    """Weak reference that hashes and compares by identity, so a dead
-    reference never matches a live one."""
-
-    __slots__ = ()
-    __hash__ = object.__hash__
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-
-
-def prune_table(table: dict) -> None:
-    """Bound a table whose keys start with a matrix's ``ref`` once it passes
-    ``TABLE_LIMIT`` entries.
-
-    The entries of a matrix that is gone can never match again and are
-    dropped; if more than half the limit is left, every entry is.  Either
-    way a prune frees at least half the limit, so its scan costs O(1) per
-    entry made.
-    """
-    if len(table) <= TABLE_LIMIT:
-        return
-    for key in [key for key in table if key[0]() is None]:
-        del table[key]
-    if len(table) > TABLE_LIMIT // 2:
-        table.clear()
 
 
 class _PerThread(threading.local):
@@ -116,44 +83,46 @@ _thread = _PerThread()
 @dataclass(frozen=True)
 class ObservabilityMatrix:
     """Square boolean matrix: entry (i, j) means agent i initially knows
-    whether proposition j is true.
+    whether proposition j is true; ``rows`` is kept as tuples of bools.
 
     ``n`` is the number of rows.  ``hidden[i]`` lists the propositions agent
     ``i`` does not observe, ascending: the variables both backends quantify
-    over for ``K_i``.  ``ref`` is a weak reference to the matrix that hashes
-    and compares by identity: through it a table keys on this matrix in O(1)
-    without keeping it alive (both backends' tables do).
-    All three are derived once and left out of comparison, hashing, ``repr``
-    and pickling.
+    over for ``K_i``.  ``key`` is the ``id`` of the matrix the process keeps
+    for these rows, or ``None`` if it keeps none; both backends' tables key
+    on it.  Every matrix of at most three agents has one, however it was
+    built.  All three are derived once and left out of comparison, hashing,
+    ``repr`` and pickling: a key means nothing in another process, so an
+    unpickled matrix is built anew from its rows.
     """
 
     rows: tuple[tuple[bool, ...], ...]
     n: int = field(init=False, repr=False, compare=False)
     hidden: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    ref: _IdentityRef = field(init=False, repr=False, compare=False)
+    key: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.rows)
-        if any(len(row) != n for row in self.rows):
+        rows = tuple([tuple(map(bool, row)) for row in self.rows])
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("observability matrix must be square")
-        hidden = tuple([tuple([j for j, seen in enumerate(row) if not seen]) for row in self.rows])
+        hidden = tuple([tuple([j for j, seen in enumerate(row) if not seen]) for row in rows])
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "ref", _IdentityRef(self))
+        if n <= 3:
+            kept(self)
 
     def __reduce__(self):
         return type(self), (self.rows,)
 
     @classmethod
     def from_rows(cls, rows) -> "ObservabilityMatrix":
-        """The matrix of ``rows``; one shared instance per matrix of at most
-        three agents."""
-        rows = tuple(tuple(bool(b) for b in row) for row in rows)
-        if len(rows) > 3:
-            return cls(rows)
-        obs = _SMALL.get(rows)
+        """The matrix of ``rows``: the one the process keeps, if it keeps one."""
+        rows = tuple(map(tuple, rows))
+        obs = _SHARED.get(rows)
         if obs is None:
-            obs = _SMALL[rows] = cls(rows)
+            obs = cls(rows)
+            obs = _SHARED.get(obs.rows, obs)
         return obs
 
     @classmethod
@@ -169,8 +138,17 @@ class ObservabilityMatrix:
         return cls.from_rows([[i != j for j in range(n)] for i in range(n)])
 
 
-# Every matrix of at most three agents (16 + 512), built once; four give 65,536.
-_SMALL: dict[tuple[tuple[bool, ...], ...], ObservabilityMatrix] = {}
+# The matrix kept for the process per rows: every matrix of at most three
+# agents (16 + 512; four give 65,536) and the fixed-setup ones.
+_SHARED: dict[tuple[tuple[bool, ...], ...], ObservabilityMatrix] = {}
+
+
+def kept(obs: ObservabilityMatrix) -> ObservabilityMatrix:
+    """The matrix kept for ``obs.rows``, which is ``obs`` if none was; gives
+    ``obs`` its key.  One ``setdefault``, so threads agree on the kept one."""
+    shared = _SHARED.setdefault(obs.rows, obs)
+    object.__setattr__(obs, "key", id(shared))
+    return shared
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +205,7 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
         return live ^ _eval(obs, live, f.child)
     table = _thread.table if obs.n <= _MAX_TABLED_AGENTS else None
     if table is not None:
-        key = (obs.ref, live, f)
+        key = (obs.key, live, f)
         out = table.get(key)
         if out is not None:
             return out
@@ -254,7 +232,7 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
     if table is not None:
         table[key] = out
         if len(table) > TABLE_LIMIT:
-            prune_table(table)
+            table.clear()
     return out
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .kripke import ObservabilityMatrix
+from .kripke import ObservabilityMatrix, kept
 
 __all__ = ["SetupKind", "ALL_SETUPS", "setup_ordinal", "fixed_observability"]
 
@@ -38,12 +38,12 @@ def setup_ordinal(kind: SetupKind) -> int:
 
 @lru_cache(maxsize=None)
 def fixed_observability(kind: SetupKind, n: int) -> ObservabilityMatrix:
-    """Deterministic matrix for the non-random setups; cached, as the matrix
-    is immutable and depends on nothing else."""
+    """Deterministic matrix for the non-random setups; kept for the process,
+    so the symbolic backend tables it at any agent count."""
     if kind is SetupKind.FOREHEAD_MUD:
-        return ObservabilityMatrix.ones_minus_identity(n)
+        return kept(ObservabilityMatrix.ones_minus_identity(n))
     if kind is SetupKind.FOREHEAD_MUD_MIRROR:
-        return ObservabilityMatrix.ones(n)
+        return kept(ObservabilityMatrix.ones(n))
     if kind is SetupKind.THIRST:
-        return ObservabilityMatrix.identity(n)
+        return kept(ObservabilityMatrix.identity(n))
     raise ValueError(f"{kind.value} has no fixed observability matrix")

@@ -14,18 +14,17 @@ mask of live worlds).  A proposition or agent index outside ``0..n-1`` is a
 ``ValueError``, as on the explicit backend.
 
 The store keeps a translation table beside its ``ite`` and ``forall``
-caches.  It maps ``(matrix, law, subformula)`` to the translated diagram for
-every subformula but atoms and negations, which cost one ``var`` or ``ite``
-lookup anyway.  Formula nodes are hash-consed, diagram nodes canonical, and
-the matrix enters through ``ObservabilityMatrix.ref``, a weak reference that
-hashes by identity, so a key hashes in O(1) and never keeps a drawn matrix
-alive.  Every matrix of at most three agents is one shared instance; an equal
-matrix of more agents built apart gets entries of its own.  ``translate``
-checks the table before it recurses, and recurses through its module-level
-name, so a wrapper installed under that name sees every call.  A translation
-that raises enters nothing.  Each time it enters a result, ``translate``
-bounds the table with ``kripke.prune_table``, so every store's table is
-bounded, ``puzzle``'s and a library caller's included.
+caches.  It maps ``(obs.key, law, subformula)`` to the translated diagram
+for every subformula but atoms and negations, which cost one ``var`` or
+``ite`` lookup anyway, and only for a matrix the process keeps (``key`` is
+not ``None``): every matrix of at most three agents and the fixed-setup
+ones.  A drawn matrix of four or more agents serves one problem, so it is
+translated without the table.  ``translate`` checks the table before it
+recurses, and recurses through its module-level name, so a wrapper
+installed under that name sees every call.  A translation that raises
+enters nothing.  A table past ``kripke.TABLE_LIMIT`` entries is emptied, so
+every store's table is bounded, ``puzzle``'s and a library caller's
+included.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from .formula import (
     Not,
     Or,
 )
-from .kripke import ObservabilityMatrix, prune_table
+from . import kripke
+from .kripke import ObservabilityMatrix
 
 __all__ = [
     "translate",
@@ -69,11 +69,12 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         return store.var(f.prop)
     if isinstance(f, Not):
         return store.not_(translate(store, obs, law, f.child))
-    table = store._translate_cache
-    key = (obs.ref, law, f)
-    out = table.get(key)
-    if out is not None:
-        return out
+    key = obs.key
+    if key is not None:
+        key = (key, law, f)
+        out = store._translate_cache.get(key)
+        if out is not None:
+            return out
     if isinstance(f, And):
         out = store.true
         for c in f.children:
@@ -100,8 +101,11 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         out = store.implies(made, translate(store, obs, store.and_(law, made), f.continuation))
     else:
         raise TypeError(f"not a formula: {f!r}")
-    table[key] = out
-    prune_table(table)
+    if key is not None:
+        table = store._translate_cache
+        table[key] = out
+        if len(table) > kripke.TABLE_LIMIT:
+            table.clear()
     return out
 
 

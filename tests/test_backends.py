@@ -1,10 +1,9 @@
 """The checkers' shared contracts: the symbolic backend's per-thread store
 (kept across labels, dropped past its retention bound, retried once on a
-fresh store when full, its translation table pruned past the tables' bound),
+fresh store when full, its translation table emptied past the tables' bound),
 the explicit backend's per-thread evaluation table, and ``both_label``
 comparing the two outcomes."""
 
-import gc
 import sys
 import threading
 
@@ -20,6 +19,7 @@ from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, 
 from epistle.generator import GenConfig, iter_problems
 from epistle.kripke import ObservabilityMatrix, announce, build_initial_model
 from epistle.rng import SplitMix64
+from epistle.setups import SetupKind, fixed_observability
 from epistle.symbolic import announce_symbolic, label_symbolic, translate
 
 from support import (
@@ -206,26 +206,19 @@ class TestRetainedStore:
         atom_label(2, 0)
         assert kept_store() is not None and kept_store() is not store
 
-    def test_translation_bound_prunes_the_table(self, monkeypatch):
+    def test_translation_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
         both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
-        drawn, shared = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(2)
-        symbolic_label(drawn, [], both)
-        symbolic_label(drawn, [], either)
+        obs = ObservabilityMatrix.identity(2)
+        symbolic_label(obs, [], both)
+        symbolic_label(obs, [], either)
         store = kept_store()
         table = store._translate_cache
-        assert len(table) == 2
-        del drawn
-        gc.collect()
-        # a third entry passes the limit: the two of the matrix that is gone go
-        symbolic_label(shared, [], both)
-        assert kept_store() is store
-        assert list(table) == [(shared.ref, store.true, both)]
-        symbolic_label(shared, [], either)
-        assert len(table) == 2
-        # three live entries, more than half the limit: all of them go
-        symbolic_label(shared, [], Implies(Atom(0), Atom(1)))
+        assert list(table) == [(obs.key, store.true, both), (obs.key, store.true, either)]
+        symbolic_label(obs, [], Implies(Atom(0), Atom(1)))
         assert kept_store() is store and not table
+        symbolic_label(obs, [], both)
+        assert list(table) == [(obs.key, store.true, both)]
 
     def test_threads_get_distinct_stores(self):
         rng = SplitMix64(0x7E4D)
@@ -287,27 +280,79 @@ class TestTranslationTable:
         assert outcome(symbolic_label, obs, anns, hyp) == expected
         assert len(kept_store()._translate_cache) == entries
 
-    def test_an_index_error_enters_nothing_and_a_larger_matrix_labels(self):
+    def test_an_index_error_enters_nothing_and_a_drawn_matrix_enters_nothing(self):
         hyp = And((Atom(0), Knows(1, Atom(3))))
         for _ in range(2):
             with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
                 symbolic_label(ObservabilityMatrix.identity(3), [], hyp)
             assert all(key[2] is not hyp for key in kept_store()._translate_cache)
-        obs = ObservabilityMatrix.identity(4)
-        assert symbolic_label(obs, [], hyp) is explicit_label(obs, [], hyp) is False
-        assert (obs.ref, kept_store().true, hyp) in kept_store()._translate_cache
+        entries = dict(kept_store()._translate_cache)
+        drawn = ObservabilityMatrix(fixed_observability(SetupKind.THIRST, 4).rows)
+        assert drawn.key is None
+        assert symbolic_label(drawn, [], hyp) is explicit_label(drawn, [], hyp) is False
+        assert kept_store()._translate_cache == entries
+        obs = fixed_observability(SetupKind.THIRST, 4)
+        assert symbolic_label(obs, [], hyp) is False
+        assert (obs.key, kept_store().true, hyp) in kept_store()._translate_cache
 
-    def test_equal_matrices_built_apart_give_the_same_labels(self):
+    def test_equal_matrices_built_apart_share_entries(self):
+        rng = SplitMix64(0x7AB1E)
+        rows = tuple(tuple(rng.chance(0.5) for _ in range(3)) for _ in range(3))
+        first, second = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix(rows)
+        assert first == second and first is not second and first.key == second.key
+        problems = [random_problem(rng, 3)[1:] for _ in range(40)]
+        labels = [outcome(symbolic_label, first, anns, hyp) for anns, hyp in problems]
+        assert labels == [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
+        entries = dict(kept_store()._translate_cache)
+        assert {key[0] for key in entries} == {first.key}
+        # the second matrix finds every entry of the first and enters none
+        assert [outcome(symbolic_label, second, anns, hyp) for anns, hyp in problems] == labels
+        assert kept_store()._translate_cache == entries
+
+    def test_equal_drawn_larger_matrices_give_the_same_labels(self):
         rng = SplitMix64(0x7AB1E)
         rows = [[rng.chance(0.5) for _ in range(4)] for _ in range(4)]
         first, second = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix.from_rows(rows)
-        assert first == second and first is not second
+        assert first == second and first is not second and first.key is second.key is None
         problems = [random_problem(rng, 4)[1:] for _ in range(40)]
         labels = [outcome(symbolic_label, first, anns, hyp) for anns, hyp in problems]
         assert labels == [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
         assert [outcome(symbolic_label, second, anns, hyp) for anns, hyp in problems] == labels
-        keyed = {key[0] for key in kept_store()._translate_cache}
-        assert {first.ref, second.ref} <= keyed  # each matrix has entries of its own
+        assert not kept_store()._translate_cache
+
+    def test_a_drawn_matrix_that_dies_leaves_nothing_for_the_next(self):
+        # the next matrix often takes the dead one's memory, and so its id
+        rng = SplitMix64(0xD1E)
+        hyps = [KnowsWhether(a, Atom(b)) for a in range(4) for b in range(4)]
+        for _ in range(100):
+            obs = ObservabilityMatrix.from_rows(
+                [[rng.chance(0.5) for _ in range(4)] for _ in range(4)]
+            )
+            assert [symbolic_label(obs, [], h) for h in hyps] == [
+                explicit_label(obs, [], h) for h in hyps
+            ]
+            del obs
+
+
+class TestSharedMatrices:
+    def test_threads_building_equal_new_rows_get_one_key(self, monkeypatch):
+        # an empty registry, so the rows are new to every thread; the matrices
+        # made here label nothing, so no table entry outlives them
+        monkeypatch.setattr(kripke, "_SHARED", {})
+        rows = ((True, False, True), (False, True, True), (True, True, False))
+        made = {}
+
+        def work(name):
+            if name in "ab":
+                made[name] = ObservabilityMatrix.from_rows([list(row) for row in rows])
+            else:
+                made[name] = ObservabilityMatrix(rows)
+
+        names = on_threads_at_once(work)
+        kept = kripke._SHARED[rows]
+        assert len(kripke._SHARED) == 1
+        assert {made[name].key for name in names} == {id(kept)}
+        assert made["a"] is made["b"] is kept
 
 
 class TestCapacityRetry:

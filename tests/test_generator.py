@@ -85,14 +85,17 @@ class TestSampleObservability:
         coins = SplitMix64(5).coins(1 / 3, 9)
         assert first == ObservabilityMatrix.from_rows([coins[0:3], coins[3:6], coins[6:9]])
 
-    def test_kept_matrices_stop_at_three_agents(self):
+    def test_drawn_matrices_are_kept_up_to_three_agents(self):
         cfg = GenConfig(
             seed=3, n_agents_choices=(3, 8), setups=(SetupKind.EXPLICIT,), per_setup_count=20
         )
-        assert {i.n_agents for i in generate_balanced(cfg)} == {3, 8}
-        for kept in (generator._MATRICES, kripke._SMALL):
-            assert kept
-            assert all(m.n <= 3 for m in kept.values())
+        instances = generate_balanced(cfg)
+        assert {i.n_agents for i in instances} == {3, 8}
+        for i in instances:
+            if i.n_agents == 3:
+                assert kripke._SHARED[i.obs.rows] is i.obs and i.obs.key == id(i.obs)
+            else:
+                assert i.obs.key is None and i.obs.rows not in kripke._SHARED
 
 
 class TestSampleStatement:

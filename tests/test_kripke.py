@@ -1,6 +1,9 @@
 import copy
-import gc
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,7 @@ from epistle.kripke import (
 )
 from epistle.generator import sample_observability
 from epistle.rng import SplitMix64
-from epistle.setups import ALL_SETUPS
+from epistle.setups import ALL_SETUPS, SetupKind, fixed_observability
 
 from support import (
     agent_mask,
@@ -103,28 +106,73 @@ class TestObservabilityMatrix:
         assert ObservabilityMatrix.from_rows(tuple(map(tuple, rows))) is obs
         assert ObservabilityMatrix.identity(1) is ObservabilityMatrix.ones(1)
 
-    def test_ref_stands_for_the_matrix_without_keeping_it(self):
-        rows = [[True, False, False, True], [False] * 4, [True] * 4, [False, True, True, False]]
-        first, twin = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix.from_rows(rows)
-        assert first.ref() is first and twin.ref() is twin
-        # by identity: equal matrices built apart have distinct references
-        assert first.ref == first.ref and first.ref != twin.ref
-        assert {first.ref: 1}.get(first.ref) == 1 and twin.ref not in {first.ref: 1}
-        assert first == twin and hash(first) == hash(twin)
-        assert repr(first) == f"ObservabilityMatrix(rows={first.rows!r})"
-        for copied in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
-            assert copied == first and copied is not first and copied.ref() is copied
-        small = ObservabilityMatrix.identity(3)
-        assert ObservabilityMatrix.from_rows(small.rows) is small
-        ref = first.ref
-        del first
-        gc.collect()
-        assert ref() is None and ref != twin.ref and ref == ref
+    def test_equal_rows_get_one_key_however_given(self, monkeypatch):
+        # an empty registry, so the first matrix is built directly from ints
+        monkeypatch.setattr(kripke, "_SHARED", {})
+        rows = [[True, False, True], [False, False, True], [True, True, True]]
+        obs = ObservabilityMatrix([[int(b) for b in row] for row in rows])
+        assert obs.rows == tuple(map(tuple, rows))
+        assert all(type(b) is bool for row in obs.rows for b in row)
+        assert obs.key == id(obs) and kripke._SHARED[obs.rows] is obs
+        assert ObservabilityMatrix.from_rows(rows) is obs
+        given = [
+            ObservabilityMatrix.from_rows([[int(b) for b in row] for row in rows]),
+            ObservabilityMatrix.from_rows(tuple(map(tuple, rows))),
+            ObservabilityMatrix(obs.rows),
+            ObservabilityMatrix(tuple(tuple(int(b) for b in row) for row in rows)),
+            copy.copy(obs),
+            copy.deepcopy(obs),
+            pickle.loads(pickle.dumps(obs)),
+        ]
+        assert all(m == obs and m.key == obs.key for m in given)
+        assert given[2] is not obs  # built apart, keyed as the kept one
+        flipped = [list(row) for row in rows]
+        flipped[0][0] = False
+        assert ObservabilityMatrix.from_rows(flipped).key not in (None, obs.key)
+        assert repr(obs) == f"ObservabilityMatrix(rows={obs.rows!r})"
 
-    def test_larger_matrices_are_built_each_time(self):
-        first, again = ObservabilityMatrix.identity(4), ObservabilityMatrix.identity(4)
+    def test_drawn_larger_matrices_have_no_key_and_enter_nothing(self):
+        rows = ((True, False, False, True), (False,) * 4, (True,) * 4, (False, True, True, False))
+        first, again = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix(rows)
         assert first == again and first is not again
-        assert all(m.n <= 3 for m in kripke._SMALL.values())
+        assert first.key is None and again.key is None and rows not in kripke._SHARED
+        hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(3)))))))
+        anns = [Or((Atom(0), Atom(1)))]
+        kripke._thread.table.clear()
+        assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
+        assert not kripke._thread.table
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_fixed_matrices_of_any_size_have_a_key(self, n):
+        for kind in ALL_SETUPS[:3]:
+            obs = fixed_observability(kind, n)
+            assert obs.key == id(obs) and kripke._SHARED[obs.rows] is obs
+            assert ObservabilityMatrix.from_rows(obs.rows) is obs
+        assert fixed_observability(SetupKind.FOREHEAD_MUD, n) == forehead(n)
+
+    def test_a_matrix_pickled_elsewhere_takes_this_process_key(self):
+        # a fresh interpreter, whose ids mean nothing here
+        src = Path(kripke.__file__).resolve().parents[1]
+        code = (
+            "import pickle, sys\n"
+            "from epistle.kripke import ObservabilityMatrix\n"
+            "obs = ObservabilityMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 0]])\n"
+            "sys.stdout.buffer.write(pickle.dumps(obs))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, timeout=60, check=True,
+        ).stdout
+        loaded = pickle.loads(out)
+        here = ObservabilityMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 0]])
+        assert loaded == here and loaded.key == here.key
+        rng = SplitMix64(0x91C)
+        for _ in range(20):
+            anns = [random_formula(rng, 3, depth=2) for _ in range(rng.below(3))]
+            hyp = random_formula(rng, 3, depth=2)
+            expected = oracle_outcome(3, here.rows, anns, hyp)
+            assert outcome(explicit_label, loaded, anns, hyp) == expected
+            assert outcome(symbolic_label, loaded, anns, hyp) == expected
 
     @pytest.mark.parametrize(
         "rows", [[[1, 0], [1]], [[1], [0, 1]], [[1, 0, 1], [0, 1, 1], [1, 1]], [[1, 1]] * 4]
@@ -132,7 +180,7 @@ class TestObservabilityMatrix:
     def test_ragged_rows_raise(self, rows):
         with pytest.raises(ValueError, match="square"):
             ObservabilityMatrix.from_rows(rows)
-        assert tuple(tuple(bool(b) for b in row) for row in rows) not in kripke._SMALL
+        assert tuple(tuple(bool(b) for b in row) for row in rows) not in kripke._SHARED
 
 
 class TestBuildInitialModel:
@@ -437,40 +485,37 @@ class TestEvaluationTable:
         assert explicit_label(forehead(3), [Or((Atom(0), Atom(1)))], hyp) is False
         assert kripke._thread.table
 
-    def test_equal_matrices_built_apart_give_the_same_labels(self):
+    def test_equal_matrices_built_apart_share_entries(self):
         rng = SplitMix64(0x7AB1E)
         rows = tuple(tuple(rng.chance(0.5) for _ in range(3)) for _ in range(3))
         first, second = ObservabilityMatrix(rows), ObservabilityMatrix(rows)
-        assert first == second and first is not second
+        assert first == second and first is not second and first.key == second.key
         problems = []
         for _ in range(40):
             anns = [random_formula(rng, 3, depth=2) for _ in range(rng.below(3))]
             problems.append((anns, random_formula(rng, 3, depth=2)))
+        kripke._thread.table.clear()
         labels = [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
         assert labels == [oracle_outcome(3, rows, anns, hyp) for anns, hyp in problems]
+        entries = dict(kripke._thread.table)
+        assert {key[0] for key in entries} == {first.key}
+        # the second matrix finds every entry of the first and enters none
         assert [outcome(explicit_label, second, anns, hyp) for anns, hyp in problems] == labels
-        keyed = {key[0] for key in kripke._thread.table}
-        assert {first.ref, second.ref} <= keyed  # each matrix has entries of its own
+        assert kripke._thread.table == entries
 
-    def test_bound_prunes_dead_matrices_first_then_everything(self, monkeypatch):
+    def test_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
+        kripke._thread.table.clear()
         both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
-        # a matrix of three agents built apart, not the one ``from_rows`` shares
-        drawn, shared = ObservabilityMatrix(thirst(3).rows), thirst(2)
-        explicit_label(drawn, [], both)
-        explicit_label(drawn, [], either)
+        obs = thirst(2)
+        explicit_label(obs, [], both)
+        explicit_label(obs, [], either)
         table = kripke._thread.table
-        assert len(table) == 2
-        del drawn
-        gc.collect()
-        # a third entry passes the limit: the two of the matrix that is gone go
-        explicit_label(shared, [], both)
-        assert list(table) == [(shared.ref, 0b1111, both)]
-        explicit_label(shared, [], either)
-        assert len(table) == 2
-        # three live entries, more than half the limit: all of them go
-        explicit_label(shared, [], Implies(Atom(0), Atom(1)))
+        assert list(table) == [(obs.key, 0b1111, both), (obs.key, 0b1111, either)]
+        explicit_label(obs, [], Implies(Atom(0), Atom(1)))
         assert not table and kripke._thread.table is table
+        explicit_label(obs, [], both)
+        assert list(table) == [(obs.key, 0b1111, both)]
 
 
 class TestS5Axioms:

@@ -135,7 +135,7 @@ class TestTranslate:
         for f, expected in compounds:
             assert translate(store, obs, store.true, f) is expected
             assert len(store._translate_cache) <= 2
-        # the third entry passed the limit with every matrix live: all went
+        # the third entry passed the limit: the table was emptied
         assert not store._translate_cache
 
 
