@@ -28,8 +28,9 @@ NODE_LIMIT_ENV = "EPISTLE_NODE_LIMIT"
 class DdNode:
     """One diagram node; ``low`` is the branch where ``var`` is false.
 
-    Terminals carry ``var = None``.  Nodes hash by identity, which is sound
-    because the owning store never creates structural duplicates.
+    Terminals carry ``var = None``, which is the test for a terminal.  Nodes
+    hash by identity, which is sound because the owning store never creates
+    structural duplicates.
     """
 
     __slots__ = ("var", "low", "high")
@@ -39,12 +40,8 @@ class DdNode:
         self.low = low
         self.high = high
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.var is None
-
     def __repr__(self):
-        if self.is_terminal:
+        if self.var is None:
             return f"<DdNode terminal {id(self):#x}>"
         return f"<DdNode var={self.var} {id(self):#x}>"
 
@@ -157,7 +154,7 @@ class DdStore:
 
     def _forall(self, vs: tuple[int, ...], x: DdNode) -> DdNode:
         """Universal quantification of ``x`` over ``vs``, ascending."""
-        if not vs or x.is_terminal:
+        if not vs or x.var is None:
             return x
         # quantified variables above the root cannot occur in x
         while vs and vs[0] < x.var:
@@ -179,7 +176,7 @@ class DdStore:
 
     def eval(self, x: DdNode, assignment: int) -> bool:
         """Truth of ``x`` under the assignment encoded as a bitmask."""
-        while not x.is_terminal:
+        while x.var is not None:
             x = x.high if (assignment >> x.var) & 1 else x.low
         return x is self.true
 

@@ -44,13 +44,14 @@ EXIT_STALL = 3
 EXIT_CONTRADICTION = 4
 EXIT_MISMATCH = 5
 
-_NAMED_MATRICES = {
-    "forehead-mud": ObservabilityMatrix.ones_minus_identity,
-    "ones-minus-identity": ObservabilityMatrix.ones_minus_identity,
-    "mirror": ObservabilityMatrix.ones,
-    "ones": ObservabilityMatrix.ones,
-    "thirst": ObservabilityMatrix.identity,
-    "identity": ObservabilityMatrix.identity,
+# each named --obs pattern is the kept matrix of its setup
+_NAMED_SETUPS = {
+    "forehead-mud": SetupKind.FOREHEAD_MUD,
+    "ones-minus-identity": SetupKind.FOREHEAD_MUD,
+    "mirror": SetupKind.FOREHEAD_MUD_MIRROR,
+    "ones": SetupKind.FOREHEAD_MUD_MIRROR,
+    "thirst": SetupKind.THIRST,
+    "identity": SetupKind.THIRST,
 }
 
 
@@ -97,9 +98,9 @@ def _backend(*choices: str, **attrs):
 
 def _parse_obs(spec: str, n: int) -> ObservabilityMatrix:
     """Named matrix, or literal rows of 0/1 separated by ';'."""
-    builder = _NAMED_MATRICES.get(spec)
-    if builder is not None:
-        return builder(n)
+    setup = _NAMED_SETUPS.get(spec)
+    if setup is not None:
+        return fixed_observability(setup, n)
     rows, at = [], 0
     for chunk in spec.split(";"):
         row = chunk.strip()
@@ -232,7 +233,7 @@ def generate(seed, per_setup, setups, n_agents, max_order, backend, out):
     "--obs",
     default="forehead-mud",
     show_default=True,
-    help=f"Named matrix ({', '.join(_NAMED_MATRICES)}) or rows of 0/1 separated by ';'.",
+    help=f"Named matrix ({', '.join(_NAMED_SETUPS)}) or rows of 0/1 separated by ';'.",
 )
 @click.option("--announce", "announcements", multiple=True, help="May repeat.")
 @click.option("--hyp", required=True)

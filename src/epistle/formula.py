@@ -12,7 +12,6 @@ import operator
 import threading
 import weakref
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Union
 
 __all__ = [
@@ -181,11 +180,8 @@ def negated(f: Formula) -> Formula:
     return Not(f)
 
 
-@lru_cache(maxsize=None)
 def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula:
     """Rewrite a quantified subject to a plain boolean formula over ``n`` atoms.
-
-    Cached: there are ``(n + 4) * 2`` distinct calls per agent count.
 
     With the per-agent literal ``l_i`` (``p_i``, or ``~p_i`` when
     ``negate_predicate``):
@@ -197,7 +193,7 @@ def desugar_subject(subject: Subject, negate_predicate: bool, n: int) -> Formula
     * ``SOMEONE`` to the disjunction of the ``l_i``.
 
     Double negations introduced by ``NOBODY`` over a negated predicate are
-    collapsed.
+    collapsed.  Not cached: the generator caches the expressions built on it.
     """
     if n < 1:
         raise ValueError("need at least one agent")

@@ -11,17 +11,17 @@ propositions ``i`` does not observe reaches a live world without ``f``.  A
 public announcement keeps exactly the worlds where it holds.  A proposition
 or agent index outside ``0..n-1`` is a ``ValueError``.
 
-The process keeps one matrix per rows of at most three agents, and one per
-fixed setup and agent count (``setups.fixed_observability``); each carries
-``key``, an int no other rows get in this process, and every other matrix
-has ``key = None``.  Each thread keeps an evaluation table that maps
-``(key, live, subformula)`` to the world set the subformula holds at, for
-every subformula but atoms and negations (one mask or one ``xor`` anyway),
-at up to three agents.  ``_eval`` checks the table before it recurses, and
-recurses through its module-level name, so a wrapper installed under that
-name sees every call.  An evaluation that raises enters nothing.  A table
-past ``TABLE_LIMIT`` entries is emptied, as the symbolic translation table
-is.
+The process keeps one matrix per rows of at most three agents, and the
+matrix of each fixed setup at each agent count, which only
+``setups.fixed_observability`` builds; each carries ``key``, an int no other
+rows get in this process, and every other matrix has ``key = None``.  Each
+thread keeps an evaluation table that maps ``(key, live, subformula)`` to
+the world set the subformula holds at, for every subformula but atoms and
+negations (one mask or one ``xor`` anyway), at up to three agents.
+``_eval`` checks the table before it recurses, and recurses through its
+module-level name, so a wrapper installed under that name sees every call.
+An evaluation that raises enters nothing.  A table past ``TABLE_LIMIT``
+entries is emptied, as the symbolic translation table is.
 """
 
 from __future__ import annotations
@@ -124,18 +124,6 @@ class ObservabilityMatrix:
             obs = cls(rows)
             obs = _SHARED.get(obs.rows, obs)
         return obs
-
-    @classmethod
-    def identity(cls, n: int) -> "ObservabilityMatrix":
-        return cls.from_rows([[i == j for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def ones(cls, n: int) -> "ObservabilityMatrix":
-        return cls.from_rows([[True] * n for _ in range(n)])
-
-    @classmethod
-    def ones_minus_identity(cls, n: int) -> "ObservabilityMatrix":
-        return cls.from_rows([[i != j for j in range(n)] for i in range(n)])
 
 
 # The matrix kept for the process per rows: every matrix of at most three

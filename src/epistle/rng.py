@@ -11,11 +11,11 @@ each shift is masked to the low 64 bits of every lane, and a product of two
 time, ``substreams`` the first ``FIRST`` of each of ``BLOCK`` draws.  They
 are the scalar generator's outputs, in order, whichever methods consume them.
 
-Splitting rule: ``split_seed(seed, k)`` is the ``(k+1)``-th raw output of a
-SplitMix64 seeded with ``seed``.  Dataset generation derives one substream
-per (setup bucket, draw index) as
-``substream(split_seed(master_seed, setup_ordinal), draw_index)``, so every
-draw is reproducible in isolation and results can be merged in draw order
+Splitting rule: substream ``k`` of ``seed`` is ``SplitMix64(split_seed(seed,
+k))``, where ``split_seed(seed, k)`` is the ``(k+1)``-th raw output of a
+SplitMix64 seeded with ``seed``.  Each draw of dataset generation runs on
+substream ``draw_index`` of ``split_seed(master_seed, setup_ordinal)``, so it
+is reproducible in isolation and results can be merged in draw order
 regardless of scheduling; it takes them in order from ``substreams``.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator, Sequence, TypeVar
 
-__all__ = ["SplitMix64", "split_seed", "substream", "substreams"]
+__all__ = ["SplitMix64", "split_seed", "substreams"]
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
@@ -132,13 +132,9 @@ def split_seed(seed: int, index: int) -> int:
     return _mix((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def substream(seed: int, index: int) -> SplitMix64:
-    return SplitMix64(split_seed(seed, index))
-
-
 def substreams(seed: int) -> Iterator[SplitMix64]:
-    """``substream(seed, 0)``, ``substream(seed, 1)``, ... in order, each
-    with its first ``FIRST`` outputs already computed."""
+    """``SplitMix64(split_seed(seed, k))`` for ``k`` = 0, 1, ... in order,
+    each with its first ``FIRST`` outputs already computed."""
     master = SplitMix64(seed)  # its outputs are the split seeds
     while True:
         seeds = [master.next_u64() for _ in range(BLOCK)]

@@ -1,7 +1,9 @@
-"""The four problem setups tying predicates to observability patterns."""
+"""The four problem setups tying predicates to observability patterns;
+``fixed_observability`` is the only builder of the fixed setups' matrices."""
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from functools import lru_cache
 
@@ -38,12 +40,15 @@ def setup_ordinal(kind: SetupKind) -> int:
 
 @lru_cache(maxsize=None)
 def fixed_observability(kind: SetupKind, n: int) -> ObservabilityMatrix:
-    """Deterministic matrix for the non-random setups; kept for the process,
-    so the symbolic backend tables it at any agent count."""
+    """Matrix of a non-random setup, built from its rule of who sees whose
+    predicate; kept for the process at any agent count, so the symbolic
+    backend tables it however large."""
     if kind is SetupKind.FOREHEAD_MUD:
-        return kept(ObservabilityMatrix.ones_minus_identity(n))
-    if kind is SetupKind.FOREHEAD_MUD_MIRROR:
-        return kept(ObservabilityMatrix.ones(n))
-    if kind is SetupKind.THIRST:
-        return kept(ObservabilityMatrix.identity(n))
-    raise ValueError(f"{kind.value} has no fixed observability matrix")
+        sees = operator.ne  # everyone but the bearer
+    elif kind is SetupKind.FOREHEAD_MUD_MIRROR:
+        sees = lambda i, j: True  # everyone
+    elif kind is SetupKind.THIRST:
+        sees = operator.eq  # only the bearer
+    else:
+        raise ValueError(f"{kind.value} has no fixed observability matrix")
+    return kept(ObservabilityMatrix([[sees(i, j) for j in range(n)] for i in range(n)]))

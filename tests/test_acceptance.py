@@ -33,7 +33,7 @@ from epistle.kripke import (
 )
 from epistle.records import record_from_instance, write_jsonl
 from epistle.rng import SplitMix64
-from epistle.setups import SetupKind
+from epistle.setups import SetupKind, fixed_observability
 from epistle.symbolic import (
     announce_symbolic,
     label_symbolic,
@@ -60,7 +60,7 @@ def test_criterion_1_muddy_children_golden():
     existential = parse_formula("p0 | p1", 2)
     ignorance = parse_formula("~Kw[0]p0 & ~Kw[1]p1", 2)
     hyp = parse_formula("Kw[0]p0 & Kw[1]p1", 2)
-    obs = ObservabilityMatrix.ones_minus_identity(2)
+    obs = fixed_observability(SetupKind.FOREHEAD_MUD, 2)
 
     live = build_initial_model(obs)
 
@@ -97,7 +97,7 @@ def test_criterion_2_generalized_muddy_children():
     ignorance rounds reach n-1; explicit to n=6, symbolic to n=16 in < 5 s."""
     for n in range(2, 7):
         existential, ignorance, everyone = _muddy_formulas(n)
-        obs = ObservabilityMatrix.ones_minus_identity(n)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, n)
         live = announce(obs, build_initial_model(obs), existential)
         for k in range(n):
             resolved = all(evaluate(obs, live, w, everyone) for w in worlds(live))
@@ -119,7 +119,7 @@ def test_criterion_2_generalized_muddy_children():
     for n in range(2, 17):
         existential, ignorance, everyone = _muddy_formulas(n)
         store = DdStore()
-        obs = ObservabilityMatrix.ones_minus_identity(n)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, n)
         law = announce_symbolic(store, obs, store.true, existential)
         for k in range(n):
             resolved = (
@@ -156,9 +156,9 @@ def test_criterion_4_announcement_reduction_oracle():
     rng = SplitMix64(0x9900)
     matrices = {
         n: (
-            ObservabilityMatrix.ones_minus_identity(n),
-            ObservabilityMatrix.ones(n),
-            ObservabilityMatrix.identity(n),
+            fixed_observability(SetupKind.FOREHEAD_MUD, n),
+            fixed_observability(SetupKind.FOREHEAD_MUD_MIRROR, n),
+            fixed_observability(SetupKind.THIRST, n),
         )
         for n in (2, 3)
     }
@@ -233,7 +233,7 @@ def test_criterion_7_tricky_reference_instances():
     mirror one is True."""
     # three agents, forehead mud; "someone muddy" then "agent 0 knows whether
     # someone is muddy"; hypothesis: agent 0 can now know their own state
-    obs3 = ObservabilityMatrix.ones_minus_identity(3)
+    obs3 = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
     someone3 = disj(Atom(i) for i in range(3))
     anns3 = [someone3, KnowsWhether(0, someone3)]
     hyp3 = Knows(0, Atom(0))
@@ -243,7 +243,7 @@ def test_criterion_7_tricky_reference_instances():
 
     # two agents with a mirror; "someone muddy", "not everyone muddy" twice;
     # hypothesis: one agent can now know whether everyone is muddy
-    obs2 = ObservabilityMatrix.ones(2)
+    obs2 = fixed_observability(SetupKind.FOREHEAD_MUD_MIRROR, 2)
     anns2 = [
         parse_formula("p0 | p1", 2),
         parse_formula("~(p0 & p1)", 2),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from epistle import backends, kripke
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
+from epistle.dsl import parse_formula
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
@@ -92,7 +93,7 @@ def atom_label(n, *props):
     """Label the conjunction of ``props`` with no announcements (False for
     any nonempty conjunction of atoms)."""
     hyp = Atom(props[0]) if len(props) == 1 else And(tuple(Atom(p) for p in props))
-    return symbolic_label(ObservabilityMatrix.identity(n), [], hyp)
+    return symbolic_label(fixed_observability(SetupKind.THIRST, n), [], hyp)
 
 
 class TestIndexOutsideVocabulary:
@@ -120,16 +121,36 @@ class TestIndexOutsideVocabulary:
         ],
     )
     def test_is_a_value_error_naming_the_index(self, checker, anns, hyp, message):
-        obs = ObservabilityMatrix.ones_minus_identity(3)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
         with pytest.raises(ValueError) as err:
             checker(obs, anns, hyp)
         assert str(err.value) == message
 
 
+class TestAnnouncementContinuation:
+    """The continuation of ``[! f] g`` is evaluated where ``f`` was announced.
+
+    With forehead mud, two agents and no announcements, agent 0 cannot see
+    p0 and agent 1 cannot see p1; each formula here holds only because the
+    inner announcement settles the atom, and reads False when its
+    continuation is evaluated in the state before it."""
+
+    OBS = fixed_observability(SetupKind.FOREHEAD_MUD, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["[! p0] K[0] p0", "[! p0 & p1] Kw[1] p1", "K[1] [! p0] K[0] p0"]
+    )
+    def test_is_true_on_every_checker_and_the_oracle(self, text):
+        hyp = parse_formula(text, 2)
+        assert oracle_label(2, self.OBS.rows, [], hyp) is True
+        assert explicit_label(self.OBS, [], hyp) is True
+        assert symbolic_label(self.OBS, [], hyp) is True
+
+
 class TestBothLabel:
     """``both_label`` compares outcomes: a label, or a contradictory premise."""
 
-    OBS = ObservabilityMatrix.ones_minus_identity(2)
+    OBS = fixed_observability(SetupKind.FOREHEAD_MUD, 2)
 
     def test_contradiction_on_both_backends_is_a_contradictory_premise(self):
         with pytest.raises(ContradictoryPremise):
@@ -186,7 +207,7 @@ class TestRetainedStore:
         check_reduced(store)
 
     def test_one_store_serves_labels_and_contradiction_tests(self):
-        obs = ObservabilityMatrix.ones_minus_identity(3)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
         hyp = Atom(0)
         symbolic_label(obs, [], hyp)
         store = kept_store()
@@ -209,7 +230,7 @@ class TestRetainedStore:
     def test_translation_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
         both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
-        obs = ObservabilityMatrix.identity(2)
+        obs = fixed_observability(SetupKind.THIRST, 2)
         symbolic_label(obs, [], both)
         symbolic_label(obs, [], either)
         store = kept_store()
@@ -284,7 +305,7 @@ class TestTranslationTable:
         hyp = And((Atom(0), Knows(1, Atom(3))))
         for _ in range(2):
             with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
-                symbolic_label(ObservabilityMatrix.identity(3), [], hyp)
+                symbolic_label(fixed_observability(SetupKind.THIRST, 3), [], hyp)
             assert all(key[2] is not hyp for key in kept_store()._translate_cache)
         entries = dict(kept_store()._translate_cache)
         drawn = ObservabilityMatrix(fixed_observability(SetupKind.THIRST, 4).rows)
@@ -416,7 +437,7 @@ class TestAnnouncementElimination:
 
     def test_puzzle_rounds_at_six_agents(self):
         n = 6
-        obs = ObservabilityMatrix.ones_minus_identity(n)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, n)
         existential = Or(tuple(Atom(i) for i in range(n)))
         ignorance = And(
             tuple(Not(Or((Knows(i, Atom(i)), Knows(i, Not(Atom(i)))))) for i in range(n))

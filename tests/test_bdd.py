@@ -53,7 +53,7 @@ class TestBasics:
     def test_terminal_constants(self):
         store = DdStore()
         assert store.true is not store.false
-        assert store.true.is_terminal and store.false.is_terminal
+        assert store.true.var is None and store.false.var is None
         assert store.eval(store.true, 0) and not store.eval(store.false, 0)
 
     def test_var_is_one_node_per_index(self):

@@ -592,6 +592,42 @@ class TestCheckCommand:
         assert quoted in proc.stderr
         assert proc.stdout == ""
 
+    # each named --obs pattern's rule: does agent i see agent j's predicate
+    NAMED_RULES = {
+        "forehead-mud": lambda i, j: i != j,
+        "ones-minus-identity": lambda i, j: i != j,
+        "mirror": lambda i, j: True,
+        "ones": lambda i, j: True,
+        "thirst": lambda i, j: i == j,
+        "identity": lambda i, j: i == j,
+    }
+
+    @pytest.mark.parametrize("name", NAMED_RULES)
+    def test_named_matrix_is_the_kept_one_in_a_fresh_process(self, name):
+        # a fresh interpreter has built no fixed-setup matrix before the call
+        code = (
+            "import json, sys\n"
+            "from epistle import cli\n"
+            "from epistle.setups import fixed_observability\n"
+            "name, out = sys.argv[1], []\n"
+            "for n in (2, 3, 5, 8):\n"
+            "    obs = cli._parse_obs(name, n)\n"
+            "    keyed = obs.key is not None\n"
+            "    kept = obs is fixed_observability(cli._NAMED_SETUPS[name], n)\n"
+            "    out.append([n, keyed, kept, obs.rows])\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.dirname(os.path.dirname(epistle.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, name], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        sees = self.NAMED_RULES[name]
+        assert json.loads(proc.stdout) == [
+            [n, True, True, [[sees(i, j) for j in range(n)] for i in range(n)]]
+            for n in (2, 3, 5, 8)
+        ]
+
     def test_literal_matrix_rows(self):
         result = self._check(
             "--n", "2",

@@ -25,8 +25,9 @@ from epistle.formula import (
     Quantifier,
     desugar_subject,
 )
-from epistle.kripke import ObservabilityMatrix, build_initial_model, evaluate
+from epistle.kripke import build_initial_model, evaluate
 from epistle.rng import SplitMix64
+from epistle.setups import ALL_SETUPS, SetupKind, fixed_observability
 
 from conftest import formula_strategy
 from support import (
@@ -86,11 +87,8 @@ class TestModalDepth:
 
 def _all_small_models():
     for n in (2, 3):
-        for matrix in (
-            ObservabilityMatrix.ones_minus_identity(n),
-            ObservabilityMatrix.ones(n),
-            ObservabilityMatrix.identity(n),
-        ):
+        for kind in ALL_SETUPS[:3]:  # the fixed setups
+            matrix = fixed_observability(kind, n)
             yield matrix, build_initial_model(matrix)
 
 
@@ -170,7 +168,7 @@ class TestReduceAnnouncements:
     @given(formula_strategy())
     @settings(max_examples=150, deadline=None)
     def test_preserves_truth_property(self, f):
-        obs = ObservabilityMatrix.ones_minus_identity(3)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
         live = build_initial_model(obs)
         g = reduce_announcements(f)
         for w in worlds(live):

@@ -28,8 +28,8 @@ from epistle.generator import (
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.names import MAX_NAMES, sample_names
 from epistle.records import record_from_instance
-from epistle.rng import SplitMix64, substream
-from epistle.setups import SetupKind
+from epistle.rng import SplitMix64, split_seed
+from epistle.setups import SetupKind, fixed_observability
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 
 from support import dedup_key, modal_depth
@@ -56,16 +56,23 @@ class ScriptedRng:
 
 class TestSampleObservability:
     def test_fixed_matrices(self):
+        # mud is seen by everyone but its bearer, a mirror shows everyone
+        # everything, and thirst is seen only by its bearer; none is drawn
         rng = SplitMix64(1)
-        assert sample_observability(
-            SetupKind.FOREHEAD_MUD, 3, rng
-        ) == ObservabilityMatrix.ones_minus_identity(3)
-        assert sample_observability(
-            SetupKind.FOREHEAD_MUD_MIRROR, 2, rng
-        ) == ObservabilityMatrix.ones(2)
-        assert sample_observability(
-            SetupKind.THIRST, 2, rng
-        ) == ObservabilityMatrix.identity(2)
+        assert sample_observability(SetupKind.FOREHEAD_MUD, 3, rng).rows == (
+            (False, True, True),
+            (True, False, True),
+            (True, True, False),
+        )
+        assert sample_observability(SetupKind.FOREHEAD_MUD_MIRROR, 2, rng).rows == (
+            (True, True),
+            (True, True),
+        )
+        assert sample_observability(SetupKind.THIRST, 2, rng).rows == (
+            (True, False),
+            (False, True),
+        )
+        assert rng.next_u64() == SplitMix64(1).next_u64()
 
     def test_explicit_mean_entry_sum(self):
         rng = SplitMix64(0x0B5)
@@ -87,10 +94,10 @@ class TestSampleObservability:
 
     def test_drawn_matrices_are_kept_up_to_three_agents(self):
         cfg = GenConfig(
-            seed=3, n_agents_choices=(3, 8), setups=(SetupKind.EXPLICIT,), per_setup_count=20
+            seed=3, n_agents_choices=(3, 4, 8), setups=(SetupKind.EXPLICIT,), per_setup_count=20
         )
         instances = generate_balanced(cfg)
-        assert {i.n_agents for i in instances} == {3, 8}
+        assert {i.n_agents for i in instances} == {3, 4, 8}
         for i in instances:
             if i.n_agents == 3:
                 assert kripke._SHARED[i.obs.rows] is i.obs and i.obs.key == id(i.obs)
@@ -186,15 +193,15 @@ class TestSampleHypothesis:
 class TestMakeProblem:
     def test_same_seed_same_instance(self):
         cfg = GenConfig(seed=99)
-        first = make_problem(substream(cfg.seed, 5), cfg, 5)
-        second = make_problem(substream(cfg.seed, 5), cfg, 5)
+        first = make_problem(SplitMix64(split_seed(cfg.seed, 5)), cfg, 5)
+        second = make_problem(SplitMix64(split_seed(cfg.seed, 5)), cfg, 5)
         assert first == second
 
     def test_uninformative_whether_announcement_instance(self):
         # three agents, mud on foreheads; announcing that one agent knows
         # whether someone is muddy adds nothing, so that agent still cannot
         # conclude their own state
-        obs = ObservabilityMatrix.ones_minus_identity(3)
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
         someone = Or((Atom(0), Atom(1), Atom(2)))
         anns = [someone, KnowsWhether(0, someone)]
         hyp = Knows(0, Atom(0))
@@ -204,7 +211,7 @@ class TestMakeProblem:
         cfg = GenConfig(seed=3)
         rejected = None
         for i in range(500):
-            result = make_problem(substream(cfg.seed, i), cfg, i)
+            result = make_problem(SplitMix64(split_seed(cfg.seed, i)), cfg, i)
             if isinstance(result, Rejected):
                 rejected = result
                 break
@@ -229,7 +236,7 @@ class TestMakeProblem:
         cfg = GenConfig(seed=17)
         for instance in iter_problems(cfg, 50):
             index = instance.draw_index
-            assert instance == make_problem(substream(cfg.seed, index), cfg, index)
+            assert instance == make_problem(SplitMix64(split_seed(cfg.seed, index)), cfg, index)
             assert all(clause for _, clause in instance.announcements)
             assert instance.hypothesis.text.endswith(".")
 
@@ -298,7 +305,8 @@ class TestGenerateBalanced:
         monkeypatch.setattr(generator, "MAX_DRAWS_PER_BUCKET", 30)
         cfg = GenConfig(seed=1)
         accepted = sum(
-            not isinstance(make_problem(substream(1, d), cfg, d), Rejected) for d in range(30)
+            not isinstance(make_problem(SplitMix64(split_seed(1, d)), cfg, d), Rejected)
+            for d in range(30)
         )
         assert 0 < accepted < 30
         assert len(list(iter_problems(cfg, accepted))) == accepted

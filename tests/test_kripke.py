@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -49,9 +50,9 @@ from support import (
 # worlds are ints with bit j = proposition j, so (p0=1, p1=0) is 0b01
 
 
-forehead = ObservabilityMatrix.ones_minus_identity
-mirror = ObservabilityMatrix.ones
-thirst = ObservabilityMatrix.identity
+forehead = partial(fixed_observability, SetupKind.FOREHEAD_MUD)
+mirror = partial(fixed_observability, SetupKind.FOREHEAD_MUD_MIRROR)
+thirst = partial(fixed_observability, SetupKind.THIRST)
 
 
 def random_observability(rng, n):
@@ -104,7 +105,7 @@ class TestObservabilityMatrix:
         as_ints = [[int(b) for b in row] for row in rows]
         assert ObservabilityMatrix.from_rows(as_ints) is obs
         assert ObservabilityMatrix.from_rows(tuple(map(tuple, rows))) is obs
-        assert ObservabilityMatrix.identity(1) is ObservabilityMatrix.ones(1)
+        assert thirst(1) is mirror(1)  # equal rows, one kept matrix
 
     def test_equal_rows_get_one_key_however_given(self, monkeypatch):
         # an empty registry, so the first matrix is built directly from ints
@@ -148,7 +149,7 @@ class TestObservabilityMatrix:
             obs = fixed_observability(kind, n)
             assert obs.key == id(obs) and kripke._SHARED[obs.rows] is obs
             assert ObservabilityMatrix.from_rows(obs.rows) is obs
-        assert fixed_observability(SetupKind.FOREHEAD_MUD, n) == forehead(n)
+        assert forehead(n).rows == tuple(tuple(i != j for j in range(n)) for i in range(n))
 
     def test_a_matrix_pickled_elsewhere_takes_this_process_key(self):
         # a fresh interpreter, whose ids mean nothing here
@@ -203,7 +204,7 @@ class TestBuildInitialModel:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            build_initial_model(ObservabilityMatrix.ones(21))
+            build_initial_model(mirror(21))
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 import epistle.kripke as kripke
@@ -24,6 +26,7 @@ from epistle.kripke import (
     label,
 )
 from epistle.rng import SplitMix64
+from epistle.setups import ALL_SETUPS, SetupKind, fixed_observability
 from epistle.symbolic import (
     announce_symbolic,
     is_contradictory_symbolic,
@@ -40,7 +43,7 @@ from support import (
     worlds_where,
 )
 
-forehead = ObservabilityMatrix.ones_minus_identity
+forehead = partial(fixed_observability, SetupKind.FOREHEAD_MUD)
 
 
 class TestTranslate:
@@ -104,11 +107,7 @@ class TestTranslate:
     def test_matches_explicit_satisfying_sets(self):
         rng = SplitMix64(0x51)
         for n in (2, 3):
-            for matrix in (
-                ObservabilityMatrix.ones_minus_identity(n),
-                ObservabilityMatrix.ones(n),
-                ObservabilityMatrix.identity(n),
-            ):
+            for matrix in (fixed_observability(kind, n) for kind in ALL_SETUPS[:3]):
                 store = DdStore()
                 law = store.true
                 live = build_initial_model(matrix)
