@@ -170,9 +170,10 @@ _QUANTIFIERS = (Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
 def _spec_tables(n: int) -> tuple[tuple[StatementSpec, ...], tuple[BeliefLayer, ...]]:
     """Every statement and belief layer over ``n`` agents, in draw order:
     statement ``2 * subject_index + negated`` and layer
-    ``4 * knower + 2 * whether + negated``."""
+    ``4 * knower + 2 * whether + negated``.  The undrawn ``SOMEONE`` follows
+    the drawn subjects, for the existential announcement."""
     coin = (False, True)
-    statements = product((*range(n), *_QUANTIFIERS), coin)
+    statements = product((*range(n), *_QUANTIFIERS, Quantifier.SOMEONE), coin)
     layers = product(range(n), coin, coin)
     return tuple(StatementSpec(*t) for t in statements), tuple(BeliefLayer(*t) for t in layers)
 
@@ -211,10 +212,6 @@ def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula,
     return _expression(n, layers, _statement(rng, n))
 
 
-_EXISTENTIAL = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE, False))
-_existential = lru_cache(maxsize=MAX_NAMES)(_EXISTENTIAL.to_formula)
-
-
 def make_problem(
     rng: SplitMix64,
     cfg: GenConfig,
@@ -228,7 +225,8 @@ def make_problem(
     names = sample_names(rng, n)
     obs = sample_observability(setup, n, rng)
 
-    ann_formulas, specs = [_existential(n)], [_EXISTENTIAL]
+    existential, spec = _expression(n, (), 2 * (n + len(_QUANTIFIERS)))
+    ann_formulas, specs = [existential], [spec]
     for _ in range(rng.below(n + 1)):
         formula, spec = sample_announcement(rng, n)
         ann_formulas.append(formula)

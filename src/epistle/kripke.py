@@ -14,19 +14,18 @@ or agent index outside ``0..n-1`` is a ``ValueError``.
 The process keeps one matrix per rows of at most three agents, and the
 matrix of each fixed setup at each agent count, which only
 ``setups.fixed_observability`` builds; each carries ``key``, an int no other
-rows get in this process, and every other matrix has ``key = None``.  Each
-thread keeps an evaluation table that maps ``(key, live, subformula)`` to
-the world set the subformula holds at, for every subformula but atoms and
-negations (one mask or one ``xor`` anyway), at up to three agents.
-``_eval`` checks the table before it recurses, and recurses through its
-module-level name, so a wrapper installed under that name sees every call.
-An evaluation that raises enters nothing.  A table past ``TABLE_LIMIT``
-entries is emptied, as the symbolic translation table is.
+rows get in this process, and every other matrix has ``key = None``.  One
+evaluation table, which the process's threads share, maps ``(key, live,
+subformula)`` to the world set the subformula holds at, for every subformula
+but atoms and negations (one mask or one ``xor`` anyway), at up to three
+agents.  ``_eval`` checks the table before it recurses, and recurses through
+its module-level name, so a wrapper installed under that name sees every
+call.  An evaluation that raises enters nothing.  The table is emptied past
+``TABLE_LIMIT`` entries, as each symbolic translation table is.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,16 +67,12 @@ _MAX_TABLED_AGENTS = 3
 # evaluation table ends at 6,883-7,060 entries and the translation table at
 # 6,120-6,277, at seeds 1, 2, 3, 7, 13 and 42, so neither is emptied there.
 # An evaluation entry takes about 110 B (the dict slot, the key tuple and the
-# world-set ints), so a full evaluation table holds about 1 MB.
+# world-set ints), so a full evaluation table holds about 1 MB per process.
 TABLE_LIMIT = 1 << 13
 
-
-class _PerThread(threading.local):
-    def __init__(self):
-        self.table: dict[tuple, int] = {}
-
-
-_thread = _PerThread()
+# Threads share it: an entry depends only on its key, whose matrix the process
+# keeps; dict get, set and clear are atomic, so a race only costs repeated work.
+_table: dict[tuple, int] = {}
 
 
 @dataclass(frozen=True)
@@ -184,17 +179,17 @@ def _blur(obs: ObservabilityMatrix, agent: int, bad: int) -> int:
 
 def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
     """Worlds in ``live`` where ``f`` holds, with ``live`` as the model;
-    found in, or entered into, this thread's evaluation table."""
+    found in, or entered into, the evaluation table."""
     if isinstance(f, Atom):
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return live & _atom_masks(obs.n)[f.prop]
     if isinstance(f, Not):
         return live ^ _eval(obs, live, f.child)
-    table = _thread.table if obs.n <= _MAX_TABLED_AGENTS else None
-    if table is not None:
+    tabled = obs.n <= _MAX_TABLED_AGENTS
+    if tabled:
         key = (obs.key, live, f)
-        out = table.get(key)
+        out = _table.get(key)
         if out is not None:
             return out
     if isinstance(f, And):
@@ -217,10 +212,10 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
         out = (live ^ survivors) | _eval(obs, survivors, f.continuation)
     else:
         raise TypeError(f"not a formula: {f!r}")
-    if table is not None:
-        table[key] = out
-        if len(table) > TABLE_LIMIT:
-            table.clear()
+    if tabled:
+        _table[key] = out
+        if len(_table) > TABLE_LIMIT:
+            _table.clear()
     return out
 
 

@@ -1,8 +1,8 @@
 """The checkers' shared contracts: the symbolic backend's per-thread store
 (kept across labels, dropped past its retention bound, retried once on a
 fresh store when full, its translation table emptied past the tables' bound),
-the explicit backend's per-thread evaluation table, and ``both_label``
-comparing the two outcomes."""
+the explicit backend's one evaluation table, which every thread shares, and
+``both_label`` comparing the two outcomes."""
 
 import sys
 import threading
@@ -261,23 +261,23 @@ class TestRetainedStore:
 
 
 class TestEvaluationTable:
-    def test_threads_get_distinct_tables(self):
+    def test_threads_share_one_bounded_table(self):
         rng = SplitMix64(0x7AB1)
         problems = [random_problem(rng, 2 + rng.below(5)) for _ in range(60)]
         expected = [outcome(symbolic_label, *p) for p in problems]
-        kripke._thread.table.clear()
-        tables, got = {}, {}
+        kripke._table.clear()
+        got = {}
 
         def work(name):
             got[name] = [outcome(explicit_label, *p) for p in problems]
-            tables[name] = kripke._thread.table  # holding it keeps its id unique
 
         names = on_threads_at_once(work)
         assert got == {name: expected for name in names}
-        assert all(tables.values())
-        assert len({id(table) for table in tables.values()}) == len(names)
-        assert all(table == tables["a"] for table in tables.values())
-        assert not kripke._thread.table  # nothing leaked into this thread
+        entries = dict(kripke._table)
+        assert entries and len(entries) <= kripke.TABLE_LIMIT
+        # the threads entered every evaluation this thread needs
+        assert [outcome(explicit_label, *p) for p in problems] == expected
+        assert kripke._table == entries
 
 
 class TestTranslationTable:

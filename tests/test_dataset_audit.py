@@ -4,7 +4,9 @@ Each record is read back the way a reader of the file would: the premise and
 hypothesis sentences are parsed with the test-only inverse templates, the
 matrix is rebuilt from the setup's visibility rule or, for ``explicit``, from
 the reveal sentences, and the label is recomputed by the brute-force oracle
-and both backends.  Nothing here uses the instance the record was made from.
+(up to three agents), the explicit backend (up to its 20) and the symbolic
+backend.  Nothing here uses the instance the record was made from.
+``tests/audit_dataset.py`` runs the same audit on any written file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from epistle import cli
 from epistle.backends import explicit_label, symbolic_label
 from epistle.dsl import parse_formula, print_formula
-from epistle.kripke import ObservabilityMatrix
+from epistle.kripke import MAX_EXPLICIT_AGENTS, ObservabilityMatrix
 from epistle.setups import SetupKind
 
 from inverse import parse_hypothesis, parse_premise
@@ -63,8 +65,10 @@ def audit(record: dict) -> None:
     rows = rows_from_text(setup, n, reveals)
     obs = ObservabilityMatrix.from_rows(rows)
     expected = record["label"] == "True"
-    assert oracle_label(n, rows, anns, hyp) is expected
-    assert explicit_label(obs, anns, hyp) is expected
+    if n <= 3:  # the oracle walks every world for each world
+        assert oracle_label(n, rows, anns, hyp) is expected
+    if n <= MAX_EXPLICIT_AGENTS:
+        assert explicit_label(obs, anns, hyp) is expected
     assert symbolic_label(obs, anns, hyp) is expected
 
 

@@ -139,9 +139,9 @@ class TestObservabilityMatrix:
         assert first.key is None and again.key is None and rows not in kripke._SHARED
         hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(3)))))))
         anns = [Or((Atom(0), Atom(1)))]
-        kripke._thread.table.clear()
+        kripke._table.clear()
         assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
-        assert not kripke._thread.table
+        assert not kripke._table
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_fixed_matrices_of_any_size_have_a_key(self, n):
@@ -432,15 +432,15 @@ def oracle_outcome(n, rows, anns, hyp):
 
 
 class TestEvaluationTable:
-    """The thread's evaluation table changes no outcome and stays bounded."""
+    """The process's evaluation table changes no outcome and stays bounded."""
 
     CONTRADICTION = And((Atom(0), Not(Atom(0))))
 
     @pytest.fixture(autouse=True)
     def empty_table(self):
-        kripke._thread.table.clear()
+        kripke._table.clear()
         yield
-        kripke._thread.table.clear()
+        kripke._table.clear()
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
@@ -461,11 +461,11 @@ class TestEvaluationTable:
         holds = frozenset(w for w in every if oracle_eval(every, obs.rows, w, hyp))
         expected = oracle_outcome(n, obs.rows, anns, hyp)
         for _ in range(2):  # the second pass finds every entry and enters none
-            entries = len(kripke._thread.table)
+            entries = len(kripke._table)
             assert worlds_where(obs, build_initial_model(obs), hyp) == holds
             assert outcome(explicit_label, obs, anns, hyp) == expected
-        assert len(kripke._thread.table) == entries
-        kripke._thread.table.clear()
+        assert len(kripke._table) == entries
+        kripke._table.clear()
         assert outcome(explicit_label, obs, anns, hyp) == expected
         assert outcome(symbolic_label, obs, anns, hyp) == expected
 
@@ -474,17 +474,17 @@ class TestEvaluationTable:
         for _ in range(2):
             with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
                 explicit_label(thirst(3), [], hyp)
-            assert kripke._thread.table  # the disjunction was entered
-            assert all(key[2] is not hyp for key in kripke._thread.table)
+            assert kripke._table  # the disjunction was entered
+            assert all(key[2] is not hyp for key in kripke._table)
         assert explicit_label(thirst(4), [], hyp) is False
 
     def test_more_than_three_agents_enter_nothing(self):
         hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(2)))))))
         for n in (4, 6, 7):
             assert explicit_label(forehead(n), [Or((Atom(0), Atom(1)))], hyp) is False
-            assert not kripke._thread.table
+            assert not kripke._table
         assert explicit_label(forehead(3), [Or((Atom(0), Atom(1)))], hyp) is False
-        assert kripke._thread.table
+        assert kripke._table
 
     def test_equal_matrices_built_apart_share_entries(self):
         rng = SplitMix64(0x7AB1E)
@@ -495,26 +495,26 @@ class TestEvaluationTable:
         for _ in range(40):
             anns = [random_formula(rng, 3, depth=2) for _ in range(rng.below(3))]
             problems.append((anns, random_formula(rng, 3, depth=2)))
-        kripke._thread.table.clear()
+        kripke._table.clear()
         labels = [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
         assert labels == [oracle_outcome(3, rows, anns, hyp) for anns, hyp in problems]
-        entries = dict(kripke._thread.table)
+        entries = dict(kripke._table)
         assert {key[0] for key in entries} == {first.key}
         # the second matrix finds every entry of the first and enters none
         assert [outcome(explicit_label, second, anns, hyp) for anns, hyp in problems] == labels
-        assert kripke._thread.table == entries
+        assert kripke._table == entries
 
     def test_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
-        kripke._thread.table.clear()
+        kripke._table.clear()
         both, either = And((Atom(0), Atom(1))), Or((Atom(0), Atom(1)))
         obs = thirst(2)
         explicit_label(obs, [], both)
         explicit_label(obs, [], either)
-        table = kripke._thread.table
+        table = kripke._table
         assert list(table) == [(obs.key, 0b1111, both), (obs.key, 0b1111, either)]
         explicit_label(obs, [], Implies(Atom(0), Atom(1)))
-        assert not table and kripke._thread.table is table
+        assert not table and kripke._table is table
         explicit_label(obs, [], both)
         assert list(table) == [(obs.key, 0b1111, both)]
 
