@@ -11,10 +11,10 @@ propositions ``i`` does not observe reaches a live world without ``f``.  A
 public announcement keeps exactly the worlds where it holds.  A proposition
 or agent index outside ``0..n-1`` is a ``ValueError``.
 
-The process keeps one matrix per rows of at most three agents, and the
-matrix of each fixed setup at each agent count, which only
-``setups.fixed_observability`` builds; each carries ``key``, an int no other
-rows get in this process, and every other matrix has ``key = None``.  One
+The process keeps one matrix per rows of at most three agents or
+agent-symmetric rows (one value on the diagonal and one off it, as in every
+fixed setup), decided from the rows alone; each carries ``key``, an int no
+other rows get in this process, and every other matrix has ``key = None``.  One
 evaluation table, which the process's threads share, maps ``(key, live,
 subformula)`` to the world set the subformula holds at, for every subformula
 but atoms and negations (one mask or one ``xor`` anyway), at up to three
@@ -84,10 +84,10 @@ class ObservabilityMatrix:
     ``i`` does not observe, ascending: the variables both backends quantify
     over for ``K_i``.  ``key`` is the ``id`` of the matrix the process keeps
     for these rows, or ``None`` if it keeps none; both backends' tables key
-    on it.  Every matrix of at most three agents has one, however it was
-    built.  All three are derived once and left out of comparison, hashing,
-    ``repr`` and pickling: a key means nothing in another process, so an
-    unpickled matrix is built anew from its rows.
+    on it.  Rows of at most three agents or agent-symmetric rows have one.
+    All three are derived once and left out of comparison, hashing, ``repr``
+    and pickling: a key means nothing in another process, so an unpickled
+    matrix is built anew from its rows.
     """
 
     rows: tuple[tuple[bool, ...], ...]
@@ -104,8 +104,8 @@ class ObservabilityMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "hidden", hidden)
-        if n <= 3:
-            kept(self)
+        if n <= _MAX_TABLED_AGENTS or _agent_symmetric(rows):
+            object.__setattr__(self, "key", id(_SHARED.setdefault(rows, self)))
 
     def __reduce__(self):
         return type(self), (self.rows,)
@@ -121,17 +121,17 @@ class ObservabilityMatrix:
         return obs
 
 
-# The matrix kept for the process per rows: every matrix of at most three
-# agents (16 + 512; four give 65,536) and the fixed-setup ones.
+# The first matrix built per rows the process keeps (one ``setdefault``, so
+# threads agree): rows of at most ``_MAX_TABLED_AGENTS`` agents, as the
+# evaluation table keys on ``obs.key`` up to that size and three give only
+# 16 + 512 rows (four, 65,536), and agent-symmetric rows, four per size.
 _SHARED: dict[tuple[tuple[bool, ...], ...], ObservabilityMatrix] = {}
 
 
-def kept(obs: ObservabilityMatrix) -> ObservabilityMatrix:
-    """The matrix kept for ``obs.rows``, which is ``obs`` if none was; gives
-    ``obs`` its key.  One ``setdefault``, so threads agree on the kept one."""
-    shared = _SHARED.setdefault(obs.rows, obs)
-    object.__setattr__(obs, "key", id(shared))
-    return shared
+def _agent_symmetric(rows: tuple[tuple[bool, ...], ...]) -> bool:
+    """One value on the diagonal and one off it; stops at the first other row."""
+    on, off, n = rows[0][0], rows[0][-1], len(rows)
+    return all(row == (off,) * i + (on,) + (off,) * (n - 1 - i) for i, row in enumerate(rows))
 
 
 @lru_cache(maxsize=None)

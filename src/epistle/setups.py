@@ -1,5 +1,5 @@
-"""The four problem setups tying predicates to observability patterns;
-``fixed_observability`` is the only builder of the fixed setups' matrices."""
+"""The four problem setups tying predicates to observability patterns, and
+``fixed_observability``, which builds the fixed setups' matrices."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import operator
 from enum import Enum
 from functools import lru_cache
 
-from .kripke import ObservabilityMatrix, kept
+from .kripke import ObservabilityMatrix
 
 __all__ = ["SetupKind", "ALL_SETUPS", "setup_ordinal", "fixed_observability"]
 
@@ -40,9 +40,8 @@ def setup_ordinal(kind: SetupKind) -> int:
 
 @lru_cache(maxsize=None)
 def fixed_observability(kind: SetupKind, n: int) -> ObservabilityMatrix:
-    """Matrix of a non-random setup, built from its rule of who sees whose
-    predicate; kept for the process at any agent count, so the symbolic
-    backend tables it however large."""
+    """Matrix of a non-random setup from its rule of who sees whose predicate;
+    agent-symmetric, so kept at any agent count and tabled however large."""
     if kind is SetupKind.FOREHEAD_MUD:
         sees = operator.ne  # everyone but the bearer
     elif kind is SetupKind.FOREHEAD_MUD_MIRROR:
@@ -51,4 +50,4 @@ def fixed_observability(kind: SetupKind, n: int) -> ObservabilityMatrix:
         sees = operator.eq  # only the bearer
     else:
         raise ValueError(f"{kind.value} has no fixed observability matrix")
-    return kept(ObservabilityMatrix([[sees(i, j) for j in range(n)] for i in range(n)]))
+    return ObservabilityMatrix.from_rows([[sees(i, j) for j in range(n)] for i in range(n)])

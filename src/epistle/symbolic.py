@@ -17,14 +17,14 @@ The store keeps a translation table beside its ``ite`` and ``forall``
 caches.  It maps ``(obs.key, law, subformula)`` to the translated diagram
 for every subformula but atoms and negations, which cost one ``var`` or
 ``ite`` lookup anyway, and only for a matrix the process keeps (``key`` is
-not ``None``): every matrix of at most three agents and the fixed-setup
-ones.  A drawn matrix of four or more agents serves one problem, so it is
-translated without the table.  ``translate`` checks the table before it
-recurses, and recurses through its module-level name, so a wrapper
-installed under that name sees every call.  A translation that raises
-enters nothing.  A table past ``kripke.TABLE_LIMIT`` entries is emptied, so
-every store's table is bounded, ``puzzle``'s and a library caller's
-included.
+not ``None``): every one of at most three agents and every agent-symmetric
+one, as each fixed setup's is.  Any other matrix, such as a drawn one of
+four agents or more, serves one problem and is translated without the
+table.  ``translate`` checks the table before it recurses, and recurses
+through its module-level name, so a wrapper installed under that name sees
+every call.  A translation that raises enters nothing.  A table past
+``kripke.TABLE_LIMIT`` entries is emptied, so every store's table is
+bounded, ``puzzle``'s and a library caller's included.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Mutation gate: every named mutant of the checkers must fail tier-1.
+"""Mutation gate: every named mutant of the checkers, of the rule that keeps
+a matrix, and of the generator's label path must fail tier-1.
 
     python tests/mutants.py          # tier-1 with -x per mutant
     python tests/mutants.py --full   # the whole tier-1 per mutant, to count kills
@@ -97,6 +98,26 @@ MUTANTS = (
     ),)),
     Mutant("DdStore._forall cache key without the variables", ((
         "bdd.py", "key = (vs, x)", "key = x",
+    ),)),
+    Mutant("keep rule without its off-diagonal condition", ((
+        "kripke.py",
+        "return all(row == (off,) * i + (on,) + (off,) * (n - 1 - i) for i, row in enumerate(rows))",
+        "return all(row[i] == on for i, row in enumerate(rows))",
+    ),)),
+    Mutant("keep rule's size test with < for <=", ((
+        "kripke.py",
+        "if n <= _MAX_TABLED_AGENTS or _agent_symmetric(rows):",
+        "if n < _MAX_TABLED_AGENTS or _agent_symmetric(rows):",
+    ),)),
+    Mutant("make_problem labels all announcements but the existential", ((
+        "generator.py",
+        "verdict = checker(obs, ann_formulas, hyp_formula)",
+        "verdict = checker(obs, ann_formulas[1:], hyp_formula)",
+    ),)),
+    Mutant("_fill_setup's duplicate key without the hypothesis", ((
+        "generator.py",
+        "seen.add((setup, instance.n_agents, instance.ann_formulas, instance.hyp_formula))",
+        "seen.add((setup, instance.n_agents, instance.ann_formulas))",
     ),)),
 )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import insort
+from itertools import product
 
 from epistle.formula import (
     And,
@@ -20,11 +21,13 @@ from epistle.formula import (
     KnowsWhether,
     Not,
     Or,
+    Quantifier,
 )
 from epistle.bdd import DdNode, DdStore
 from epistle.kripke import ObservabilityMatrix, announce
 from epistle.names import FEMININE_NAMES, MASCULINE_NAMES
 from epistle.rng import SplitMix64
+from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 
 # ---------------------------------------------------------------------------
 # independent epistemic evaluator (oracle for the kripke backend)
@@ -299,6 +302,60 @@ def read_jsonl(path: str) -> list[dict]:
     """The records of a JSON-Lines file, one dict per nonblank line."""
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+# ---------------------------------------------------------------------------
+# the default configuration's whole problem space (a small-scope check)
+
+
+def expression_forms(n: int, orders) -> list[Formula]:
+    """The formula of every expression the generator can draw over ``n``
+    agents with a belief order in ``orders``: one per form, so a formula that
+    two forms desugar to is listed twice."""
+    subjects = (*range(n), Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
+    statements = [StatementSpec(*t) for t in product(subjects, (False, True))]
+    layers = [BeliefLayer(*t) for t in product(range(n), (False, True), (False, True))]
+    return [
+        ExpressionSpec(outer, statement).to_formula(n)
+        for order in orders
+        for outer in product(layers, repeat=order)
+        for statement in statements
+    ]
+
+
+def default_problem_space():
+    """Every matrix, state and hypothesis the default ``GenConfig`` can label
+    (n=2 and 3, ``max_order`` 2), but for the n=3 explicit setup's 512
+    matrices, which stay sampled: n=2 with all 16 matrices and n=3 with the
+    three fixed ones.  A label depends only on these three.
+
+    Yields ``(n, rows, states, hyps)``.  ``states`` maps each non-empty world
+    set that the existential announcement and then 0..n announcement forms
+    reach (found with the explicit backend) to the shortest such sequence,
+    existential first; ``hyps`` lists the hypothesis forms.  In all there are
+    112 + 123 states and 310,896 (state, hypothesis) labels.
+    """
+    for n, matrices in (
+        (2, [(bits[:2], bits[2:]) for bits in product((False, True), repeat=4)]),
+        (3, [tuple(tuple(sees(i, j) for j in range(3)) for i in range(3))
+             for sees in (lambda i, j: i != j, lambda i, j: True, lambda i, j: i == j)]),
+    ):
+        existential = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE)).to_formula(n)
+        anns, hyps = expression_forms(n, (0, 1)), expression_forms(n, (1, 2))
+        for rows in matrices:
+            obs = ObservabilityMatrix.from_rows(rows)
+            start = announce(obs, (1 << (1 << n)) - 1, existential)
+            states, frontier = {start: [existential]}, [start]
+            for _ in range(n):
+                reached = []
+                for live in frontier:
+                    for a in anns:
+                        after = announce(obs, live, a)
+                        if after and after not in states:
+                            states[after] = states[live] + [a]
+                            reached.append(after)
+                frontier = reached
+            yield n, rows, states, hyps
 
 
 # ---------------------------------------------------------------------------

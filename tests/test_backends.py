@@ -18,18 +18,20 @@ from epistle.dsl import parse_formula
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
-from epistle.kripke import ObservabilityMatrix, announce, build_initial_model
+from epistle.kripke import ObservabilityMatrix, announce, build_initial_model, label
 from epistle.rng import SplitMix64
 from epistle.setups import SetupKind, fixed_observability
 from epistle.symbolic import announce_symbolic, label_symbolic, translate
 
 from support import (
     check_reduced,
+    default_problem_space,
     oracle_label,
     random_boolean_formula,
     random_formula,
     reduce_announcements,
     reduced_worlds,
+    sat_worlds,
     worlds,
 )
 
@@ -308,7 +310,9 @@ class TestTranslationTable:
                 symbolic_label(fixed_observability(SetupKind.THIRST, 3), [], hyp)
             assert all(key[2] is not hyp for key in kept_store()._translate_cache)
         entries = dict(kept_store()._translate_cache)
-        drawn = ObservabilityMatrix(fixed_observability(SetupKind.THIRST, 4).rows)
+        # thirst plus one reveal: not agent-symmetric, so not kept
+        rows = [[i == j or (i, j) == (0, 1) for j in range(4)] for i in range(4)]
+        drawn = ObservabilityMatrix.from_rows(rows)
         assert drawn.key is None
         assert symbolic_label(drawn, [], hyp) is explicit_label(drawn, [], hyp) is False
         assert kept_store()._translate_cache == entries
@@ -476,3 +480,36 @@ class TestAnnouncementElimination:
             refuted = reduced_worlds(everywhere, obs.rows, reduce_announcements(_chain(anns, falsum)))
             assert refuted != set(everywhere)
         assert labels == {True, False}
+
+
+class TestDefaultProblemSpace:
+    """Every label of the default configuration's problem space but the n=3
+    explicit setup's (``support.default_problem_space``), not a sample."""
+
+    def test_the_space_holds_every_draw_of_the_default_stream(self):
+        space = {(n, rows): (states, hyps) for n, rows, states, hyps in default_problem_space()}
+        assert sum(len(states) * len(hyps) for states, hyps in space.values()) == 310_896
+        covered = 0
+        for instance in iter_problems(GenConfig(seed=7), 2000):
+            found = space.get((instance.n_agents, instance.obs.rows))
+            if found is None:
+                assert (instance.setup, instance.n_agents) == (SetupKind.EXPLICIT, 3)
+                continue
+            states, hyps = found
+            live = build_initial_model(instance.obs)
+            for a in instance.ann_formulas:
+                live = announce(instance.obs, live, a)
+            assert live in states and instance.hyp_formula in hyps
+            covered += 1
+        assert covered > 1000
+
+    def test_both_backends_agree_on_every_label(self):
+        for n, rows, states, hyps in default_problem_space():
+            obs, store = ObservabilityMatrix.from_rows(rows), DdStore()
+            for live, anns in states.items():
+                law = store.true
+                for a in anns:
+                    law = announce_symbolic(store, obs, law, a)
+                assert sat_worlds(store, law, n) == worlds(live)
+                explicit = [label(obs, live, [], hyp) for hyp in hyps]
+                assert [label_symbolic(store, obs, law, [], hyp) for hyp in hyps] == explicit

@@ -628,6 +628,33 @@ class TestCheckCommand:
             for n in (2, 3, 5, 8)
         ]
 
+    @pytest.mark.parametrize("first", ["literal", "named"])
+    @pytest.mark.parametrize("name", ["forehead-mud", "mirror", "thirst"])
+    def test_literal_rows_of_a_named_pattern_are_its_kept_matrix(self, name, first):
+        # a fresh interpreter, so nothing built before decides the key
+        code = (
+            "import json, sys\n"
+            "from epistle import cli\n"
+            "name, first, out = sys.argv[1], sys.argv[2], []\n"
+            "for n, literal in json.loads(sys.argv[3]):\n"
+            "    specs = (literal, name) if first == 'literal' else (name, literal)\n"
+            "    made = {spec: cli._parse_obs(spec, n) for spec in specs}\n"
+            "    out.append([n, made[literal].key is not None, made[literal] is made[name]])\n"
+            "print(json.dumps(out))\n"
+        )
+        sees = self.NAMED_RULES[name]
+        literals = [
+            [n, ";".join("".join("01"[sees(i, j)] for j in range(n)) for i in range(n))]
+            for n in (4, 8)
+        ]
+        src = os.path.dirname(os.path.dirname(epistle.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, name, first, json.dumps(literals)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert json.loads(proc.stdout) == [[4, True, True], [8, True, True]]
+
     def test_literal_matrix_rows(self):
         result = self._check(
             "--n", "2",

@@ -101,8 +101,12 @@ class TestSampleObservability:
         for i in instances:
             if i.n_agents == 3:
                 assert kripke._SHARED[i.obs.rows] is i.obs and i.obs.key == id(i.obs)
-            else:
-                assert i.obs.key is None and i.obs.rows not in kripke._SHARED
+            else:  # kept only if agent-symmetric: one value on, one off the diagonal
+                rows = i.obs.rows
+                diagonal = {row[k] for k, row in enumerate(rows)}
+                off = {b for k, row in enumerate(rows) for j, b in enumerate(row) if j != k}
+                symmetric = len(diagonal) == len(off) == 1
+                assert (i.obs.key is not None) is symmetric is (rows in kripke._SHARED)
 
 
 class TestSampleStatement:

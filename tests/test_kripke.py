@@ -143,13 +143,34 @@ class TestObservabilityMatrix:
         assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
         assert not kripke._table
 
-    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8])
     def test_fixed_matrices_of_any_size_have_a_key(self, n):
         for kind in ALL_SETUPS[:3]:
             obs = fixed_observability(kind, n)
             assert obs.key == id(obs) and kripke._SHARED[obs.rows] is obs
             assert ObservabilityMatrix.from_rows(obs.rows) is obs
+            assert pickle.loads(pickle.dumps(obs)).key == obs.key
         assert forehead(n).rows == tuple(tuple(i != j for j in range(n)) for i in range(n))
+
+    @pytest.mark.parametrize(
+        "n, sees, kept",
+        [
+            (4, lambda i, j: False, True),  # nobody observes anything
+            (5, lambda i, j: False, True),
+            (4, lambda i, j: i == j or (i, j) == (3, 0), False),  # one value on the diagonal only
+            (4, lambda i, j: i != j or i == 2, False),  # one value off the diagonal only
+            (4, lambda i, j: i != j and (i, j) != (3, 2), False),  # only the last row breaks it
+        ],
+    )
+    def test_larger_rows_are_kept_when_agent_symmetric(self, n, sees, kept):
+        rows = tuple(tuple(sees(i, j) for j in range(n)) for i in range(n))
+        obs = ObservabilityMatrix(rows)
+        if kept:
+            assert obs.key == id(kripke._SHARED[rows])
+            assert ObservabilityMatrix.from_rows(rows) is kripke._SHARED[rows]
+        else:
+            assert obs.key is None and ObservabilityMatrix.from_rows(rows).key is None
+            assert rows not in kripke._SHARED
 
     def test_a_matrix_pickled_elsewhere_takes_this_process_key(self):
         # a fresh interpreter, whose ids mean nothing here
