@@ -51,32 +51,27 @@ def explicit_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) 
 
 def symbolic_label(obs: ObservabilityMatrix, anns: list[Formula], hyp: Formula) -> bool:
     """``label_symbolic`` from the unconstrained state law, on this thread's
-    retained store.
+    retained store; the whole retention and retry policy is here.
 
     Diagrams are canonical within a store, so a retained store gives the
-    same answers as a fresh one.  ``StoreCapacity`` on a store that earlier
-    calls left non-empty labels once more on a fresh store; from a fresh
-    store it propagates.
+    same answers as a fresh one.  A store left with more than
+    ``RETAINED_NODE_LIMIT`` nodes, or full (it raised ``StoreCapacity``), is
+    dropped.  ``StoreCapacity`` on a store that earlier calls left non-empty
+    labels once more on a fresh store; from a fresh store it propagates.
     """
     store = getattr(_thread, "store", None)
     if store is None:
-        store = DdStore()
-    elif len(store) > 2:  # more than the two terminals
-        try:
-            return _keep_within_bound(store, obs, anns, hyp)
-        except StoreCapacity:
-            store = DdStore()
-    return _keep_within_bound(store, obs, anns, hyp)
-
-
-def _keep_within_bound(store: DdStore, obs: ObservabilityMatrix, anns, hyp) -> bool:
+        store = _thread.store = DdStore()
+    held = store._count > 2  # nodes beyond the two terminals
     try:
         return label_symbolic(store, obs, store.true, anns, hyp)
+    except StoreCapacity:
+        if not held:
+            raise
     finally:
-        # a full store (one that raised StoreCapacity) is dropped as well
-        size = len(store)
-        kept = size <= RETAINED_NODE_LIMIT and size < store.capacity
-        _thread.store = store if kept else None
+        if store._count > RETAINED_NODE_LIMIT or store._count >= store.capacity:
+            _thread.store = None
+    return symbolic_label(obs, anns, hyp)  # the store was full, so this one is fresh
 
 
 def outcome(checker: Checker, obs, anns, hyp) -> bool | str:

@@ -18,10 +18,11 @@ other rows get in this process, and every other matrix has ``key = None``.  One
 evaluation table, which the process's threads share, maps ``(key, live,
 subformula)`` to the world set the subformula holds at, for every subformula
 but atoms and negations (one mask or one ``xor`` anyway), at up to three
-agents.  ``_eval`` checks the table before it recurses, and recurses through
-its module-level name, so a wrapper installed under that name sees every
-call.  An evaluation that raises enters nothing.  The table is emptied past
-``TABLE_LIMIT`` entries, as each symbolic translation table is.
+agents.  ``_eval`` dispatches on the node's exact class, atoms and negations
+before the table (an instance of a subclass is not a formula), and recurses
+through its module-level name, so a wrapper installed under that name sees
+every call.  An evaluation that raises enters nothing.  The table is emptied
+past ``TABLE_LIMIT`` entries, as each symbolic translation table is.
 """
 
 from __future__ import annotations
@@ -180,11 +181,12 @@ def _blur(obs: ObservabilityMatrix, agent: int, bad: int) -> int:
 def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
     """Worlds in ``live`` where ``f`` holds, with ``live`` as the model;
     found in, or entered into, the evaluation table."""
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return live & _atom_masks(obs.n)[f.prop]
-    if isinstance(f, Not):
+    if kind is Not:
         return live ^ _eval(obs, live, f.child)
     tabled = obs.n <= _MAX_TABLED_AGENTS
     if tabled:
@@ -192,22 +194,22 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
         out = _table.get(key)
         if out is not None:
             return out
-    if isinstance(f, And):
+    if kind is And:
         out = live
         for c in f.children:
             out &= _eval(obs, live, c)
-    elif isinstance(f, Or):
+    elif kind is Or:
         out = 0
         for c in f.children:
             out |= _eval(obs, live, c)
-    elif isinstance(f, Implies):
+    elif kind is Implies:
         out = (live ^ _eval(obs, live, f.left)) | _eval(obs, live, f.right)
-    elif isinstance(f, Knows):
+    elif kind is Knows:
         out = live & ~_blur(obs, f.agent, live ^ _eval(obs, live, f.child))
-    elif isinstance(f, KnowsWhether):
+    elif kind is KnowsWhether:
         holds = _eval(obs, live, f.child)
         out = live & ~(_blur(obs, f.agent, live ^ holds) & _blur(obs, f.agent, holds))
-    elif isinstance(f, Announced):
+    elif kind is Announced:
         survivors = _eval(obs, live, f.announcement)
         out = (live ^ survivors) | _eval(obs, survivors, f.continuation)
     else:

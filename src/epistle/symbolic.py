@@ -20,9 +20,10 @@ for every subformula but atoms and negations, which cost one ``var`` or
 not ``None``): every one of at most three agents and every agent-symmetric
 one, as each fixed setup's is.  Any other matrix, such as a drawn one of
 four agents or more, serves one problem and is translated without the
-table.  ``translate`` checks the table before it recurses, and recurses
-through its module-level name, so a wrapper installed under that name sees
-every call.  A translation that raises enters nothing.  A table past
+table.  ``translate`` dispatches on the node's exact class, atoms and
+negations before the table (an instance of a subclass is not a formula), and
+recurses through its module-level name, so a wrapper installed under that
+name sees every call.  A translation that raises enters nothing.  A table past
 ``kripke.TABLE_LIMIT`` entries is emptied, so every store's table is
 bounded, ``puzzle``'s and a library caller's included.
 """
@@ -63,11 +64,12 @@ def _knows(store: DdStore, obs: ObservabilityMatrix, agent: int, law: DdNode, x:
 def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula) -> DdNode:
     """Diagram whose satisfying ``law``-states are exactly the worlds where
     ``f`` holds; found in, or entered into, the store's translation table."""
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return store.var(f.prop)
-    if isinstance(f, Not):
+    if kind is Not:
         return store.not_(translate(store, obs, law, f.child))
     key = obs.key
     if key is not None:
@@ -75,28 +77,28 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         out = store._translate_cache.get(key)
         if out is not None:
             return out
-    if isinstance(f, And):
+    if kind is And:
         out = store.true
         for c in f.children:
             out = store.and_(out, translate(store, obs, law, c))
-    elif isinstance(f, Or):
+    elif kind is Or:
         out = store.false
         for c in f.children:
             out = store.or_(out, translate(store, obs, law, c))
-    elif isinstance(f, Implies):
+    elif kind is Implies:
         out = store.implies(
             translate(store, obs, law, f.left), translate(store, obs, law, f.right)
         )
-    elif isinstance(f, Knows):
+    elif kind is Knows:
         out = _knows(store, obs, f.agent, law, translate(store, obs, law, f.child))
-    elif isinstance(f, KnowsWhether):
+    elif kind is KnowsWhether:
         # one translation of the child serves both disjuncts
         body = translate(store, obs, law, f.child)
         out = store.or_(
             _knows(store, obs, f.agent, law, body),
             _knows(store, obs, f.agent, law, store.not_(body)),
         )
-    elif isinstance(f, Announced):
+    elif kind is Announced:
         made = translate(store, obs, law, f.announcement)
         out = store.implies(made, translate(store, obs, store.and_(law, made), f.continuation))
     else:

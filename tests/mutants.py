@@ -109,6 +109,14 @@ MUTANTS = (
         "if n <= _MAX_TABLED_AGENTS or _agent_symmetric(rows):",
         "if n < _MAX_TABLED_AGENTS or _agent_symmetric(rows):",
     ),)),
+    Mutant("symbolic_label does not retry StoreCapacity from a retained store", ((
+        "backends.py", "if not held:\n            raise", "raise",
+    ),)),
+    Mutant("symbolic_label keeps a store past RETAINED_NODE_LIMIT", ((
+        "backends.py",
+        "if store._count > RETAINED_NODE_LIMIT or store._count >= store.capacity:",
+        "if store._count >= store.capacity:",
+    ),)),
     Mutant("make_problem labels all announcements but the existential", ((
         "generator.py",
         "verdict = checker(obs, ann_formulas, hyp_formula)",

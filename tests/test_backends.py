@@ -129,6 +129,48 @@ class TestIndexOutsideVocabulary:
         assert str(err.value) == message
 
 
+class KnowsSubclass(Knows):
+    """Not a node class: the formula nodes are the closed ``Formula`` union."""
+
+
+class TestNotAFormula:
+    """A value outside the ``Formula`` union, at the top or nested, is the
+    same ``TypeError`` on every checker and in both interpreters, and enters
+    nothing in either table; an instance of a subclass of a node class is
+    such a value, since both dispatch on the node's exact class."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda store, obs, f: explicit_label(obs, [], f),
+            lambda store, obs, f: symbolic_label(obs, [], f),
+            lambda store, obs, f: both_label(obs, [], f),
+            lambda store, obs, f: kripke._eval(obs, build_initial_model(obs), f),
+            lambda store, obs, f: translate(store, obs, store.true, f),
+        ],
+        ids=["explicit_label", "symbolic_label", "both_label", "_eval", "translate"],
+    )
+    @pytest.mark.parametrize(
+        "f",
+        [
+            None,
+            "p0",
+            And((Atom(0), "p1")),
+            KnowsSubclass(0, Atom(0)),
+            And((Atom(0), KnowsSubclass(1, Atom(1)))),
+        ],
+        ids=["None", "str", "nested str", "Knows subclass", "nested Knows subclass"],
+    )
+    def test_is_a_type_error_that_enters_nothing(self, call, f):
+        obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
+        store = backends._thread.store = DdStore()  # symbolic_label's store too
+        entries = dict(kripke._table)
+        with pytest.raises(TypeError, match="not a formula"):
+            call(store, obs, f)
+        assert kripke._table == entries
+        assert not store._translate_cache
+
+
 class TestAnnouncementContinuation:
     """The continuation of ``[! f] g`` is evaluated where ``f`` was announced.
 
