@@ -1,6 +1,6 @@
 """Textual formula language: parser and canonical printer.
 
-Grammar (ASCII, whitespace between tokens is ignored)::
+Grammar (indices are ASCII digits; any whitespace separates tokens)::
 
     atom          p<digits>
     negation      ~ f
@@ -14,6 +14,11 @@ Grammar (ASCII, whitespace between tokens is ignored)::
 
 Precedence, tightest first: the prefix operators (``~``, ``K``, ``Kw``,
 ``[! ]``), then ``&``, then ``|``, then ``->``.
+
+The whole text is tokenized before parsing, so a bad character anywhere is
+reported before any parse error.  A token is its text (an operator, ``K`` or
+``Kw``, the only words) or its index (a proposition as its ``Atom``, an agent
+index as its ``int``), with its offset; ``None`` ends the text.
 
 Nesting is capped at ``MAX_NESTING`` levels, each a prefix operator, a
 parenthesis, an announcement or the right side of an implication; deeper
@@ -45,16 +50,11 @@ __all__ = ["MAX_NESTING", "parse_formula", "print_formula"]
 
 MAX_NESTING = 100
 
-_ATOM = "atom"
-_INT = "int"
-_NAME = "name"  # K or Kw
-_PUNCT = "punct"
-_EOF = "eof"
 _DIGITS = frozenset("0123456789")  # not str.isdigit, which takes "²" that int() rejects
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
+def _tokenize(text: str) -> list[tuple[object, int]]:
+    tokens: list[tuple[object, int]] = []
     i = 0
     n = len(text)
     while i < n:
@@ -62,39 +62,35 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        start = i
         if ch in _DIGITS or (ch == "p" and text[i + 1 : i + 2] in _DIGITS):
             j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
             atom = ch == "p"
             try:
-                value = int(text[i + atom : j])
+                index = int(text[i + atom : j])
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError(f"index of {j - i - atom} digits is too long", start) from None
-            tokens.append((_ATOM if atom else _INT, value, start))
+                raise ParseError(f"index of {j - i - atom} digits is too long", i) from None
+            tokens.append((Atom(index) if atom else index, i))
             i = j
-        elif ch.isalpha():
-            j = i
+            continue
+        if ch.isalpha():
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
-            word = text[i:j]
-            if word not in ("K", "Kw"):
-                raise ParseError(f"unknown operator {word!r}", start)
-            tokens.append((_NAME, word, start))
-            i = j
+            if text[i:j] not in ("K", "Kw"):
+                raise ParseError(f"unknown operator {text[i:j]!r}", i)
         elif ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append((_PUNCT, "->", start))
-                i += 2
-            else:
-                raise ParseError("expected '->'", start)
+            if text[i + 1 : i + 2] != ">":
+                raise ParseError("expected '->'", i)
+            j = i + 2
         elif ch in "~&|()[]!":
-            tokens.append((_PUNCT, ch, start))
-            i += 1
+            j = i + 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append((_EOF, None, n))
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append((text[i:j], i))
+        i = j
+    tokens.append((None, n))
     return tokens
 
 
@@ -104,31 +100,20 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept(self, value: str) -> bool:
-        kind, val, _ = self.peek()
-        if kind == _PUNCT and val == value:
+    def accept(self, token: str) -> bool:
+        if self.tokens[self.pos][0] == token:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> None:
-        kind, val, offset = self.peek()
-        if kind != _PUNCT or val != value:
-            raise ParseError(f"expected {value!r}", offset)
-        self.pos += 1
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            raise ParseError(f"expected {token!r}", self.tokens[self.pos][1])
 
     def parse(self) -> Formula:
         f = self.implication(0)
-        kind, _, offset = self.peek()
-        if kind != _EOF:
+        token, offset = self.tokens[self.pos]
+        if token is not None:
             raise ParseError("trailing input", offset)
         return f
 
@@ -151,56 +136,50 @@ class _Parser:
         return conj(items)
 
     def unary(self, depth: int) -> Formula:
-        kind, val, offset = self.peek()
+        token, offset = self.tokens[self.pos]
         if depth > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", offset)
-        if kind == _PUNCT and val == "~":
-            self.advance()
+        self.pos += 1
+        if token == "~":
             return Not(self.unary(depth + 1))
-        if kind == _NAME:
-            self.advance()
+        if token == "K" or token == "Kw":
             agent = self.agent_index()
             child = self.unary(depth + 1)
-            return Knows(agent, child) if val == "K" else KnowsWhether(agent, child)
-        if kind == _PUNCT and val == "[":
-            self.advance()
+            return Knows(agent, child) if token == "K" else KnowsWhether(agent, child)
+        if token == "[":
             self.expect("!")
             announcement = self.implication(depth + 1)
             self.expect("]")
             return Announced(announcement, self.unary(depth + 1))
-        if kind == _PUNCT and val == "(":
-            self.advance()
+        if token == "(":
             f = self.implication(depth + 1)
             self.expect(")")
             return f
-        if kind == _ATOM:
-            self.advance()
-            if val >= self.n_agents:
+        if type(token) is Atom:
+            if token.prop >= self.n_agents:
                 raise IndexOutOfRange(
-                    f"proposition p{val} out of range for {self.n_agents} agents", offset
+                    f"proposition p{token.prop} out of range for {self.n_agents} agents", offset
                 )
-            return Atom(val)
+            return token
         raise ParseError("expected a formula", offset)
 
     def agent_index(self) -> int:
         self.expect("[")
-        kind, val, offset = self.peek()
-        if kind != _INT:
+        token, offset = self.tokens[self.pos]
+        if type(token) is not int:
             raise ParseError("expected an agent index", offset)
-        self.advance()
-        if val >= self.n_agents:
-            raise IndexOutOfRange(
-                f"agent {val} out of range for {self.n_agents} agents", offset
-            )
+        if token >= self.n_agents:
+            raise IndexOutOfRange(f"agent {token} out of range for {self.n_agents} agents", offset)
+        self.pos += 1
         self.expect("]")
-        return val
+        return token
 
 
 @lru_cache(maxsize=1 << 12)
 def parse_formula(text: str, n_agents: int) -> Formula:
     """Parse ``text`` into a formula over at most ``n_agents`` agents.
 
-    Raises ``ParseError`` (with a byte offset) on malformed input and
+    Raises ``ParseError`` (with a character offset) on malformed input and
     ``IndexOutOfRange`` when an agent or proposition index is too large.
     Results are memoized on ``(text, n_agents)``: nodes are hash-consed and
     immutable, so a repeated text gets the node a fresh parse would build.
@@ -214,22 +193,23 @@ _IMPLIES, _OR, _AND, _UNARY, _ATOM_LEVEL = 0, 1, 2, 3, 4
 
 
 def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return f"p{f.prop}", _ATOM_LEVEL
-    if isinstance(f, Not):
+    if kind is Not:
         return "~" + _child(f.child, _UNARY), _UNARY
-    if isinstance(f, Knows):
+    if kind is Knows:
         return f"K[{f.agent}] " + _child(f.child, _UNARY), _UNARY
-    if isinstance(f, KnowsWhether):
+    if kind is KnowsWhether:
         return f"Kw[{f.agent}] " + _child(f.child, _UNARY), _UNARY
-    if isinstance(f, Announced):
+    if kind is Announced:
         inner, _ = _render(f.announcement)
         return f"[! {inner}] " + _child(f.continuation, _UNARY), _UNARY
-    if isinstance(f, And):
+    if kind is And:
         return " & ".join(_child(c, _UNARY) for c in f.children), _AND
-    if isinstance(f, Or):
+    if kind is Or:
         return " | ".join(_child(c, _AND) for c in f.children), _OR
-    if isinstance(f, Implies):
+    if kind is Implies:
         return _child(f.left, _OR) + " -> " + _child(f.right, _IMPLIES), _IMPLIES
     raise TypeError(f"not a formula: {f!r}")
 

@@ -8,7 +8,7 @@ class EpistleError(Exception):
 class ParseError(EpistleError):
     """Malformed formula text.
 
-    ``position`` is the byte offset of the offending token in the input.
+    ``position`` is the offset, in characters, not bytes, of the offending token.
     """
 
     def __init__(self, message: str, position: int):

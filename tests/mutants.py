@@ -1,5 +1,6 @@
 """Mutation gate: every named mutant of the checkers, of the rule that keeps
-a matrix, and of the generator's label path must fail tier-1.
+a matrix, of the generator's label path and of the formula parser must fail
+tier-1.
 
     python tests/mutants.py          # tier-1 with -x per mutant
     python tests/mutants.py --full   # the whole tier-1 per mutant, to count kills
@@ -126,6 +127,16 @@ MUTANTS = (
         "generator.py",
         "seen.add((setup, instance.n_agents, instance.ann_formulas, instance.hyp_formula))",
         "seen.add((setup, instance.n_agents, instance.ann_formulas))",
+    ),)),
+    Mutant("the parser does not count the right side of -> toward the nesting cap", ((
+        "dsl.py",
+        "return Implies(left, self.implication(depth + 1))",
+        "return Implies(left, self.implication(depth))",
+    ),)),
+    Mutant("the tokenizer takes Unicode digits through str.isdigit", ((
+        "dsl.py",
+        'if ch in _DIGITS or (ch == "p" and text[i + 1 : i + 2] in _DIGITS):',
+        'if ch.isdigit() or (ch == "p" and text[i + 1 : i + 2].isdigit()):',
     ),)),
 )
 

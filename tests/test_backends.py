@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from epistle import backends, kripke
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
-from epistle.dsl import parse_formula
+from epistle.dsl import parse_formula, print_formula
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
@@ -135,9 +135,10 @@ class KnowsSubclass(Knows):
 
 class TestNotAFormula:
     """A value outside the ``Formula`` union, at the top or nested, is the
-    same ``TypeError`` on every checker and in both interpreters, and enters
-    nothing in either table; an instance of a subclass of a node class is
-    such a value, since both dispatch on the node's exact class."""
+    same ``TypeError`` on every checker, in both interpreters and in the
+    printer, and enters nothing in either table; an instance of a subclass
+    of a node class is such a value, since all three dispatch on the node's
+    exact class."""
 
     @pytest.mark.parametrize(
         "call",
@@ -147,8 +148,9 @@ class TestNotAFormula:
             lambda store, obs, f: both_label(obs, [], f),
             lambda store, obs, f: kripke._eval(obs, build_initial_model(obs), f),
             lambda store, obs, f: translate(store, obs, store.true, f),
+            lambda store, obs, f: print_formula(f),
         ],
-        ids=["explicit_label", "symbolic_label", "both_label", "_eval", "translate"],
+        ids=["explicit_label", "symbolic_label", "both_label", "_eval", "translate", "print_formula"],
     )
     @pytest.mark.parametrize(
         "f",

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epistle.dsl import MAX_NESTING, parse_formula, print_formula
 from epistle.errors import IndexOutOfRange, ParseError
@@ -35,7 +36,7 @@ class TestParse:
 
     def test_whitespace_insensitive(self):
         dense = parse_formula("[!p0|p1]Kw[0]p0", 2)
-        spaced = parse_formula("  [!  p0 |\tp1 ]\n Kw[ 0 ]  p0 ", 2)
+        spaced = parse_formula("  [!  p0 |\tp1 ]\n Kw[ 0 ]\u2003p0 ", 2)  # an em space too
         assert dense == spaced
 
     def test_nary_flattening(self):
@@ -76,6 +77,50 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse_formula(text, 3)
             assert err.value.position == offset
+
+    @pytest.mark.parametrize(
+        "text,error,message,offset",
+        [
+            ("Q p0", ParseError, "unknown operator 'Q'", 0),
+            ("p0 & pK", ParseError, "unknown operator 'pK'", 5),
+            ("p\u00b2", ParseError, "unknown operator 'p'", 0),
+            ("\u00e9", ParseError, "unknown operator '\u00e9'", 0),
+            ("Q" * 80, ParseError, "unknown operator '" + "Q" * 14 + "…" + "Q" * 30 + "'", 0),
+            ("p0 - p1", ParseError, "expected '->'", 3),
+            ("p0 -", ParseError, "expected '->'", 3),
+            ("p0 # p1", ParseError, "unexpected character '#'", 3),
+            ("p0 \u00b2", ParseError, "unexpected character '\u00b2'", 3),
+            ("p" + "1" * 5000, ParseError, "index of 5000 digits is too long", 0),
+            ("p0 & K[" + "1" * 5000 + "] p1", ParseError, "index of 5000 digits is too long", 7),
+            ("K p0", ParseError, "expected '['", 2),
+            ("K[p0] p1", ParseError, "expected an agent index", 2),
+            ("K[0 p1", ParseError, "expected ']'", 4),
+            ("[! p0 p1", ParseError, "expected ']'", 6),
+            ("[p0] p1", ParseError, "expected '!'", 1),
+            ("(p0", ParseError, "expected ')'", 3),
+            ("p0 p1", ParseError, "trailing input", 3),
+            ("p0\u2003p1", ParseError, "trailing input", 3),
+            ("p0 &", ParseError, "expected a formula", 4),
+            ("", ParseError, "expected a formula", 0),
+            ("K[0]", ParseError, "expected a formula", 4),
+            ("~" * 5000 + "p0", ParseError, f"formula nested deeper than {MAX_NESTING} levels", 101),
+            ("p0 -> " * 101 + "p0", ParseError, f"formula nested deeper than {MAX_NESTING} levels", 606),
+            ("p3", IndexOutOfRange, "proposition p3 out of range for 3 agents", 0),
+            ("K[3] p0", IndexOutOfRange, "agent 3 out of range for 3 agents", 2),
+            # the whole text is tokenized first: a bad character anywhere
+            # is reported before a parse error earlier in the text
+            ("p0 p1 #", ParseError, "unexpected character '#'", 6),
+            ("(p0 \u00e9", ParseError, "unknown operator '\u00e9'", 4),
+            ("p3 - p0", ParseError, "expected '->'", 3),
+        ],
+        ids=lambda value: value[:20] if isinstance(value, str) else None,
+    )
+    def test_error_message_and_offset(self, text, error, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, 3)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.position == offset
 
     def test_prop_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -173,3 +218,41 @@ class TestRoundTrip:
     @settings(max_examples=300)
     def test_property(self, f):
         assert parse_formula(print_formula(f), 3) == f
+
+
+# formula characters, ASCII and Unicode digits and spaces, and characters
+# no formula holds
+_CHARS = list("pKw~&|()[]!->0123456789 ") + ["\u00b2", "\u0663", "\u2003", "#", "\u00e9"]
+
+
+def _inserted(args) -> str:
+    text, inserts = args
+    for at, ch in inserts:
+        at %= len(text) + 1
+        text = text[:at] + ch + text[at:]
+    return text
+
+
+# a printed formula with up to four characters inserted, each from _CHARS or
+# arbitrary, often non-ASCII
+_FORMULA_TEXT = st.tuples(
+    formula_strategy().map(print_formula),
+    st.lists(
+        st.tuples(st.integers(0, 1 << 10), st.one_of(st.sampled_from(_CHARS), st.characters())),
+        max_size=4,
+    ),
+).map(_inserted)
+
+
+class TestArbitraryText:
+    """Any text parses to a node that round-trips, or is a ``ParseError``."""
+
+    @given(_FORMULA_TEXT, st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_parses_and_round_trips_or_is_a_parse_error(self, text, n_agents):
+        try:
+            f = parse_formula(text, n_agents)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
+            return
+        assert parse_formula(print_formula(f), n_agents) is f
