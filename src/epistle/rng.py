@@ -7,9 +7,10 @@ seedable, platform independent, and cheap to split.
 Output ``k`` after state ``s`` is ``mix(s + k * golden)``, so outputs are
 computed many at a time: the counters sit in 128-bit lanes of one integer,
 each shift is masked to the low 64 bits of every lane, and a product of two
-64-bit values stays inside its lane.  A generator computes ``LANES`` at a
-time, ``substreams`` the first ``FIRST`` of each of ``BLOCK`` draws.  They
-are the scalar generator's outputs, in order, whichever methods consume them.
+64-bit values stays inside its lane.  One lane layout serves both uses: a
+generator computes ``FIRST`` outputs at a time, ``substreams`` the first
+``FIRST`` of each of ``BLOCK`` draws.  They are the scalar generator's
+outputs, in order, whichever methods consume them.
 
 Splitting rule: substream ``k`` of ``seed`` is ``SplitMix64(split_seed(seed,
 k))``, where ``split_seed(seed, k)`` is the ``(k+1)``-th raw output of a
@@ -31,21 +32,15 @@ _MASK64 = _TWO64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 2.0 ** -53  # spacing of the 53-bit floats in [0, 1)
 
-LANES = 16
-# lane j holds the counter LANES - j steps ahead: ``list.pop`` takes the
-# unpacked outputs in order
-_ONES = sum(1 << 128 * j for j in range(LANES))
-_LOW = _MASK64 * _ONES  # the low 64 bits of every lane
-_STEPS = sum((LANES - j) * _GOLDEN << 128 * j for j in range(LANES))
-_UNPACK = struct.Struct("<" + "Q8x" * LANES).unpack
-
-# ``substreams``: lane d * FIRST + k holds draw d's counter FIRST - k steps
-# ahead; these constants are built from bytes, in time linear in their size
+# lane d * FIRST + k holds state d's counter FIRST - k steps ahead, so
+# ``list.pop`` takes each state's unpacked outputs in order; the lanes of one
+# or BLOCK states repeat one state's, built from bytes in time linear in size
 BLOCK = FIRST = 32
-_FIRST_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * (BLOCK * FIRST), "little")
-_STEP_LANES = b"".join(((FIRST - k) * _GOLDEN).to_bytes(16, "little") for k in range(FIRST))
-_FIRST_STEPS = int.from_bytes(_STEP_LANES * BLOCK, "little")
-_UNPACK_FIRST = struct.Struct("<" + "Q8x" * (BLOCK * FIRST)).unpack
+_LOW = (b"\xff" * 8 + bytes(8)) * FIRST  # the low 64 bits of every lane
+_STEPS = b"".join(((FIRST - k) * _GOLDEN).to_bytes(16, "little") for k in range(FIRST))
+_LANES = {c: (int.from_bytes(_LOW * c, "little"), int.from_bytes(_STEPS * c, "little"))
+          for c in (1, BLOCK)}
+_UNPACK = struct.Struct("<" + "Q8x" * FIRST)
 
 # ``below``'s rejection limit of each bound under 256, which covers every
 # bound the generator passes
@@ -62,6 +57,14 @@ def _mix(z: int, low: int = _MASK64) -> int:
     return z ^ (z >> 31)
 
 
+def _outputs(states: list[int]) -> bytes:
+    """The next ``FIRST`` outputs after each of one or ``BLOCK`` ``states``,
+    packed in their lanes."""
+    low, steps = _LANES[len(states)]
+    z = int.from_bytes(b"".join(s.to_bytes(16, "little") * FIRST for s in states), "little")
+    return _mix((z + steps) & low, low).to_bytes(16 * FIRST * len(states), "little")
+
+
 class SplitMix64:
     """Seedable 64-bit generator with a uniform-int and coin interface."""
 
@@ -73,11 +76,10 @@ class SplitMix64:
         self._pending: list[int] = []
 
     def _refill(self) -> None:
-        """Put the next ``LANES`` outputs behind the pending ones."""
+        """Put the next ``FIRST`` outputs behind the pending ones."""
         s = self._state
-        self._state = (s + LANES * _GOLDEN) & _MASK64
-        z = _mix((s * _ONES + _STEPS) & _LOW, _LOW)
-        self._pending[:0] = _UNPACK(z.to_bytes(16 * LANES, "little"))
+        self._state = (s + FIRST * _GOLDEN) & _MASK64
+        self._pending[:0] = _UNPACK.unpack(_outputs([s]))
 
     def next_u64(self) -> int:
         pending = self._pending
@@ -138,10 +140,7 @@ def substreams(seed: int) -> Iterator[SplitMix64]:
     master = SplitMix64(seed)  # its outputs are the split seeds
     while True:
         seeds = [master.next_u64() for _ in range(BLOCK)]
-        z = int.from_bytes(b"".join(s.to_bytes(16, "little") * FIRST for s in seeds), "little")
-        z = _mix((z + _FIRST_STEPS) & _FIRST_LOW, _FIRST_LOW)
-        outputs = _UNPACK_FIRST(z.to_bytes(16 * BLOCK * FIRST, "little"))
-        for d, s in enumerate(seeds):
+        for s, outputs in zip(seeds, _UNPACK.iter_unpack(_outputs(seeds))):
             rng = SplitMix64(s + FIRST * _GOLDEN)
-            rng._pending = list(outputs[d * FIRST : (d + 1) * FIRST])
+            rng._pending = list(outputs)
             yield rng

@@ -1,6 +1,6 @@
 """Mutation gate: every named mutant of the checkers, of the rule that keeps
-a matrix, of the generator's label path and of the formula parser must fail
-tier-1.
+a matrix, of the generator's label path, of the formula parser and of the
+verbalizer must fail tier-1.
 
     python tests/mutants.py          # tier-1 with -x per mutant
     python tests/mutants.py --full   # the whole tier-1 per mutant, to count kills
@@ -137,6 +137,16 @@ MUTANTS = (
         "dsl.py",
         'if ch in _DIGITS or (ch == "p" and text[i + 1 : i + 2] in _DIGITS):',
         'if ch.isdigit() or (ch == "p" and text[i + 1 : i + 2].isdigit()):',
+    ),)),
+    Mutant("hypotheses say whether for that and that for whether", ((
+        "verbalize.py",
+        'mode = "whether" if layer.whether else "that"',
+        'mode = "whether" if layer.whether == (position == "announcement") else "that"',
+    ),)),
+    Mutant("a reveal sentence names the viewer's card revealed to its owner", ((
+        "verbalize.py",
+        "f\"{names[j]}'s card is revealed to {names[i]}.\"",
+        "f\"{names[i]}'s card is revealed to {names[j]}.\"",
     ),)),
 )
 

@@ -24,10 +24,11 @@ from epistle.formula import (
     Quantifier,
 )
 from epistle.bdd import DdNode, DdStore
-from epistle.kripke import ObservabilityMatrix, announce
+from epistle.kripke import ObservabilityMatrix, announce, label
 from epistle.names import FEMININE_NAMES, MASCULINE_NAMES
 from epistle.rng import SplitMix64
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
+from epistle.symbolic import announce_symbolic, label_symbolic
 
 # ---------------------------------------------------------------------------
 # independent epistemic evaluator (oracle for the kripke backend)
@@ -308,54 +309,95 @@ def read_jsonl(path: str) -> list[dict]:
 # the default configuration's whole problem space (a small-scope check)
 
 
-def expression_forms(n: int, orders) -> list[Formula]:
-    """The formula of every expression the generator can draw over ``n``
-    agents with a belief order in ``orders``: one per form, so a formula that
-    two forms desugar to is listed twice."""
+def expression_specs(n: int, orders) -> list[ExpressionSpec]:
+    """Every expression form the generator can draw over ``n`` agents with a
+    belief order in ``orders``."""
     subjects = (*range(n), Quantifier.EVERYONE, Quantifier.NOT_EVERYONE, Quantifier.NOBODY)
     statements = [StatementSpec(*t) for t in product(subjects, (False, True))]
     layers = [BeliefLayer(*t) for t in product(range(n), (False, True), (False, True))]
     return [
-        ExpressionSpec(outer, statement).to_formula(n)
+        ExpressionSpec(outer, statement)
         for order in orders
         for outer in product(layers, repeat=order)
         for statement in statements
     ]
 
 
-def default_problem_space():
-    """Every matrix, state and hypothesis the default ``GenConfig`` can label
-    (n=2 and 3, ``max_order`` 2), but for the n=3 explicit setup's 512
-    matrices, which stay sampled: n=2 with all 16 matrices and n=3 with the
-    three fixed ones.  A label depends only on these three.
+def expression_forms(n: int, orders) -> list[Formula]:
+    """The formula of each of ``expression_specs(n, orders)``, so a formula
+    that two forms desugar to is listed twice."""
+    return [spec.to_formula(n) for spec in expression_specs(n, orders)]
+
+
+def every_matrix(n: int) -> list[tuple[tuple[bool, ...], ...]]:
+    """The rows of all ``2 ** (n * n)`` observability matrices over ``n``
+    agents."""
+    return [
+        tuple(bits[i * n : (i + 1) * n] for i in range(n))
+        for bits in product((False, True), repeat=n * n)
+    ]
+
+
+def problem_space(n: int, matrices):
+    """Every state and hypothesis the default ``GenConfig`` can label over
+    ``n`` agents on each matrix of ``matrices`` (given by its rows); a label
+    depends only on these three.
 
     Yields ``(n, rows, states, hyps)``.  ``states`` maps each non-empty world
     set that the existential announcement and then 0..n announcement forms
     reach (found with the explicit backend) to the shortest such sequence,
-    existential first; ``hyps`` lists the hypothesis forms.  In all there are
-    112 + 123 states and 310,896 (state, hypothesis) labels.
+    existential first; ``hyps`` lists the hypothesis forms.
     """
-    for n, matrices in (
-        (2, [(bits[:2], bits[2:]) for bits in product((False, True), repeat=4)]),
-        (3, [tuple(tuple(sees(i, j) for j in range(3)) for i in range(3))
-             for sees in (lambda i, j: i != j, lambda i, j: True, lambda i, j: i == j)]),
-    ):
-        existential = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE)).to_formula(n)
-        anns, hyps = expression_forms(n, (0, 1)), expression_forms(n, (1, 2))
-        for rows in matrices:
-            obs = ObservabilityMatrix.from_rows(rows)
-            start = announce(obs, (1 << (1 << n)) - 1, existential)
-            states, frontier = {start: [existential]}, [start]
-            for _ in range(n):
-                reached = []
-                for live in frontier:
-                    for a in anns:
-                        after = announce(obs, live, a)
-                        if after and after not in states:
-                            states[after] = states[live] + [a]
-                            reached.append(after)
-                frontier = reached
-            yield n, rows, states, hyps
+    existential = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE)).to_formula(n)
+    anns, hyps = expression_forms(n, (0, 1)), expression_forms(n, (1, 2))
+    for rows in matrices:
+        obs = ObservabilityMatrix.from_rows(rows)
+        start = announce(obs, (1 << (1 << n)) - 1, existential)
+        states, frontier = {start: [existential]}, [start]
+        for _ in range(n):
+            reached = []
+            for live in frontier:
+                for a in anns:
+                    after = announce(obs, live, a)
+                    if after and after not in states:
+                        states[after] = states[live] + [a]
+                        reached.append(after)
+            frontier = reached
+        yield n, rows, states, hyps
+
+
+def default_problem_space():
+    """``problem_space`` of the default ``GenConfig`` (n=2 and 3, ``max_order``
+    2) but for the n=3 explicit setup's 512 matrices, too many for tier-1:
+    n=2 with all 16 matrices and n=3 with the three fixed ones.  In all there
+    are 112 + 123 states and 310,896 (state, hypothesis) labels.
+    """
+    yield from problem_space(2, every_matrix(2))
+    yield from problem_space(3, [
+        tuple(tuple(sees(i, j) for j in range(3)) for i in range(3))
+        for sees in (lambda i, j: i != j, lambda i, j: True, lambda i, j: i == j)
+    ])
+
+
+def backend_disagreements(n: int, rows, states, hyps) -> int:
+    """The labels of one matrix of ``problem_space``, over its states and
+    distinct hypotheses, on which the symbolic backend differs from the
+    explicit one; every label of a state counts when the symbolic law its
+    announcements leave is not the state."""
+    obs, store = ObservabilityMatrix.from_rows(rows), DdStore()
+    hyps = list(dict.fromkeys(hyps))
+    wrong = 0
+    for live, anns in states.items():
+        law = store.true
+        for a in anns:
+            law = announce_symbolic(store, obs, law, a)
+        if sat_worlds(store, law, n) != worlds(live):
+            wrong += len(hyps)
+            continue
+        wrong += sum(
+            label(obs, live, [], hyp) != label_symbolic(store, obs, law, [], hyp) for hyp in hyps
+        )
+    return wrong
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ from epistle.dsl import parse_formula, print_formula
 from epistle.errors import BackendMismatch, ContradictoryPremise, StoreCapacity
 from epistle.formula import And, Announced, Atom, Implies, Knows, KnowsWhether, Not, Or
 from epistle.generator import GenConfig, iter_problems
-from epistle.kripke import ObservabilityMatrix, announce, build_initial_model, label
+from epistle.kripke import ObservabilityMatrix, announce, build_initial_model
 from epistle.rng import SplitMix64
 from epistle.setups import SetupKind, fixed_observability
 from epistle.symbolic import announce_symbolic, label_symbolic, translate
 
 from support import (
+    backend_disagreements,
     check_reduced,
     default_problem_space,
     oracle_label,
@@ -31,7 +32,6 @@ from support import (
     random_formula,
     reduce_announcements,
     reduced_worlds,
-    sat_worlds,
     worlds,
 )
 
@@ -549,11 +549,4 @@ class TestDefaultProblemSpace:
 
     def test_both_backends_agree_on_every_label(self):
         for n, rows, states, hyps in default_problem_space():
-            obs, store = ObservabilityMatrix.from_rows(rows), DdStore()
-            for live, anns in states.items():
-                law = store.true
-                for a in anns:
-                    law = announce_symbolic(store, obs, law, a)
-                assert sat_worlds(store, law, n) == worlds(live)
-                explicit = [label(obs, live, [], hyp) for hyp in hyps]
-                assert [label_symbolic(store, obs, law, [], hyp) for hyp in hyps] == explicit
+            assert backend_disagreements(n, rows, states, hyps) == 0, rows

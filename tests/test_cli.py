@@ -43,7 +43,7 @@ DEFAULT_DATASET_SHA256 = "b32783b3ba329e0e57bd51f5d3a9df7bd77d0b42760403b0c8fd6b
 # 20`` and with ``--n-agents 32 --per-setup 24``; the second is also what a
 # run writes that rejects contradictory draws on the explicit backend and
 # labels on the symbolic one.  Each explicit draw of the third flips 1,024
-# coins, 64 blocks of generator outputs.
+# coins, 32 blocks of generator outputs.
 SYMBOLIC_DATASETS = [
     (6, 100, "4f289d4da55ef13ef2e9d4dcf699cba1684b5dc2a315fe98037d8b87a40f4b84"),
     (20, 20, "71458b2b33ef227ec7f91fe808050944ac14f61331f6cf5b9ab9955bcab0d596"),

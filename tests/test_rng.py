@@ -9,7 +9,7 @@ from itertools import islice
 
 import pytest
 
-from epistle.rng import BLOCK, FIRST, LANES, SplitMix64, split_seed, substreams
+from epistle.rng import BLOCK, FIRST, SplitMix64, split_seed, substreams
 
 from support import GOLDEN, ScalarSplitMix64, random_float
 
@@ -74,12 +74,13 @@ def test_below_full_range_returns_raw_output():
 
 
 # One call of each kind a program may make; the bounds include 2**63 + 1,
-# which rejects about half of its outputs, and the coin counts cross a block.
+# which rejects about half of its outputs, and the coin counts cross one or
+# two refills.
 _CALLS = (
     ("next_u64",),
     *(("below", b) for b in (1, 2, 3, 7, 2**32, 2**63 + 1, 2**64)),
     *(("chance", p) for p in (0.0, 0.25, 0.5, 0.8, 1.0)),
-    *(("coins", p, k) for p in (1 / 3, 0.5) for k in (0, 1, LANES - 1, LANES, LANES + 1, 40)),
+    *(("coins", p, k) for p in (1 / 3, 0.5) for k in (0, 1, FIRST - 1, FIRST, FIRST + 1, 2 * FIRST + 1)),
 )
 
 
@@ -94,21 +95,22 @@ def test_blocked_outputs_are_the_scalar_outputs(seed):
         for _ in range(script.below(101)):
             name, *args = _CALLS[script.below(len(_CALLS))]
             assert getattr(blocked, name)(*args) == getattr(scalar, name)(*args), (name, args)
-        # the stream goes on where the scalar one is, mid-block or not
-        assert [blocked.next_u64() for _ in range(LANES + 1)] == [
-            scalar.next_u64() for _ in range(LANES + 1)
+        # the stream goes on where the scalar one is, mid-block or not, across
+        # two refills
+        assert [blocked.next_u64() for _ in range(3 * FIRST)] == [
+            scalar.next_u64() for _ in range(3 * FIRST)
         ]
 
 
 def test_below_with_high_rejection_rate_matches_scalar():
     blocked, scalar = SplitMix64(1234567), ScalarSplitMix64(1234567)
     bound = 2**63 + 1
-    assert [blocked.below(bound) for _ in range(3 * LANES)] == [
-        scalar.below(bound) for _ in range(3 * LANES)
+    assert [blocked.below(bound) for _ in range(3 * FIRST)] == [
+        scalar.below(bound) for _ in range(3 * FIRST)
     ]
     # about half the outputs were rejected: count the steps the stream took
     steps = (scalar.state - 1234567) * pow(GOLDEN, -1, 2**64) % 2**64
-    assert steps >= 5 * LANES
+    assert steps >= 5 * FIRST
 
 
 @pytest.mark.parametrize(
@@ -136,8 +138,8 @@ def test_substreams_are_the_scalar_substreams(seed):
     draws = list(islice(substreams(seed), 3 * BLOCK))
     for i in _BATCHED_DRAWS:
         scalar = ScalarSplitMix64(split_seed(seed, i))
-        assert [draws[i].next_u64() for _ in range(FIRST + LANES + 1)] == [
-            scalar.next_u64() for _ in range(FIRST + LANES + 1)
+        assert [draws[i].next_u64() for _ in range(3 * FIRST + 1)] == [
+            scalar.next_u64() for _ in range(3 * FIRST + 1)
         ], i
 
 
@@ -145,11 +147,11 @@ def test_substreams_are_the_scalar_substreams(seed):
 @pytest.mark.parametrize("index", _BATCHED_DRAWS)
 def test_batched_draws_go_on_past_their_first_outputs(seed, index):
     """Each draw of ``substreams`` runs the call script of the blocked test
-    past its ``FIRST`` precomputed outputs."""
+    past its ``FIRST`` precomputed outputs and two refills."""
     script = ScalarSplitMix64(seed ^ index)
     batched = next(islice(substreams(seed), index, None))
     scalar = ScalarSplitMix64(split_seed(seed, index))
-    while _steps(scalar, seed, index) <= FIRST + LANES:
+    while _steps(scalar, seed, index) <= 3 * FIRST:
         name, *args = _CALLS[script.below(len(_CALLS))]
         assert getattr(batched, name)(*args) == getattr(scalar, name)(*args), (name, args)
     assert batched.next_u64() == scalar.next_u64()

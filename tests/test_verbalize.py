@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,9 @@ from epistle.rng import SplitMix64
 from epistle.setups import SetupKind
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 from epistle.verbalize import (
+    announcement_clause,
     number_word,
+    observation_sentences,
     render_belief,
     render_hypothesis,
     render_premise,
@@ -17,8 +20,8 @@ from epistle.verbalize import (
     render_statement,
 )
 
-from inverse import parse_hypothesis, parse_premise
-from support import reference_sample_names
+from inverse import parse_announcement_clause, parse_hypothesis, parse_premise
+from support import every_matrix, expression_specs, reference_sample_names
 
 
 class TestRenderStatement:
@@ -296,6 +299,51 @@ class TestFaithfulness:
             )
             got = tuple(s.to_formula(instance.n_agents) for s in ann_specs)
             assert got == instance.announcement_formulas()
+
+
+# the pool's names that begin with another of its names, after that name
+_POOL = FEMININE_NAMES + MASCULINE_NAMES
+_PREFIX_PAIRS = [(a, b) for a in _POOL for b in _POOL if a != b and b.startswith(a)]
+
+
+def _name_sets(n):
+    """Both names of every prefix pair, each pair in one order at n=2 and in
+    the other at n=3, where the longer name of another pair sits between."""
+    for k, (short, long) in enumerate(_PREFIX_PAIRS):
+        pair = (short, long) if (k + n) % 2 else (long, short)
+        yield pair if n == 2 else (pair[0], _PREFIX_PAIRS[k - 1][1], pair[1])
+
+
+class TestEveryDrawableText:
+    """Every announcement and hypothesis form the generator can write at n=2
+    and 3, in each setup, and the reveal sentences of every explicit matrix,
+    parse back to what they were rendered from."""
+
+    def test_the_pool_has_the_six_prefix_pairs(self):
+        assert sorted(_PREFIX_PAIRS) == [
+            ("Anna", "Annabelle"), ("Carol", "Caroline"), ("Eliza", "Elizabeth"),
+            ("Gabriel", "Gabriella"), ("Joseph", "Josephine"), ("Zoe", "Zoey"),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_text_parses_back(self, n):
+        existential = ExpressionSpec((), StatementSpec(Quantifier.SOMEONE))
+        announcements = [*expression_specs(n, (0, 1)), existential]
+        hypotheses = expression_specs(n, (1, 2))
+        opening = f"There are {number_word(n)} persons. Everyone is visible to others. "
+        for names in _name_sets(n):
+            for setup in SetupKind:
+                for specs, render, parse in (
+                    (announcements, announcement_clause, parse_announcement_clause),
+                    (hypotheses, render_hypothesis, parse_hypothesis),
+                ):
+                    texts = [render(setup, spec, names) for spec in specs]
+                    assert [parse(text, names, setup) for text in texts] == specs
+                    assert len(set(texts)) == len(texts)
+            for rows in every_matrix(n):
+                text = opening + " ".join(observation_sentences(SetupKind.EXPLICIT, names, rows))
+                _, reveals, _ = parse_premise(text, names, SetupKind.EXPLICIT)
+                assert reveals == [(i, j) for i, j in product(range(n), repeat=2) if rows[i][j]]
 
 
 class TestNameHygiene:
