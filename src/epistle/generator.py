@@ -14,6 +14,10 @@ substream, so drawing it on a rejected draw changes no other draw.
 An instance holds the specs its text is rendered from, not the text: the
 text is rendered when it is read, so a record renders it once, when it is
 written.
+
+``ProblemInstance``, ``Rejected`` and ``Hypothesis`` are plain, unhashable
+dataclasses, cheaper to build than frozen ones; ``GenConfig`` and the specs,
+which caches share and ``__post_init__`` validates, stay frozen.
 """
 
 from __future__ import annotations
@@ -99,14 +103,14 @@ class GenConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Hypothesis:
     formula: Formula
     text: str
     order: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProblemInstance:
     """A labeled problem: its formulas and the specs their text is rendered
     from."""
@@ -143,7 +147,7 @@ class ProblemInstance:
         return self.ann_formulas
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rejected:
     """A discarded draw; kept as a value so callers can count reasons."""
 
@@ -208,7 +212,7 @@ def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpe
 
 def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula, ExpressionSpec]:
     """Belief order uniform on ``1..max_order``; layers drawn outermost first."""
-    layers = tuple(_layer(rng, n, P_NEGATE_OTHER) for _ in range(1 + rng.below(max_order)))
+    layers = tuple([_layer(rng, n, P_NEGATE_OTHER) for _ in range(1 + rng.below(max_order))])
     return _expression(n, layers, _statement(rng, n))
 
 

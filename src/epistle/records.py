@@ -3,6 +3,7 @@
 One record per line, UTF-8, LF endings, as the standard library's JSON
 encoder writes it with ``ensure_ascii=False``: keys in field declaration
 order, so identical configurations produce byte-identical files.
+``DatasetRecord`` is plain, not frozen: cheaper to build, and never changed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = ["DatasetRecord", "record_from_instance", "write_jsonl"]
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DatasetRecord:
     premise: str
     hypothesis: str

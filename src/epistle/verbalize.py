@@ -35,25 +35,31 @@ def number_word(n: int) -> str:
     return str(n)
 
 
-def _subject_text(subject: Subject, names: Sequence[str]) -> str:
-    if isinstance(subject, Quantifier):
-        return subject.value  # "everyone", "not everyone", "nobody", "someone"
-    return names[subject]
+_QUANTIFIER_WORDS = {q: q.value for q in Quantifier}  # "everyone", "not everyone", ...
+_MUD = ("'s forehead is muddy", "'s forehead is not muddy")
+# What follows the subject in each setup, by the statement's negated flag.
+_PREDICATES = {
+    SetupKind.FOREHEAD_MUD: _MUD,
+    SetupKind.FOREHEAD_MUD_MIRROR: _MUD,
+    SetupKind.THIRST: (" is thirsty", " is not thirsty"),
+    SetupKind.EXPLICIT: (" picked a red card", " did not pick a red card"),
+}
+# A belief layer's verb by position, then by [negated][outermost].
+_VERBS = {
+    "announcement": (("knows", "knows"), ("does not know", "does not know")),
+    "hypothesis": (("can know", "can now know"), ("cannot know", "cannot know")),
+}
+_MODES = ("that", "whether")  # by the layer's whether flag
 
 
 def render_statement(
     setup: SetupKind, subject: Subject, negated: bool, names: Sequence[str]
 ) -> str:
     """Clause for one predicate statement, e.g. "Herbert's forehead is muddy"."""
-    who = _subject_text(subject, names)
-    if setup in (SetupKind.FOREHEAD_MUD, SetupKind.FOREHEAD_MUD_MIRROR):
-        return f"{who}'s forehead is {'not ' if negated else ''}muddy"
-    if setup is SetupKind.THIRST:
-        return f"{who} is {'not ' if negated else ''}thirsty"
-    if setup is SetupKind.EXPLICIT:
-        verb = "did not pick" if negated else "picked"
-        return f"{who} {verb} a red card"
-    raise ValueError(f"unknown setup {setup!r}")
+    if setup not in _PREDICATES:
+        raise ValueError(f"unknown setup {setup!r}")
+    who = _QUANTIFIER_WORDS[subject] if isinstance(subject, Quantifier) else names[subject]
+    return who + _PREDICATES[setup][negated]
 
 
 def render_belief(
@@ -67,24 +73,13 @@ def render_belief(
     with an announcement.  Nested layers compose right to left; with no
     layers the clause is the bare statement.
     """
-    if position not in ("announcement", "hypothesis"):
+    if position not in _VERBS:
         raise ValueError(f"unknown position {position!r}")
-    clause = render_statement(
-        setup, spec.statement.subject, spec.statement.negated, names
-    )
-    for depth, layer in enumerate(reversed(spec.layers)):
-        outermost = depth == len(spec.layers) - 1
-        who = names[layer.knower]
-        mode = "whether" if layer.whether else "that"
-        if position == "announcement":
-            verb = "does not know" if layer.negated else "knows"
-        elif layer.negated:
-            verb = "cannot know"
-        elif outermost:
-            verb = "can now know"
-        else:
-            verb = "can know"
-        clause = f"{who} {verb} {mode} {clause}"
+    verbs, layers, statement = _VERBS[position], spec.layers, spec.statement
+    clause = render_statement(setup, statement.subject, statement.negated, names)
+    for depth, layer in enumerate(reversed(layers), 1 - len(layers)):  # the outermost is 0
+        mode = _MODES[layer.whether]
+        clause = f"{names[layer.knower]} {verbs[layer.negated][depth == 0]} {mode} {clause}"
     return clause
 
 

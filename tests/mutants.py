@@ -140,8 +140,11 @@ MUTANTS = (
     ),)),
     Mutant("hypotheses say whether for that and that for whether", ((
         "verbalize.py",
-        'mode = "whether" if layer.whether else "that"',
-        'mode = "whether" if layer.whether == (position == "announcement") else "that"',
+        "mode = _MODES[layer.whether]",
+        'mode = _MODES[layer.whether != (position == "hypothesis")]',
+    ),)),
+    Mutant("hypotheses say \"can now know\" on the inner layers, not the outermost", ((
+        "verbalize.py", '("can know", "can now know")', '("can now know", "can know")',
     ),)),
     Mutant("a reveal sentence names the viewer's card revealed to its owner", ((
         "verbalize.py",

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -352,3 +353,22 @@ class TestGenerateBalanced:
             GenConfig(max_order=49)
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             parse_formula(deepest(49), 2)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (ObservabilityMatrix.from_rows(((False, True), (True, False))), "rows"),
+        (GenConfig(), "seed"),
+        (ExpressionSpec((), StatementSpec(0)), "layers"),
+        (StatementSpec(0), "negated"),
+        (BeliefLayer(0, True), "whether"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_shared_values_stay_frozen(value, field):
+    """A matrix is shared through kripke's ``_SHARED`` table, specs through
+    ``_spec_tables`` and ``_expression``'s cache, and a config is validated
+    once in ``__post_init__``; assigning a field of any of them raises."""
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, field, getattr(value, field))

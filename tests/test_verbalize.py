@@ -1,3 +1,4 @@
+import hashlib
 import re
 from itertools import product
 
@@ -314,10 +315,19 @@ def _name_sets(n):
         yield pair if n == 2 else (pair[0], _PREFIX_PAIRS[k - 1][1], pair[1])
 
 
+# sha256 over every announcement and hypothesis text that
+# test_every_text_parses_back renders, one per line in its order; parsing
+# back alone would pass a change of spacing or wording
+_DRAWABLE_TEXT_SHA256 = {
+    2: "f9bebad70c88622ffc89548a418299b4bf641e8ce054841699754a8ceb485716",
+    3: "1379f8573ffbc83624a275c9fa4c9d32875ecce40ff0cbb8f5776c847ed3e0a6",
+}
+
+
 class TestEveryDrawableText:
     """Every announcement and hypothesis form the generator can write at n=2
     and 3, in each setup, and the reveal sentences of every explicit matrix,
-    parse back to what they were rendered from."""
+    parse back to what they were rendered from, and are the pinned bytes."""
 
     def test_the_pool_has_the_six_prefix_pairs(self):
         assert sorted(_PREFIX_PAIRS) == [
@@ -331,6 +341,7 @@ class TestEveryDrawableText:
         announcements = [*expression_specs(n, (0, 1)), existential]
         hypotheses = expression_specs(n, (1, 2))
         opening = f"There are {number_word(n)} persons. Everyone is visible to others. "
+        digest = hashlib.sha256()
         for names in _name_sets(n):
             for setup in SetupKind:
                 for specs, render, parse in (
@@ -340,10 +351,12 @@ class TestEveryDrawableText:
                     texts = [render(setup, spec, names) for spec in specs]
                     assert [parse(text, names, setup) for text in texts] == specs
                     assert len(set(texts)) == len(texts)
+                    digest.update("".join(text + "\n" for text in texts).encode())
             for rows in every_matrix(n):
                 text = opening + " ".join(observation_sentences(SetupKind.EXPLICIT, names, rows))
                 _, reveals, _ = parse_premise(text, names, SetupKind.EXPLICIT)
                 assert reveals == [(i, j) for i, j in product(range(n), repeat=2) if rows[i][j]]
+        assert digest.hexdigest() == _DRAWABLE_TEXT_SHA256[n]
 
 
 class TestNameHygiene:
