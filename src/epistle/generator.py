@@ -16,8 +16,8 @@ text is rendered when it is read, so a record renders it once, when it is
 written.
 
 ``ProblemInstance``, ``Rejected`` and ``Hypothesis`` are plain, unhashable
-dataclasses, cheaper to build than frozen ones; ``GenConfig`` and the specs,
-which caches share and ``__post_init__`` validates, stay frozen.
+dataclasses, cheaper to build than frozen ones; the specs, which caches
+share, and ``GenConfig``, validated in ``__post_init__``, stay frozen.
 """
 
 from __future__ import annotations
