@@ -17,12 +17,12 @@ fixed setup), decided from the rows alone; each carries ``key``, an int no
 other rows get in this process, and every other matrix has ``key = None``.  One
 evaluation table, which the process's threads share, maps ``(key, live,
 subformula)`` to the world set the subformula holds at, for every subformula
-but atoms and negations (one mask or one ``xor`` anyway), at up to three
-agents.  ``_eval`` dispatches on the node's exact class, atoms and negations
-before the table (an instance of a subclass is not a formula), and recurses
-through its module-level name, so a wrapper installed under that name sees
-every call.  An evaluation that raises enters nothing.  The table is emptied
-past ``TABLE_LIMIT`` entries, as each symbolic translation table is.
+but atoms (one mask anyway), negations included, at up to three agents.
+``_eval`` dispatches on the node's exact class, atoms before the table (an
+instance of a subclass is not a formula), and recurses through its
+module-level name, so a wrapper installed under that name sees every call.
+An evaluation that raises enters nothing.  The table is emptied past
+``TABLE_LIMIT`` entries, as each symbolic translation table is.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ MAX_EXPLICIT_AGENTS = 20
 _MAX_TABLED_AGENTS = 3
 
 # Entries a table may hold before it is emptied.  Every key names a matrix
-# kept for the process.  Over the 5,000 label-mix problems (n=2-3) the
-# evaluation table ends at 6,883-7,060 entries and the translation table at
-# 6,120-6,277, at seeds 1, 2, 3, 7, 13 and 42, so neither is emptied there.
-# An evaluation entry takes about 110 B (the dict slot, the key tuple and the
-# world-set ints), so a full evaluation table holds about 1 MB per process.
-TABLE_LIMIT = 1 << 13
+# kept for the process.  Over 5,000 label-mix problems (n=2-3) and their draw
+# the evaluation table ends at 12,430-12,860 entries and the translation table
+# at 10,662-11,042, at seeds 1, 2, 3, 7, 13 and 42: neither is emptied there,
+# as both were mid-pass at 1 << 13.  An entry takes about 110 B (dict slot, key
+# tuple, world-set ints), so a full evaluation table holds about 2 MB.
+TABLE_LIMIT = 1 << 14
 
 # Threads share it: an entry depends only on its key, whose matrix the process
 # keeps; dict get, set and clear are atomic, so a race only costs repeated work.
@@ -186,15 +186,15 @@ def _eval(obs: ObservabilityMatrix, live: int, f: Formula) -> int:
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return live & _atom_masks(obs.n)[f.prop]
-    if kind is Not:
-        return live ^ _eval(obs, live, f.child)
     tabled = obs.n <= _MAX_TABLED_AGENTS
     if tabled:
         key = (obs.key, live, f)
         out = _table.get(key)
         if out is not None:
             return out
-    if kind is And:
+    if kind is Not:
+        out = live ^ _eval(obs, live, f.child)
+    elif kind is And:
         out = live
         for c in f.children:
             out &= _eval(obs, live, c)

@@ -15,15 +15,15 @@ mask of live worlds).  A proposition or agent index outside ``0..n-1`` is a
 
 The store keeps a translation table beside its ``ite`` and ``forall``
 caches.  It maps ``(obs.key, law, subformula)`` to the translated diagram
-for every subformula but atoms and negations, which cost one ``var`` or
-``ite`` lookup anyway, and only for a matrix the process keeps (``key`` is
-not ``None``): every one of at most three agents and every agent-symmetric
+for every subformula but atoms (one ``var`` lookup anyway), negations
+included, and only for a matrix the process keeps (``key`` is not
+``None``): every one of at most three agents and every agent-symmetric
 one, as each fixed setup's is.  Any other matrix, such as a drawn one of
 four agents or more, serves one problem and is translated without the
-table.  ``translate`` dispatches on the node's exact class, atoms and
-negations before the table (an instance of a subclass is not a formula), and
-recurses through its module-level name, so a wrapper installed under that
-name sees every call.  A translation that raises enters nothing.  A table past
+table.  ``translate`` dispatches on the node's exact class, atoms before
+the table (an instance of a subclass is not a formula), and recurses
+through its module-level name, so a wrapper installed under that name sees
+every call.  A translation that raises enters nothing.  A table past
 ``kripke.TABLE_LIMIT`` entries is emptied, so every store's table is
 bounded, ``puzzle``'s and a library caller's included.
 """
@@ -69,15 +69,15 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
         if not 0 <= f.prop < obs.n:
             raise ValueError(f"proposition p{f.prop} outside vocabulary of {obs.n}")
         return store.var(f.prop)
-    if kind is Not:
-        return store.not_(translate(store, obs, law, f.child))
     key = obs.key
     if key is not None:
         key = (key, law, f)
         out = store._translate_cache.get(key)
         if out is not None:
             return out
-    if kind is And:
+    if kind is Not:
+        out = store.not_(translate(store, obs, law, f.child))
+    elif kind is And:
         out = store.true
         for c in f.children:
             out = store.and_(out, translate(store, obs, law, c))

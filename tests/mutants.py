@@ -60,6 +60,16 @@ MUTANTS = (
     Mutant("evaluation table key without the matrix", ((
         "kripke.py", "key = (obs.key, live, f)", "key = (live, f)",
     ),)),
+    Mutant("explicit Not complements past the world set", ((
+        "kripke.py",
+        "out = live ^ _eval(obs, live, f.child)",
+        "out = ~_eval(obs, live, f.child)",
+    ),)),
+    Mutant("symbolic Not returns its child's diagram", ((
+        "symbolic.py",
+        "out = store.not_(translate(store, obs, law, f.child))",
+        "out = translate(store, obs, law, f.child)",
+    ),)),
     Mutant("symbolic Announced keeps the old law", (SYMBOLIC_ANNOUNCED,)),
     Mutant("translation table key without the law", ((
         "symbolic.py", "key = (key, law, f)", "key = (key, f)",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epistle import backends, kripke
+from epistle import backends, kripke, symbolic
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.dsl import parse_formula, print_formula
@@ -401,6 +401,62 @@ class TestTranslationTable:
                 explicit_label(obs, [], h) for h in hyps
             ]
             del obs
+
+
+class TestNegationTables:
+    """A negation enters either table as any compound does: only atoms pass by."""
+
+    ANNOUNCEMENT = Not(And((Atom(0), Atom(1))))
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        kripke._table.clear()
+        yield
+        kripke._table.clear()
+
+    def test_negations_of_an_atom_and_of_a_compound_enter_both_tables(self):
+        obs = fixed_observability(SetupKind.THIRST, 3)
+        for hyp in (Not(Atom(0)), Not(Or((Atom(0), Knows(1, Atom(2)))))):
+            assert both_label(obs, [], hyp) is False
+            assert (obs.key, 0b11111111, hyp) in kripke._table
+            assert (obs.key, kept_store().true, hyp) in kept_store()._translate_cache
+
+    def test_a_warm_label_takes_one_call_per_negated_formula_on_each_backend(self, monkeypatch):
+        calls = []
+        for module, name in ((kripke, "_eval"), (symbolic, "translate")):
+            original = getattr(module, name)
+
+            def counting(*args, original=original):
+                calls.append(args[-1])
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        obs = fixed_observability(SetupKind.THIRST, 3)
+        hyp = Not(KnowsWhether(0, Atom(1)))
+        first = both_label(obs, [self.ANNOUNCEMENT], hyp)
+        calls.clear()
+        assert both_label(obs, [self.ANNOUNCEMENT], hyp) is first
+        assert calls == [self.ANNOUNCEMENT, hyp] * 2
+
+    @pytest.mark.parametrize("checker", [explicit_label, symbolic_label])
+    def test_a_negation_that_raises_enters_nothing(self, checker):
+        obs = fixed_observability(SetupKind.THIRST, 3)
+        symbolic_label(obs, [], Atom(0))  # keeps a store on this thread
+        for hyp in (Not(Atom(3)), Not(And((Atom(0), Not(Atom(3)))))):
+            with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                checker(obs, [self.ANNOUNCEMENT], hyp)
+            entered = [key[2] for key in (*kripke._table, *kept_store()._translate_cache)]
+            assert set(entered) <= {self.ANNOUNCEMENT, self.ANNOUNCEMENT.child}
+
+    def test_negations_under_a_drawn_matrix_enter_nothing(self):
+        # thirst plus one reveal: not agent-symmetric, so not kept
+        rows = [[i == j or (i, j) == (0, 1) for j in range(4)] for i in range(4)]
+        drawn = ObservabilityMatrix.from_rows(rows)
+        assert drawn.key is None
+        hyp = Not(Knows(0, Not(Atom(1))))
+        expected = oracle_label(4, drawn.rows, [self.ANNOUNCEMENT], hyp)
+        assert both_label(drawn, [self.ANNOUNCEMENT], hyp) is expected
+        assert not kripke._table and not kept_store()._translate_cache
 
 
 class TestSharedMatrices:

@@ -137,10 +137,16 @@ class TestObservabilityMatrix:
         first, again = ObservabilityMatrix.from_rows(rows), ObservabilityMatrix(rows)
         assert first == again and first is not again
         assert first.key is None and again.key is None and rows not in kripke._SHARED
-        hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(3)))))))
-        anns = [Or((Atom(0), Atom(1)))]
         kripke._table.clear()
-        assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
+        problems = [
+            (
+                [Or((Atom(0), Atom(1)))],
+                KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(3))))))),
+            ),
+            ([Not(And((Atom(0), Atom(1))))], Not(Knows(3, Not(Atom(2))))),
+        ]
+        for anns, hyp in problems:
+            assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
         assert not kripke._table
 
     @pytest.mark.parametrize("n", [4, 6, 8])
@@ -524,6 +530,42 @@ class TestEvaluationTable:
         # the second matrix finds every entry of the first and enters none
         assert [outcome(explicit_label, second, anns, hyp) for anns, hyp in problems] == labels
         assert kripke._table == entries
+
+    def test_negations_of_an_atom_and_of_a_compound_are_entered(self):
+        obs, full = thirst(3), 0b11111111
+        either = Or((Atom(0), Knows(1, Atom(2))))
+        p0, holds = kripke._atom_masks(3)[0], kripke._eval(obs, full, either)
+        assert explicit_label(obs, [], Not(Atom(0))) is False
+        assert explicit_label(obs, [], Not(either)) is False
+        assert kripke._table == {
+            (obs.key, full, Not(Atom(0))): full ^ p0,
+            (obs.key, full, either): holds,
+            (obs.key, full, Not(either)): full ^ holds,
+            (obs.key, full, Knows(1, Atom(2))): kripke._eval(obs, full, Knows(1, Atom(2))),
+        }
+
+    def test_a_warm_negated_hypothesis_takes_one_call(self, monkeypatch):
+        calls = []
+        original = kripke._eval
+
+        def counting(obs, live, f):
+            calls.append(f)
+            return original(obs, live, f)
+
+        # the recursion looks ``_eval`` up on the module, so it counts too
+        monkeypatch.setattr(kripke, "_eval", counting)
+        hyp = Not(KnowsWhether(0, And((Atom(1), Not(Atom(2))))))
+        first = explicit_label(thirst(3), [], hyp)
+        assert len(calls) == 6
+        calls.clear()
+        assert explicit_label(thirst(3), [], hyp) is first
+        assert calls == [hyp]
+
+    def test_a_negation_that_raises_enters_nothing(self):
+        for hyp in (Not(Atom(3)), Not(And((Atom(0), Not(Atom(3)))))):
+            with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                explicit_label(thirst(3), [], hyp)
+            assert not kripke._table
 
     def test_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)

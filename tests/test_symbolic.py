@@ -137,6 +137,53 @@ class TestTranslate:
         # the third entry passed the limit: the table was emptied
         assert not store._translate_cache
 
+    def test_negations_of_an_atom_and_of_a_compound_are_entered(self):
+        store, obs = DdStore(), forehead(3)
+        either = Or((Atom(0), Knows(1, Atom(2))))
+        translate(store, obs, store.true, Not(Atom(0)))
+        translate(store, obs, store.true, Not(either))
+        table = store._translate_cache
+        assert set(table) == {
+            (obs.key, store.true, f) for f in (Not(Atom(0)), either, Knows(1, Atom(2)), Not(either))
+        }
+        assert table[obs.key, store.true, Not(Atom(0))] is store.not_(store.var(0))
+        assert table[obs.key, store.true, Not(either)] is store.not_(
+            table[obs.key, store.true, either]
+        )
+
+    def test_a_warm_negated_hypothesis_takes_one_call(self, monkeypatch):
+        calls = []
+        original = symbolic.translate
+
+        def counting(store, obs, law, f):
+            calls.append(f)
+            return original(store, obs, law, f)
+
+        monkeypatch.setattr(symbolic, "translate", counting)
+        store, obs = DdStore(), forehead(3)
+        hyp = Not(KnowsWhether(0, And((Atom(1), Not(Atom(2))))))
+        first = label_symbolic(store, obs, store.true, [], hyp)
+        assert len(calls) == 6
+        calls.clear()
+        assert label_symbolic(store, obs, store.true, [], hyp) is first
+        assert calls == [hyp]
+
+    def test_a_negation_that_raises_enters_nothing(self):
+        store = DdStore()
+        for f in (Not(Atom(3)), Not(And((Atom(0), Not(Atom(3)))))):
+            with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                translate(store, forehead(3), store.true, f)
+            assert not store._translate_cache
+
+    def test_negations_under_a_drawn_matrix_enter_nothing(self):
+        rows = ((True, False, False, True), (False,) * 4, (True,) * 4, (False, True, True, False))
+        store, obs = DdStore(), ObservabilityMatrix.from_rows(rows)
+        assert obs.key is None
+        anns, hyp = [Not(And((Atom(0), Atom(1))))], Not(Knows(3, Not(Atom(2))))
+        expected = label(obs, build_initial_model(obs), anns, hyp)
+        assert label_symbolic(store, obs, store.true, anns, hyp) is expected
+        assert not store._translate_cache
+
 
 class TestAnnounceSymbolic:
     def test_tautology_returns_same_law_node(self):
