@@ -32,14 +32,15 @@ Checker = Callable[[ObservabilityMatrix, list[Formula], Formula], bool]
 
 # Nodes a thread's store may still hold when a symbolic call ends and be kept
 # for the next one; a larger store is dropped, since nodes are never freed.
-# Kept across all 5,000 label-mix problems (n=2-3), the store ends at 82-98
-# nodes at seeds 1, 2, 3, 7, 13 and 42 (95 at seed 7, with 1,041 ite and 218
+# Kept across all 5,000 label-mix problems (n=2-3), the store ends at 83-102
+# nodes at seeds 1, 2, 3, 7, 13 and 42 (95 at seed 7, with 1,086 ite and 218
 # forall cache entries), and across the n=6, max_order=3 generation
 # (gen-large) at 727 nodes.  Generation at n=16 and n=20 (max_order=4, 400
 # per setup) passes the limit and drops the store once and three times.
-# Nodes and cache entries together take about 0.6 KB per node (8.6 MB at
-# 15,104 nodes under tracemalloc), so 2^14 caps what a thread holds between
-# calls at about 10 MB.
+# Nodes, cache entries and both tables together take about 0.67 KB per node
+# (11.0 MB freed under tracemalloc when n=16 generation drops a store of
+# 16,392 nodes and 9,775 steps), so 2^14 caps what a thread holds between
+# calls at about 11 MB.
 RETAINED_NODE_LIMIT = 1 << 14
 
 _thread = threading.local()

@@ -9,9 +9,10 @@ memoized if-then-else.
 A store and every diagram built from it belong to one thread; diagrams from
 different stores must never be mixed.  The symbolic backend keeps one store
 per thread across labels (``epistle.backends``), so nodes and cached results
-outlive the label that made them.  A third table, which ``epistle.symbolic``
-fills, maps translated formulas under a matrix the process keeps to their
-diagrams; it is emptied past ``kripke.TABLE_LIMIT`` entries.
+outlive the label that made them.  Two more tables, which ``epistle.symbolic``
+fills, map a formula under a matrix the process keeps and a state law to its
+translation and to the state step ``law ∧ ⟦f⟧``; each is emptied past
+``kripke.TABLE_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def default_node_capacity() -> int:
 
 
 class DdStore:
-    """Owns the unique table, the operation caches, the translation table
-    and the two terminals; holds at most ``default_node_capacity()`` nodes."""
+    """Owns the unique table, the operation caches, the translation and step
+    tables and the two terminals; holds at most ``default_node_capacity()`` nodes."""
 
     def __init__(self):
         self.capacity = default_node_capacity()
@@ -72,6 +73,7 @@ class DdStore:
         self._ite_cache: dict[tuple, DdNode] = {}
         self._forall_cache: dict[tuple, DdNode] = {}
         self._translate_cache: dict[tuple, DdNode] = {}
+        self._step_cache: dict[tuple, DdNode] = {}
         self._count = 2  # the terminals
 
     def __len__(self) -> int:

@@ -65,10 +65,11 @@ _MAX_TABLED_AGENTS = 3
 
 # Entries a table may hold before it is emptied.  Every key names a matrix
 # kept for the process.  Over 5,000 label-mix problems (n=2-3) and their draw
-# the evaluation table ends at 12,430-12,860 entries and the translation table
-# at 10,662-11,042, at seeds 1, 2, 3, 7, 13 and 42: neither is emptied there,
-# as both were mid-pass at 1 << 13.  An entry takes about 110 B (dict slot, key
-# tuple, world-set ints), so a full evaluation table holds about 2 MB.
+# the evaluation table ends at 12,430-12,860 entries, the translation table
+# at 10,662-11,042 and the symbolic step table at 5,767-5,893, at seeds 1, 2,
+# 3, 7, 13 and 42: none is emptied there, as the first two were mid-pass at
+# 1 << 13.  An entry takes about 110 B (dict slot, key tuple, world-set ints),
+# so a full evaluation table holds about 2 MB.
 TABLE_LIMIT = 1 << 14
 
 # Threads share it: an entry depends only on its key, whose matrix the process

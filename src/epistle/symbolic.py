@@ -26,6 +26,12 @@ through its module-level name, so a wrapper installed under that name sees
 every call.  A translation that raises enters nothing.  A table past
 ``kripke.TABLE_LIMIT`` entries is emptied, so every store's table is
 bounded, ``puzzle``'s and a library caller's included.
+
+Beside it, under the same key and rules, ``announce_symbolic`` enters the
+state step ``law ∧ ⟦f⟧`` in the store's step table, as ``kripke._eval``
+returns ``live ∩ ⟦f⟧``.  A label folds its announcements through the step
+and holds when the hypothesis's step leaves the law as it is (diagrams are
+canonical), so announcements and hypotheses share entries.
 """
 
 from __future__ import annotations
@@ -114,8 +120,21 @@ def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula)
 def announce_symbolic(
     store: DdStore, obs: ObservabilityMatrix, law: DdNode, psi: Formula
 ) -> DdNode:
-    """Conjoin the announced formula onto the state law."""
-    return store.and_(law, translate(store, obs, law, psi))
+    """Conjoin the announced formula onto the state law: ``law ∧ ⟦psi⟧``,
+    found in, or entered into, the store's step table."""
+    key = obs.key
+    if key is not None:
+        key = (key, law, psi)
+        out = store._step_cache.get(key)
+        if out is not None:
+            return out
+    out = store.and_(law, translate(store, obs, law, psi))
+    if key is not None:
+        table = store._step_cache
+        table[key] = out
+        if len(table) > kripke.TABLE_LIMIT:
+            table.clear()
+    return out
 
 
 def _announce_all(
@@ -124,7 +143,7 @@ def _announce_all(
     """The state law after ``anns``, or the index of the first announcement
     that falsifies it."""
     for i, a in enumerate(anns):
-        law = store.and_(law, translate(store, obs, law, a))
+        law = announce_symbolic(store, obs, law, a)
         if law is store.false:
             return i
     return law
@@ -147,4 +166,5 @@ def label_symbolic(
     law = _announce_all(store, obs, law, anns)
     if isinstance(law, int):
         raise ContradictoryPremise(f"announcement {law + 1} falsifies the state law")
-    return store.implies(law, translate(store, obs, law, hyp)) is store.true
+    # diagrams are canonical: law ∧ ⟦hyp⟧ is law exactly when law entails hyp
+    return announce_symbolic(store, obs, law, hyp) is law

@@ -74,6 +74,14 @@ MUTANTS = (
     Mutant("translation table key without the law", ((
         "symbolic.py", "key = (key, law, f)", "key = (key, f)",
     ),)),
+    Mutant("step table key without the law", ((
+        "symbolic.py", "key = (key, law, psi)", "key = (key, psi)",
+    ),)),
+    Mutant("hypothesis holds when law ∧ hyp is not false", ((
+        "symbolic.py",
+        "return announce_symbolic(store, obs, law, hyp) is law",
+        "return announce_symbolic(store, obs, law, hyp) is not store.false",
+    ),)),
     Mutant("Announced keeps the old state in both backends", (
         KRIPKE_ANNOUNCED, SYMBOLIC_ANNOUNCED,
     )),

@@ -421,22 +421,32 @@ class TestNegationTables:
             assert (obs.key, 0b11111111, hyp) in kripke._table
             assert (obs.key, kept_store().true, hyp) in kept_store()._translate_cache
 
-    def test_a_warm_label_takes_one_call_per_negated_formula_on_each_backend(self, monkeypatch):
-        calls = []
+    def test_a_warm_label_takes_one_eval_per_negated_formula_and_no_translation(
+        self, monkeypatch
+    ):
+        calls = {"_eval": [], "translate": []}
         for module, name in ((kripke, "_eval"), (symbolic, "translate")):
             original = getattr(module, name)
 
-            def counting(*args, original=original):
-                calls.append(args[-1])
+            def counting(*args, original=original, name=name):
+                calls[name].append(args[-1])
                 return original(*args)
 
             monkeypatch.setattr(module, name, counting)
         obs = fixed_observability(SetupKind.THIRST, 3)
         hyp = Not(KnowsWhether(0, Atom(1)))
         first = both_label(obs, [self.ANNOUNCEMENT], hyp)
-        calls.clear()
+        calls["_eval"].clear()
+        calls["translate"].clear()
         assert both_label(obs, [self.ANNOUNCEMENT], hyp) is first
-        assert calls == [self.ANNOUNCEMENT, hyp] * 2
+        assert calls == {"_eval": [self.ANNOUNCEMENT, hyp], "translate": []}
+        # the translation table answers each negation itself in one call
+        store = kept_store()
+        law = announce_symbolic(store, obs, store.true, self.ANNOUNCEMENT)
+        for _ in range(2):
+            symbolic.translate(store, obs, store.true, self.ANNOUNCEMENT)
+            symbolic.translate(store, obs, law, hyp)
+        assert calls["translate"] == [self.ANNOUNCEMENT, hyp] * 2
 
     @pytest.mark.parametrize("checker", [explicit_label, symbolic_label])
     def test_a_negation_that_raises_enters_nothing(self, checker):
@@ -457,6 +467,61 @@ class TestNegationTables:
         expected = oracle_label(4, drawn.rows, [self.ANNOUNCEMENT], hyp)
         assert both_label(drawn, [self.ANNOUNCEMENT], hyp) is expected
         assert not kripke._table and not kept_store()._translate_cache
+
+
+class TestStepTable:
+    """Announcements and hypotheses share the kept store's step table."""
+
+    def test_an_announcement_and_a_hypothesis_share_an_entry(self, monkeypatch):
+        calls = []
+        original = symbolic.translate
+
+        def counting(store, obs, law, f):
+            calls.append(f)
+            return original(store, obs, law, f)
+
+        monkeypatch.setattr(symbolic, "translate", counting)
+        rng = SplitMix64(0x57E9)
+        labels = set()
+        for _ in range(40):
+            obs, anns, hyp = random_problem(rng, 2 + rng.below(2))
+            if not anns or oracle_label(obs.n, obs.rows, anns, hyp) is None:
+                continue
+            # the last announcement as the hypothesis, under the same law
+            first, second = (anns, hyp), (anns[:-1], anns[-1])
+            for problems in ((second, first), (first, second)):
+                backends._thread.store = None
+                for problem in problems:
+                    calls.clear()
+                    expected = oracle_label(obs.n, obs.rows, *problem)
+                    assert symbolic_label(obs, *problem) is expected
+                    labels.add(expected)
+            # announced in the first problem, looked up as the second's hypothesis
+            assert calls == []
+        assert labels == {True, False}
+
+    def test_a_warm_pass_over_drawn_problems_translates_nothing(self, monkeypatch):
+        problems = [
+            (inst.obs, list(inst.announcement_formulas()), inst.hypothesis.formula)
+            for inst in iter_problems(GenConfig(seed=7), 1000)
+        ]
+        expected = [explicit_label(*problem) for problem in problems]
+        calls = {"translate": 0, "ite": 0}
+        for owner, name in ((symbolic, "translate"), (DdStore, "ite")):
+            original = getattr(owner, name)
+
+            def counting(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        passes = []
+        for _ in range(2):
+            calls.update(translate=0, ite=0)
+            assert [symbolic_label(*problem) for problem in problems] == expected
+            passes.append(dict(calls))
+        assert passes[0]["translate"] > 0 and passes[0]["ite"] > 0
+        assert passes[1] == {"translate": 0, "ite": 0}
 
 
 class TestSharedMatrices:

@@ -1,7 +1,10 @@
+import hashlib
 from functools import partial
 
 import pytest
+from click.testing import CliRunner
 
+import epistle.cli as cli
 import epistle.kripke as kripke
 import epistle.symbolic as symbolic
 from epistle.bdd import DdStore
@@ -151,7 +154,7 @@ class TestTranslate:
             table[obs.key, store.true, either]
         )
 
-    def test_a_warm_negated_hypothesis_takes_one_call(self, monkeypatch):
+    def test_a_warm_negated_hypothesis_takes_no_call(self, monkeypatch):
         calls = []
         original = symbolic.translate
 
@@ -165,8 +168,13 @@ class TestTranslate:
         first = label_symbolic(store, obs, store.true, [], hyp)
         assert len(calls) == 6
         calls.clear()
+        # the step table answers the hypothesis before any translation
         assert label_symbolic(store, obs, store.true, [], hyp) is first
-        assert calls == [hyp]
+        assert calls == []
+        # the translation table answers the negation itself in one call
+        for _ in range(2):
+            symbolic.translate(store, obs, store.true, hyp)
+        assert calls == [hyp, hyp]
 
     def test_a_negation_that_raises_enters_nothing(self):
         store = DdStore()
@@ -182,7 +190,54 @@ class TestTranslate:
         anns, hyp = [Not(And((Atom(0), Atom(1))))], Not(Knows(3, Not(Atom(2))))
         expected = label(obs, build_initial_model(obs), anns, hyp)
         assert label_symbolic(store, obs, store.true, anns, hyp) is expected
-        assert not store._translate_cache
+        assert not store._translate_cache and not store._step_cache
+
+
+class TestStepTable:
+    """``announce_symbolic`` enters each step ``law ∧ ⟦f⟧`` under
+    ``(obs.key, law, f)``, under the translation table's rules."""
+
+    def test_an_entry_is_the_law_and_the_translation(self):
+        store, obs = DdStore(), forehead(3)
+        ann, hyp = Or((Atom(0), Atom(1), Atom(2))), Not(Knows(0, Atom(0)))
+        law = announce_symbolic(store, obs, store.true, ann)
+        after = announce_symbolic(store, obs, law, hyp)
+        assert store._step_cache == {(obs.key, store.true, ann): law, (obs.key, law, hyp): after}
+        assert law is store.and_(store.true, translate(store, obs, store.true, ann))
+        assert after is store.and_(law, translate(store, obs, law, hyp))
+
+    def test_a_formula_that_raises_enters_nothing(self):
+        store, obs = DdStore(), forehead(3)
+        for f in (Atom(3), Not(And((Atom(0), Not(Atom(3)))))):
+            for anns, hyp in (([f], Atom(0)), ([Atom(0)], f)):
+                with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
+                    label_symbolic(store, obs, store.true, anns, hyp)
+        # only the announcement p0 of the second problem was stepped
+        assert set(store._step_cache) == {(obs.key, store.true, Atom(0))}
+
+    def test_a_store_made_directly_bounds_its_step_table(self, monkeypatch):
+        monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)
+        store, obs = DdStore(), forehead(2)
+        sizes = []
+        for f in (Atom(0), Atom(1), Or((Atom(0), Atom(1)))):
+            announce_symbolic(store, obs, store.true, f)
+            sizes.append(len(store._step_cache))
+        # the third entry passed the limit: the table was emptied
+        assert sizes == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (3, "acf22b91d23f152d74725af910eff094fb4b0a205a325e8c390d01b234d1c304"),
+            (6, "f0264d4b3184b148d9dbf7be14bd8d2a85739969d3395e41db2945ee76e5db6e"),
+            (64, "1224042632ec386a00a76ce8ac66071a1f3f73e52ec094b314c848777b4ee802"),
+        ],
+    )
+    def test_symbolic_puzzle_prints_the_same_bytes(self, n, digest):
+        # the output's sha256, the same with and without the step table
+        result = CliRunner().invoke(cli.main, ["puzzle", "--n", str(n), "--backend", "symbolic"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 class TestAnnounceSymbolic:
