@@ -7,8 +7,9 @@ Determinism contract: every candidate draw runs on its own substream keyed by
 (master seed, setup bucket, draw index), so the emitted dataset is a pure
 function of the configuration.  Within one draw the sampling order is fixed:
 setup, agent count, names, observability, extra-announcement count, the extra
-announcements in order, then the hypothesis.  The hypothesis is drawn for
-every draw, rejected ones included; it is the last value drawn from the
+announcements in order, then the hypothesis; each value is read from the
+draw's next output by ``rng``'s coin or index rule.  The hypothesis is drawn
+for every draw, rejected ones included; it is the last value drawn from the
 substream, so drawing it on a rejected draw changes no other draw.
 
 An instance holds the specs its text is rendered from, not the text: the
@@ -34,7 +35,7 @@ from .formula import Formula, Quantifier
 # benchmark's tracer (bench/tracing.py) patches them under these names.
 from .kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from .names import MAX_NAMES, sample_names
-from .rng import SplitMix64, split_seed, substreams
+from .rng import LIMITS, SplitMix64, split_seed, substreams, threshold
 from .setups import ALL_SETUPS, SetupKind, fixed_observability, setup_ordinal
 from .statements import BeliefLayer, ExpressionSpec, StatementSpec
 from .verbalize import announcement_clause, render_hypothesis
@@ -57,6 +58,9 @@ __all__ = [
 # every other polarity coin (predicate polarity and hypothesis modality).
 P_NEGATE_ANNOUNCEMENT_KNOWLEDGE = 0.8
 P_NEGATE_OTHER = 0.5
+# their coin thresholds, and the fair coin's
+_NEGATE_KNOWLEDGE = threshold(P_NEGATE_ANNOUNCEMENT_KNOWLEDGE)
+_NEGATE, _FAIR = threshold(P_NEGATE_OTHER), threshold(0.5)
 # Draws one stream may spend before generation stalls.
 MAX_DRAWS_PER_BUCKET = 1_000_000
 # The largest belief order whose printed hypothesis still parses.  The
@@ -192,28 +196,41 @@ def _expression(n: int, layers: tuple[int, ...], statement: int) -> tuple[Formul
     return spec.to_formula(n), spec
 
 
-def _statement(rng: SplitMix64, n: int) -> int:
-    """Subject uniform over the ``n`` agents plus the three quantifiers, then
-    the negation coin of the predicate."""
-    return 2 * rng.below(n + len(_QUANTIFIERS)) + rng.chance(P_NEGATE_OTHER)
-
-
-def _layer(rng: SplitMix64, n: int, p_negate: float) -> int:
-    """Knower, then a fair coin for "whether", then the negation coin."""
-    return 4 * rng.below(n) + 2 * rng.chance(0.5) + rng.chance(p_negate)
-
-
 def sample_announcement(rng: SplitMix64, n: int) -> tuple[Formula, ExpressionSpec]:
-    """Fair coin between a bare statement and a first-order belief about one."""
-    if rng.chance(0.5):
-        return _expression(n, (), _statement(rng, n))
-    return _expression(n, (_layer(rng, n, P_NEGATE_ANNOUNCEMENT_KNOWLEDGE),), _statement(rng, n))
+    """Fair coin between a bare statement and a first-order belief about one.
+    A layer is a knower, a fair "whether" coin and a negation coin; a statement
+    is a subject (an agent or one of three quantifiers) and a negation coin."""
+    pending, k = rng.pending, n + len(_QUANTIFIERS)
+    layers = ()
+    if (pending.pop() if pending else rng.next_u64()) >= _FAIR:
+        u = pending.pop() if pending else rng.next_u64()
+        knower = u % n if u < LIMITS[n] else rng.below(n)
+        whether = (pending.pop() if pending else rng.next_u64()) < _FAIR
+        negated = (pending.pop() if pending else rng.next_u64()) < _NEGATE_KNOWLEDGE
+        layers = (4 * knower + 2 * whether + negated,)
+    u = pending.pop() if pending else rng.next_u64()
+    subject = u % k if u < LIMITS[k] else rng.below(k)
+    negated = (pending.pop() if pending else rng.next_u64()) < _NEGATE
+    return _expression(n, layers, 2 * subject + negated)
 
 
 def sample_hypothesis(rng: SplitMix64, n: int, max_order: int) -> tuple[Formula, ExpressionSpec]:
-    """Belief order uniform on ``1..max_order``; layers drawn outermost first."""
-    layers = tuple([_layer(rng, n, P_NEGATE_OTHER) for _ in range(1 + rng.below(max_order))])
-    return _expression(n, layers, _statement(rng, n))
+    """Belief order uniform on ``1..max_order``; layers drawn outermost first,
+    as in ``sample_announcement`` but with the other negation coin; then the
+    statement."""
+    pending, k = rng.pending, n + len(_QUANTIFIERS)
+    u = pending.pop() if pending else rng.next_u64()
+    layers = []
+    for _ in range(1 + (u % max_order if u < LIMITS[max_order] else rng.below(max_order))):
+        u = pending.pop() if pending else rng.next_u64()
+        knower = u % n if u < LIMITS[n] else rng.below(n)
+        whether = (pending.pop() if pending else rng.next_u64()) < _FAIR
+        negated = (pending.pop() if pending else rng.next_u64()) < _NEGATE
+        layers.append(4 * knower + 2 * whether + negated)
+    u = pending.pop() if pending else rng.next_u64()
+    subject = u % k if u < LIMITS[k] else rng.below(k)
+    negated = (pending.pop() if pending else rng.next_u64()) < _NEGATE
+    return _expression(n, tuple(layers), 2 * subject + negated)
 
 
 def make_problem(
@@ -224,14 +241,18 @@ def make_problem(
 ) -> ProblemInstance | Rejected:
     """One candidate draw: a ``ProblemInstance``, or ``Rejected`` when
     ``checker`` finds the announcements contradictory."""
-    setup = rng.choice(cfg.setups)
-    n = rng.choice(cfg.n_agents_choices)
+    pending, setups, choices = rng.pending, cfg.setups, cfg.n_agents_choices
+    u, k = pending.pop() if pending else rng.next_u64(), len(setups)
+    setup = setups[u % k if u < LIMITS[k] else rng.below(k)]
+    u, k = pending.pop() if pending else rng.next_u64(), len(choices)
+    n = choices[u % k if u < LIMITS[k] else rng.below(k)]
     names = sample_names(rng, n)
     obs = sample_observability(setup, n, rng)
 
     existential, spec = _expression(n, (), 2 * (n + len(_QUANTIFIERS)))
     ann_formulas, specs = [existential], [spec]
-    for _ in range(rng.below(n + 1)):
+    u = pending.pop() if pending else rng.next_u64()
+    for _ in range(u % (n + 1) if u < LIMITS[n + 1] else rng.below(n + 1)):
         formula, spec = sample_announcement(rng, n)
         ann_formulas.append(formula)
         specs.append(spec)

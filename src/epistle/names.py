@@ -8,7 +8,7 @@ draws each name uniformly from the untaken names of its tag.
 
 from __future__ import annotations
 
-from .rng import SplitMix64
+from .rng import LIMITS, SplitMix64, threshold
 
 __all__ = ["FEMININE_NAMES", "MASCULINE_NAMES", "MAX_NAMES", "sample_names"]
 
@@ -51,16 +51,19 @@ MASCULINE_NAMES = (
 MAX_NAMES = 2 * min(len(FEMININE_NAMES), len(MASCULINE_NAMES))
 """The most names ``sample_names`` can draw for one problem."""
 
+_FAIR = threshold(0.5)
+
 
 def sample_names(rng: SplitMix64, n: int) -> tuple[str, ...]:
     """Draw ``n`` distinct names, alternating gender tags."""
     if n > MAX_NAMES:
         raise ValueError(f"cannot draw {n} names from the bundled pool")
-    pools = [list(FEMININE_NAMES), list(MASCULINE_NAMES)]
-    side = 0 if rng.chance(0.5) else 1
+    pending, pools = rng.pending, [list(FEMININE_NAMES), list(MASCULINE_NAMES)]
+    side = 0 if (pending.pop() if pending else rng.next_u64()) < _FAIR else 1
     picked = []
     for _ in range(n):
         pool = pools[side]
-        picked.append(pool.pop(rng.below(len(pool))))
+        u, k = pending.pop() if pending else rng.next_u64(), len(pool)
+        picked.append(pool.pop(u % k if u < LIMITS[k] else rng.below(k)))
         side = 1 - side
     return tuple(picked)

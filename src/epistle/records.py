@@ -45,18 +45,10 @@ def record_from_instance(instance: ProblemInstance) -> DatasetRecord:
     """The record of an instance; its text is rendered here, once."""
     hypothesis = instance.hypothesis
     return DatasetRecord(
-        premise=render_premise(instance),
-        hypothesis=hypothesis.text,
-        label="True" if instance.label else "False",
-        setup=instance.setup.value,
-        n_agents=instance.n_agents,
-        n_announcements=len(instance.ann_formulas),
-        hypothesis_order=hypothesis.order,
-        premise_formulas=tuple(map(print_formula, instance.ann_formulas)),
-        hypothesis_formula=print_formula(hypothesis.formula),
-        names=instance.names,
-        seed=instance.seed,
-        index=instance.draw_index,
+        render_premise(instance), hypothesis.text, "True" if instance.label else "False",
+        instance.setup.value, instance.n_agents, len(instance.ann_formulas), hypothesis.order,
+        tuple(map(print_formula, instance.ann_formulas)), print_formula(hypothesis.formula),
+        instance.names, instance.seed, instance.draw_index,
     )
 
 

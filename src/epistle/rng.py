@@ -18,19 +18,27 @@ SplitMix64 seeded with ``seed``.  Each draw of dataset generation runs on
 substream ``draw_index`` of ``split_seed(master_seed, setup_ordinal)``, so it
 is reproducible in isolation and results can be merged in draw order
 regardless of scheduling; it takes them in order from ``substreams``.
+
+Every value is read from one output ``u``.  A coin of probability ``p`` is
+``u < threshold(p)``: ``u``'s top 53 bits, as a float in [0, 1), are below
+``p``.  An index below ``n`` is ``u % n if u < LIMITS[n] else rng.below(n)``:
+``below`` rejects an output at or above ``LIMITS[n]``, the largest multiple
+of ``n`` not above ``2**64``, and goes on with the next.  A caller may apply
+either rule to ``pending.pop() if pending else rng.next_u64()``, the output a
+method takes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator, Sequence, TypeVar
 
-__all__ = ["SplitMix64", "split_seed", "substreams"]
+__all__ = ["LIMITS", "SplitMix64", "split_seed", "substreams", "threshold"]
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_UNIT = 2.0 ** -53  # spacing of the 53-bit floats in [0, 1)
 
 # lane d * FIRST + k holds state d's counter FIRST - k steps ahead, so
 # ``list.pop`` takes each state's unpacked outputs in order; the lanes of one
@@ -42,11 +50,16 @@ _LANES = {c: (int.from_bytes(_LOW * c, "little"), int.from_bytes(_STEPS * c, "li
           for c in (1, BLOCK)}
 _UNPACK = struct.Struct("<" + "Q8x" * FIRST)
 
-# ``below``'s rejection limit of each bound under 256, which covers every
-# bound the generator passes
-_LIMITS = (0, *(_TWO64 - _TWO64 % n for n in range(1, 256)))
+# ``2**64 - 2**64 % n`` for each bound ``n`` under 256, all the generator passes
+LIMITS = (0, *(_TWO64 - _TWO64 % n for n in range(1, 256)))
 
 T = TypeVar("T")
+
+
+def threshold(p: float) -> int:
+    """The least output at which a coin of probability ``p`` comes up
+    False: ``(u >> 11) * 2**-53 < p`` exactly when ``u < threshold(p)``."""
+    return math.ceil(p * 2**53) << 11
 
 
 def _mix(z: int, low: int = _MASK64) -> int:
@@ -68,21 +81,21 @@ def _outputs(states: list[int]) -> bytes:
 class SplitMix64:
     """Seedable 64-bit generator with a uniform-int and coin interface."""
 
-    __slots__ = ("_state", "_pending")
+    __slots__ = ("_state", "pending")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        # computed outputs not yet taken, the next one last
-        self._pending: list[int] = []
+        # outputs computed and not yet taken, the next one last; refilled in place
+        self.pending: list[int] = []
 
     def _refill(self) -> None:
         """Put the next ``FIRST`` outputs behind the pending ones."""
         s = self._state
         self._state = (s + FIRST * _GOLDEN) & _MASK64
-        self._pending[:0] = _UNPACK.unpack(_outputs([s]))
+        self.pending[:0] = _UNPACK.unpack(_outputs([s]))
 
     def next_u64(self) -> int:
-        pending = self._pending
+        pending = self.pending
         if not pending:
             self._refill()
         return pending.pop()
@@ -91,16 +104,13 @@ class SplitMix64:
         """Uniform integer in [0, n), for ``1 <= n <= 2**64``; rejection
         sampling avoids modulo bias."""
         if 0 < n < 256:
-            limit = _LIMITS[n]
+            limit = LIMITS[n]
         elif 0 < n <= _TWO64:
             limit = _TWO64 - _TWO64 % n
         else:
             raise ValueError(f"need a bound in [1, 2**64], got {n}")
-        pending = self._pending
         while True:
-            if not pending:
-                self._refill()
-            u = pending.pop()
+            u = self.next_u64()
             if u < limit:
                 return u % n
 
@@ -108,22 +118,15 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
     def chance(self, p: float) -> bool:
-        """True with probability ``p``: the output's top 53 bits, read as a
-        float in [0, 1), fall below ``p``."""
-        pending = self._pending
-        if not pending:
-            self._refill()
-        return (pending.pop() >> 11) * _UNIT < p
+        """True with probability ``p``: the output is below ``threshold(p)``."""
+        return self.next_u64() < threshold(p)
 
     def coins(self, p: float, k: int) -> list[bool]:
         """``k`` calls of ``chance(p)``, in draw order."""
-        pending = self._pending
+        pending, t = self.pending, threshold(p)
         while len(pending) < k:
             self._refill()
-        cut = len(pending) - k
-        taken = pending[cut:]
-        del pending[cut:]
-        return [(u >> 11) * _UNIT < p for u in reversed(taken)]
+        return [pending.pop() < t for _ in range(k)]
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -142,5 +145,5 @@ def substreams(seed: int) -> Iterator[SplitMix64]:
         seeds = [master.next_u64() for _ in range(BLOCK)]
         for s, outputs in zip(seeds, _UNPACK.iter_unpack(_outputs(seeds))):
             rng = SplitMix64(s + FIRST * _GOLDEN)
-            rng._pending = list(outputs)
+            rng.pending = list(outputs)
             yield rng

@@ -1,6 +1,6 @@
 """Mutation gate: every named mutant of the checkers, of the rule that keeps
-a matrix, of the generator's label path, of the formula parser and of the
-verbalizer must fail tier-1.
+a matrix, of the generator's label path and draw decoding, of the formula
+parser and of the verbalizer must fail tier-1.
 
     python tests/mutants.py          # tier-1 with -x per mutant
     python tests/mutants.py --full   # the whole tier-1 per mutant, to count kills
@@ -145,6 +145,19 @@ MUTANTS = (
         "generator.py",
         "seen.add((setup, instance.n_agents, instance.ann_formulas, instance.hyp_formula))",
         "seen.add((setup, instance.n_agents, instance.ann_formulas))",
+    ),)),
+    Mutant("threshold rounds p·2^53 down", ((
+        "rng.py", "return math.ceil(p * 2**53) << 11", "return math.floor(p * 2**53) << 11",
+    ),)),
+    Mutant("a decoded index skips the rejection test", ((
+        "names.py",
+        "picked.append(pool.pop(u % k if u < LIMITS[k] else rng.below(k)))",
+        "picked.append(pool.pop(u % k))",
+    ),)),
+    Mutant("the announcement's knowledge-negation coin uses P_NEGATE_OTHER", ((
+        "generator.py",
+        "rng.next_u64()) < _NEGATE_KNOWLEDGE",
+        "rng.next_u64()) < _NEGATE",
     ),)),
     Mutant("the parser does not count the right side of -> toward the nesting cap", ((
         "dsl.py",

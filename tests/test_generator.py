@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -29,30 +30,40 @@ from epistle.generator import (
 from epistle.kripke import ObservabilityMatrix, build_initial_model, is_contradictory
 from epistle.names import MAX_NAMES, sample_names
 from epistle.records import record_from_instance
-from epistle.rng import SplitMix64, split_seed
-from epistle.setups import SetupKind, fixed_observability
+from epistle.rng import SplitMix64, split_seed, substreams
+from epistle.setups import ALL_SETUPS, SetupKind, fixed_observability
 from epistle.statements import BeliefLayer, ExpressionSpec, StatementSpec
 
-from support import dedup_key, modal_depth
+from reference import first_difference, instance_fields, reference_dataset, reference_draw
+from support import ScalarSplitMix64, dedup_key, modal_depth
 
 
-class ScriptedRng:
-    """Plays back queued draw results; used to force specific samples."""
+_FALSE = 2**64 - 1  # a False coin at every p < 1; rejected below every bound but powers of two
 
-    def __init__(self, belows=(), chances=()):
-        self._belows = list(belows)
-        self._chances = list(chances)
 
-    def below(self, n):
-        value = self._belows.pop(0)
-        assert 0 <= value < n
-        return value
+def _outputs(values) -> list[int]:
+    """The outputs that decode to ``values``: an index ``v`` is the output
+    ``v``, a coin is 0 for True and ``2**64 - 1`` for False."""
+    return [0 if v is True else _FALSE if v is False else v for v in values]
 
-    def chance(self, p):
-        return self._chances.pop(0)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
+def scripted(outputs) -> SplitMix64:
+    """A generator whose next outputs are ``outputs``, then its seed 0 stream."""
+    rng = SplitMix64(0)
+    rng.pending = outputs[::-1]  # ``pop`` takes the last first
+    return rng
+
+
+class ScriptedScalar(ScalarSplitMix64):
+    """The scalar generator whose next outputs are ``outputs``, then its seed 0
+    stream; its ``below`` and ``chance`` methods decode them."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.script = list(outputs)
+
+    def next_u64(self):
+        return self.script.pop(0) if self.script else super().next_u64()
 
 
 class TestSampleObservability:
@@ -115,8 +126,9 @@ class TestSampleStatement:
     ``sample_announcement`` (its first coin)."""
 
     def test_forced_single_agent(self):
-        rng = ScriptedRng(belows=[1], chances=[True, False])
+        rng = scripted(_outputs([True, 1, False]))
         formula, spec = sample_announcement(rng, 3)
+        assert rng.pending == []
         assert formula is Atom(1) and spec.layers == ()
         assert spec.statement.subject == 1 and spec.statement.negated is False
 
@@ -124,8 +136,9 @@ class TestSampleStatement:
         # "nobody" over a negated predicate double-negates back to the atoms
         from epistle.formula import And
 
-        rng = ScriptedRng(belows=[4], chances=[True, True])
+        rng = scripted(_outputs([True, 4, True]))
         formula, spec = sample_announcement(rng, 2)
+        assert rng.pending == []
         assert spec.statement.subject is Quantifier.NOBODY and spec.statement.negated
         assert formula is And((Atom(0), Atom(1)))
 
@@ -145,8 +158,9 @@ class TestSampleStatement:
 
 class TestSampleAnnouncement:
     def test_forced_negated_whether_belief(self):
-        rng = ScriptedRng(belows=[2, 0], chances=[False, True, True, False])
+        rng = scripted(_outputs([False, 2, True, True, 0, False]))
         formula, spec = sample_announcement(rng, 3)
+        assert rng.pending == []
         assert formula == Not(KnowsWhether(2, Atom(0)))
         layer = spec.layers[0]
         assert layer.knower == 2 and layer.whether and layer.negated
@@ -173,15 +187,17 @@ class TestSampleAnnouncement:
 
 class TestSampleHypothesis:
     def test_forced_first_order(self):
-        rng = ScriptedRng(belows=[0, 0, 0], chances=[False, False, False])
+        rng = scripted(_outputs([0, 0, False, False, 0, False]))
         formula, spec = sample_hypothesis(rng, 2, 2)
+        assert rng.pending == []
         assert formula == Knows(0, Atom(0))
         assert spec.order == 1
 
     def test_negated_whether_shape(self):
         # "<X> cannot know whether <Y> ..." is a negated knows-whether
-        rng = ScriptedRng(belows=[0, 0, 1], chances=[True, True, False])
+        rng = scripted(_outputs([0, 0, True, True, 1, False]))
         formula, spec = sample_hypothesis(rng, 2, 1)
+        assert rng.pending == []
         assert formula == Not(KnowsWhether(0, Atom(1)))
 
     def test_order_uniform_and_depth_matches(self):
@@ -353,6 +369,99 @@ class TestGenerateBalanced:
             GenConfig(max_order=49)
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             parse_formula(deepest(49), 2)
+
+
+def _accept(obs, anns, hyp):
+    """A checker that labels every draw True, for tests of the draw alone."""
+    return True
+
+
+def _random_config(rnd: random.Random, agents: range, orders: range, per_setup: int) -> GenConfig:
+    return GenConfig(
+        seed=rnd.getrandbits(64),
+        setups=tuple(rnd.sample(ALL_SETUPS, rnd.randint(1, len(ALL_SETUPS)))),
+        n_agents_choices=tuple(rnd.sample(agents, rnd.randint(1, 3))),
+        max_order=rnd.choice(orders),
+        per_setup_count=2 * rnd.randint(1, per_setup // 2),
+    )
+
+
+class TestReferenceGenerator:
+    """``generate_balanced`` against ``tests/reference.py``, field by field;
+    a failure names the first (setup, draw index, field) that differs."""
+
+    def test_seed_7(self):
+        cfg = GenConfig(seed=7)
+        got = [instance_fields(i) for i in generate_balanced(cfg)]
+        assert len(got) == 1600
+        difference = first_difference(got, reference_dataset(cfg))
+        assert difference is None, f"first (setup, draw index, field) that differs: {difference}"
+
+    def test_random_configurations(self):
+        # the oracle labels 2**n worlds by nested scans, so n and the order stay
+        # small; the test below draws at larger ones
+        rnd = random.Random(0xC0FFEE)
+        for _ in range(60):
+            cfg = _random_config(rnd, range(2, 5), range(1, 4), per_setup=6)
+            got = [instance_fields(i) for i in generate_balanced(cfg)]
+            difference = first_difference(got, reference_dataset(cfg))
+            assert difference is None, f"{cfg}: (setup, draw index, field) {difference} differs"
+
+    @pytest.mark.parametrize("config_seed", range(6))
+    def test_unlabeled_draws_at_wide_configurations(self, config_seed):
+        """The draw path alone, at agent counts and orders too large to
+        label with the oracle."""
+        cfg = _random_config(random.Random(config_seed), range(2, 41), range(1, 9), per_setup=2)
+        master = ScalarSplitMix64(cfg.seed)
+        for index, rng in zip(range(40), substreams(cfg.seed)):
+            want = reference_draw(ScalarSplitMix64(master.next_u64()), cfg.setups,
+                                  cfg.n_agents_choices, cfg.max_order)
+            got = instance_fields(make_problem(rng, cfg, index, _accept))
+            assert {field: got[field] for field in want} == want, (cfg, index)
+
+
+# One draw of ``_DECODE_CFG`` at n=6, as (decoded position, value) pairs in
+# draw order, coins unnamed.  No bound it draws an index below is a power of
+# two, so the output ``2**64 - 1`` is at or above ``LIMITS[bound]`` and
+# rejected wherever an index is drawn.
+_DECODE_CFG = GenConfig(
+    setups=(SetupKind.FOREHEAD_MUD, SetupKind.FOREHEAD_MUD_MIRROR, SetupKind.THIRST),
+    n_agents_choices=(2, 3, 6),
+    max_order=3,
+)
+_DECODE_DRAW = (
+    ("setup", 1), ("agent count", 2),
+    (None, True), *(("name", v) for v in (5, 7, 0, 98, 3, 2)),
+    ("announcement count", 2),
+    (None, False), ("layer knower", 4), (None, True), (None, False),  # a belief
+    ("statement subject", 7), (None, True),
+    (None, True), ("statement subject", 8), (None, False),  # a bare statement
+    ("hypothesis order", 2),
+    ("layer knower", 5), (None, False), (None, True),
+    ("layer knower", 0), (None, True), (None, True),
+    ("layer knower", 3), (None, False), (None, False),
+    ("statement subject", 6), (None, True),
+)
+
+
+@pytest.mark.parametrize(
+    "at",
+    [i for i, (position, _) in enumerate(_DECODE_DRAW) if position],
+    ids=lambda i: f"{i}-{_DECODE_DRAW[i][0]}",
+)
+def test_rejected_output_at_each_decoded_position(at):
+    """A rejected output before any decoded index leaves the draw as it
+    was, and the draw is the one the scalar generator's methods decode."""
+    values = [value for _, value in _DECODE_DRAW]
+    outputs = _outputs(values[:at]) + [_FALSE] + _outputs(values[at:])
+    base = instance_fields(make_problem(scripted(_outputs(values)), _DECODE_CFG, 0, _accept))
+    rng = scripted(outputs)
+    got = instance_fields(make_problem(rng, _DECODE_CFG, 0, _accept))
+    assert rng.pending == []
+    assert got == base and base["n_agents"] == 6 and base["order"] == 3
+    want = reference_draw(ScriptedScalar(outputs), _DECODE_CFG.setups,
+                          _DECODE_CFG.n_agents_choices, _DECODE_CFG.max_order)
+    assert {field: got[field] for field in want} == want
 
 
 @pytest.mark.parametrize(
