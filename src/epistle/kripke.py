@@ -22,7 +22,9 @@ but atoms (one mask anyway), negations included, at up to three agents.
 instance of a subclass is not a formula), and recurses through its
 module-level name, so a wrapper installed under that name sees every call.
 An evaluation that raises enters nothing.  The table is emptied past
-``TABLE_LIMIT`` entries, as each symbolic translation table is.
+``TABLE_LIMIT`` entries, as each symbolic translation table is.  A label
+looks each announcement and its hypothesis up in the table itself, under
+``_eval``'s key, and calls ``_eval`` only on a miss (atoms always miss).
 """
 
 from __future__ import annotations
@@ -241,8 +243,11 @@ def label(obs: ObservabilityMatrix, live: int, anns: list[Formula], hyp: Formula
 
     Raises ``ContradictoryPremise`` when some announcement empties the set.
     """
+    tabled = obs.n <= _MAX_TABLED_AGENTS
     for i, a in enumerate(anns):
-        live = _eval(obs, live, a)
+        step = _table.get((obs.key, live, a)) if tabled else None
+        live = _eval(obs, live, a) if step is None else step
         if not live:
             raise ContradictoryPremise(f"announcement {i + 1} eliminates every world")
-    return _eval(obs, live, hyp) == live
+    step = _table.get((obs.key, live, hyp)) if tabled else None
+    return (_eval(obs, live, hyp) if step is None else step) == live

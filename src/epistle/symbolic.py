@@ -31,7 +31,9 @@ Beside it, under the same key and rules, ``announce_symbolic`` enters the
 state step ``law ∧ ⟦f⟧`` in the store's step table, as ``kripke._eval``
 returns ``live ∩ ⟦f⟧``.  A label folds its announcements through the step
 and holds when the hypothesis's step leaves the law as it is (diagrams are
-canonical), so announcements and hypotheses share entries.
+canonical), so announcements and hypotheses share entries.  It looks each
+step up in the table itself, under ``announce_symbolic``'s key, and calls
+``announce_symbolic`` only on a miss.
 """
 
 from __future__ import annotations
@@ -137,23 +139,15 @@ def announce_symbolic(
     return out
 
 
-def _announce_all(
-    store: DdStore, obs: ObservabilityMatrix, law: DdNode, anns: list[Formula]
-) -> DdNode | int:
-    """The state law after ``anns``, or the index of the first announcement
-    that falsifies it."""
-    for i, a in enumerate(anns):
-        law = announce_symbolic(store, obs, law, a)
-        if law is store.false:
-            return i
-    return law
-
-
 def is_contradictory_symbolic(
     store: DdStore, obs: ObservabilityMatrix, law: DdNode, anns: list[Formula]
 ) -> bool:
     """True iff the law collapses to false at some announcement step."""
-    return isinstance(_announce_all(store, obs, law, anns), int)
+    for a in anns:
+        law = announce_symbolic(store, obs, law, a)
+        if law is store.false:
+            return True
+    return False
 
 
 def label_symbolic(
@@ -163,8 +157,12 @@ def label_symbolic(
 
     Raises ``ContradictoryPremise`` when an announcement falsifies the law.
     """
-    law = _announce_all(store, obs, law, anns)
-    if isinstance(law, int):
-        raise ContradictoryPremise(f"announcement {law + 1} falsifies the state law")
+    key, steps = obs.key, store._step_cache
+    for i, a in enumerate(anns):
+        step = steps.get((key, law, a)) if key is not None else None
+        law = announce_symbolic(store, obs, law, a) if step is None else step
+        if law is store.false:
+            raise ContradictoryPremise(f"announcement {i + 1} falsifies the state law")
+    step = steps.get((key, law, hyp)) if key is not None else None
     # diagrams are canonical: law ∧ ⟦hyp⟧ is law exactly when law entails hyp
-    return announce_symbolic(store, obs, law, hyp) is law
+    return (announce_symbolic(store, obs, law, hyp) if step is None else step) is law

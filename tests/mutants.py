@@ -79,9 +79,29 @@ MUTANTS = (
     ),)),
     Mutant("hypothesis holds when law ∧ hyp is not false", ((
         "symbolic.py",
-        "return announce_symbolic(store, obs, law, hyp) is law",
-        "return announce_symbolic(store, obs, law, hyp) is not store.false",
+        "if step is None else step) is law",
+        "if step is None else step) is not store.false",
     ),)),
+    Mutant("explicit label probe keyed without the state", (
+        ("kripke.py", "_table.get((obs.key, live, a))", "_table.get((obs.key, a))"),
+        ("kripke.py", "_table.get((obs.key, live, hyp))", "_table.get((obs.key, hyp))"),
+    )),
+    Mutant("symbolic label probe keyed without the law", (
+        ("symbolic.py", "steps.get((key, law, a))", "steps.get((key, a))"),
+        ("symbolic.py", "steps.get((key, law, hyp))", "steps.get((key, hyp))"),
+    )),
+    Mutant("a table hit skips the contradiction test", (
+        (
+            "kripke.py",
+            "if step is None else step\n        if not live:",
+            "if step is None else step\n        if step is None and not live:",
+        ),
+        (
+            "symbolic.py",
+            "if step is None else step\n        if law is store.false:",
+            "if step is None else step\n        if step is None and law is store.false:",
+        ),
+    )),
     Mutant("Announced keeps the old state in both backends", (
         KRIPKE_ANNOUNCED, SYMBOLIC_ANNOUNCED,
     )),

@@ -34,55 +34,61 @@ from epistle.symbolic import announce_symbolic, label_symbolic
 # independent epistemic evaluator (oracle for the kripke backend)
 
 
-def oracle_eval(live: list[int], obs_rows, w: int, f: Formula) -> bool:
+def oracle_eval(live, obs_rows, w: int, f: Formula, memo: dict | None = None) -> bool:
     """Truth of ``f`` at ``w`` over the worlds in ``live``.
 
     Knowledge is computed by materializing the agent's equivalence class with
     an explicit agreement test per observed proposition; announcements build a
-    fresh world list by filtering.
+    fresh world list by filtering.  ``memo`` maps (live worlds as a tuple,
+    world, formula) to a truth already found for ``obs_rows``; a call without
+    one keeps its own.
     """
+    live = tuple(live)
+    key = (live, w, f)
+    if memo is None:
+        memo = {}
+    elif key in memo:
+        return memo[key]
     if isinstance(f, Atom):
-        return bool(w & (1 << f.prop))
-    if isinstance(f, Not):
-        return not oracle_eval(live, obs_rows, w, f.child)
-    if isinstance(f, And):
-        return all(oracle_eval(live, obs_rows, w, c) for c in f.children)
-    if isinstance(f, Or):
-        return any(oracle_eval(live, obs_rows, w, c) for c in f.children)
-    if isinstance(f, Implies):
-        return (not oracle_eval(live, obs_rows, w, f.left)) or oracle_eval(
-            live, obs_rows, w, f.right
+        out = bool(w & (1 << f.prop))
+    elif isinstance(f, Not):
+        out = not oracle_eval(live, obs_rows, w, f.child, memo)
+    elif isinstance(f, And):
+        out = all(oracle_eval(live, obs_rows, w, c, memo) for c in f.children)
+    elif isinstance(f, Or):
+        out = any(oracle_eval(live, obs_rows, w, c, memo) for c in f.children)
+    elif isinstance(f, Implies):
+        out = (not oracle_eval(live, obs_rows, w, f.left, memo)) or oracle_eval(
+            live, obs_rows, w, f.right, memo
         )
-    if isinstance(f, Knows):
+    elif isinstance(f, Knows):
         observed = [j for j, bit in enumerate(obs_rows[f.agent]) if bit]
-        cls = [
-            v
-            for v in live
-            if all((v >> j) & 1 == (w >> j) & 1 for j in observed)
-        ]
-        return all(oracle_eval(live, obs_rows, v, f.child) for v in cls)
-    if isinstance(f, KnowsWhether):
-        return oracle_eval(live, obs_rows, w, Knows(f.agent, f.child)) or oracle_eval(
-            live, obs_rows, w, Knows(f.agent, Not(f.child))
+        cls = [v for v in live if all((v >> j) & 1 == (w >> j) & 1 for j in observed)]
+        out = all(oracle_eval(live, obs_rows, v, f.child, memo) for v in cls)
+    elif isinstance(f, KnowsWhether):
+        out = oracle_eval(live, obs_rows, w, Knows(f.agent, f.child), memo) or oracle_eval(
+            live, obs_rows, w, Knows(f.agent, Not(f.child)), memo
         )
-    if isinstance(f, Announced):
-        if not oracle_eval(live, obs_rows, w, f.announcement):
-            return True
-        survivors = [
-            v for v in live if oracle_eval(live, obs_rows, v, f.announcement)
-        ]
-        return oracle_eval(survivors, obs_rows, w, f.continuation)
-    raise TypeError(f"not a formula: {f!r}")
+    elif isinstance(f, Announced):
+        out = not oracle_eval(live, obs_rows, w, f.announcement, memo)
+        if not out:
+            survivors = [v for v in live if oracle_eval(live, obs_rows, v, f.announcement, memo)]
+            out = oracle_eval(survivors, obs_rows, w, f.continuation, memo)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[key] = out
+    return out
 
 
 def oracle_label(n: int, obs_rows, anns, hyp) -> bool | None:
-    """Validity of ``hyp`` after the announcements; None when contradictory."""
-    live = list(range(1 << n))
+    """Validity of ``hyp`` after the announcements; None when contradictory.
+    One memo serves the whole call."""
+    live, memo = tuple(range(1 << n)), {}
     for a in anns:
-        live = [v for v in live if oracle_eval(live, obs_rows, v, a)]
+        live = tuple(v for v in live if oracle_eval(live, obs_rows, v, a, memo))
         if not live:
             return None
-    return all(oracle_eval(live, obs_rows, w, hyp) for w in live)
+    return all(oracle_eval(live, obs_rows, w, hyp, memo) for w in live)
 
 
 # ---------------------------------------------------------------------------

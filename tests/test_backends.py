@@ -421,11 +421,23 @@ class TestNegationTables:
             assert (obs.key, 0b11111111, hyp) in kripke._table
             assert (obs.key, kept_store().true, hyp) in kept_store()._translate_cache
 
-    def test_a_warm_label_takes_one_eval_per_negated_formula_and_no_translation(
-        self, monkeypatch
-    ):
-        calls = {"_eval": [], "translate": []}
-        for module, name in ((kripke, "_eval"), (symbolic, "translate")):
+    def test_a_warm_label_makes_no_eval_step_or_translation_call(self, monkeypatch):
+        obs = fixed_observability(SetupKind.THIRST, 3)
+        hyp = Not(KnowsWhether(0, Atom(1)))
+        # what the interpreters enter when called as a label's steps
+        store = backends._thread.store = DdStore()
+        law = announce_symbolic(store, obs, store.true, self.ANNOUNCEMENT)
+        announce_symbolic(store, obs, law, hyp)
+        live = kripke._eval(obs, build_initial_model(obs), self.ANNOUNCEMENT)
+        kripke._eval(obs, live, hyp)
+        entered = (dict(kripke._table), dict(store._translate_cache), dict(store._step_cache))
+        assert len(entered[0]) == len(entered[1]) == 4 and len(entered[2]) == 2
+        kripke._table.clear()
+        store._translate_cache.clear()
+        store._step_cache.clear()
+
+        calls = {"_eval": [], "translate": [], "announce_symbolic": []}
+        for module, name in ((kripke, "_eval"), (symbolic, "translate"), (symbolic, "announce_symbolic")):
             original = getattr(module, name)
 
             def counting(*args, original=original, name=name):
@@ -433,16 +445,14 @@ class TestNegationTables:
                 return original(*args)
 
             monkeypatch.setattr(module, name, counting)
-        obs = fixed_observability(SetupKind.THIRST, 3)
-        hyp = Not(KnowsWhether(0, Atom(1)))
         first = both_label(obs, [self.ANNOUNCEMENT], hyp)
-        calls["_eval"].clear()
-        calls["translate"].clear()
+        assert (kripke._table, store._translate_cache, store._step_cache) == entered
+        for made in calls.values():
+            made.clear()
         assert both_label(obs, [self.ANNOUNCEMENT], hyp) is first
-        assert calls == {"_eval": [self.ANNOUNCEMENT, hyp], "translate": []}
+        assert calls == {"_eval": [], "translate": [], "announce_symbolic": []}
+        assert (kripke._table, store._translate_cache, store._step_cache) == entered
         # the translation table answers each negation itself in one call
-        store = kept_store()
-        law = announce_symbolic(store, obs, store.true, self.ANNOUNCEMENT)
         for _ in range(2):
             symbolic.translate(store, obs, store.true, self.ANNOUNCEMENT)
             symbolic.translate(store, obs, law, hyp)
@@ -522,6 +532,100 @@ class TestStepTable:
             passes.append(dict(calls))
         assert passes[0]["translate"] > 0 and passes[0]["ite"] > 0
         assert passes[1] == {"translate": 0, "ite": 0}
+
+
+def steps_taken(obs, anns, hyp):
+    """The formulas a label folds: the announcements up to the first that the
+    oracle finds contradictory, else every announcement and the hypothesis."""
+    for k in range(len(anns)):
+        if oracle_label(obs.n, obs.rows, anns[: k + 1], hyp) is None:
+            return anns[: k + 1]
+    return [*anns, hyp]
+
+
+class TestLabelProbe:
+    """A label looks each step up under its interpreter's own key and enters
+    the interpreter only on a miss."""
+
+    CONTRADICTION = And((Atom(0), Not(Atom(0))))
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        kripke._table.clear()
+        yield
+        kripke._table.clear()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The formula of every interpreter call, by interpreter."""
+        made = {"_eval": [], "announce_symbolic": [], "translate": []}
+        for module, name in ((kripke, "_eval"), (symbolic, "announce_symbolic"), (symbolic, "translate")):
+            original = getattr(module, name)
+
+            def counting(*args, original=original, name=name):
+                made[name].append(args[-1])
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return made
+
+    def test_cold_and_warm_labels_agree_with_the_oracle(self, calls):
+        rng = SplitMix64(0xF01D)
+        seen = set()
+        for _ in range(300):
+            n = 2 + rng.below(4)
+            if n >= 4 and rng.chance(0.5):
+                on, off = rng.chance(0.5), rng.chance(0.5)
+                rows = [[on if i == j else off for j in range(n)] for i in range(n)]
+            else:
+                rows = [[rng.chance(0.5) for _ in range(n)] for _ in range(n)]
+            obs = ObservabilityMatrix.from_rows(rows)
+            anns = [random_formula(rng, n, depth=2) for _ in range(rng.below(3))]
+            if rng.chance(0.5):  # shrink the live set before the epistemic ones
+                anns.insert(0, random_boolean_formula(rng, n, 2))
+            if rng.chance(0.15):
+                anns.insert(rng.below(len(anns) + 1), self.CONTRADICTION)
+            hyp = random_formula(rng, n, depth=2)
+            expected = oracle_label(n, obs.rows, anns, hyp)
+            kripke._table.clear()
+            backends._thread.store = None
+            cold = [outcome(checker, obs, anns, hyp) for checker in (explicit_label, symbolic_label)]
+            for made in calls.values():
+                made.clear()
+            warm = [outcome(checker, obs, anns, hyp) for checker in (explicit_label, symbolic_label)]
+            assert cold == warm == [expected, expected], (obs.rows, anns, hyp)
+            steps = steps_taken(obs, anns, hyp)
+            if n <= 3:  # atoms are never entered
+                assert calls["_eval"] == [f for f in steps if type(f) is Atom]
+            else:
+                assert not kripke._table
+            store = kept_store()
+            if obs.key is None:
+                assert calls["announce_symbolic"] == steps and not store._step_cache
+            else:
+                assert calls["announce_symbolic"] == calls["translate"] == []
+            seen.add((n <= 3, obs.key is not None, expected))
+        # tabled on both backends, agent-symmetric (symbolic only), drawn (neither)
+        assert seen == {(small, keyed, label) for small, keyed in ((True, True), (False, True),
+                        (False, False)) for label in (True, False, None)}
+
+    @pytest.mark.parametrize(
+        "checker, message",
+        [
+            (explicit_label, "announcement 2 eliminates every world"),
+            (symbolic_label, "announcement 2 falsifies the state law"),
+        ],
+    )
+    def test_a_contradictory_step_found_in_the_table_raises_as_a_miss(self, checker, message, calls):
+        obs = fixed_observability(SetupKind.THIRST, 3)
+        anns = [Or((Atom(0), Atom(1))), self.CONTRADICTION, Knows(0, Atom(0))]
+        for warm in (False, True):
+            for made in calls.values():
+                made.clear()
+            with pytest.raises(ContradictoryPremise) as raised:
+                checker(obs, anns, Atom(2))
+            assert str(raised.value) == message
+            assert (calls["_eval"] + calls["announce_symbolic"] == []) is warm
 
 
 class TestSharedMatrices:

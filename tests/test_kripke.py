@@ -544,7 +544,7 @@ class TestEvaluationTable:
             (obs.key, full, Knows(1, Atom(2))): kripke._eval(obs, full, Knows(1, Atom(2))),
         }
 
-    def test_a_warm_negated_hypothesis_takes_one_call(self, monkeypatch):
+    def test_a_warm_negated_hypothesis_makes_no_call(self, monkeypatch):
         calls = []
         original = kripke._eval
 
@@ -554,12 +554,20 @@ class TestEvaluationTable:
 
         # the recursion looks ``_eval`` up on the module, so it counts too
         monkeypatch.setattr(kripke, "_eval", counting)
-        hyp = Not(KnowsWhether(0, And((Atom(1), Not(Atom(2))))))
-        first = explicit_label(thirst(3), [], hyp)
+        obs, every = thirst(3), list(range(8))
+        both = And((Atom(1), Not(Atom(2))))
+        hyp = Not(KnowsWhether(0, both))
+        first = explicit_label(obs, [], hyp)
         assert len(calls) == 6
+        # the cold label enters each compound subformula under the full set
+        assert kripke._table == {
+            (obs.key, 0b11111111, f): sum(1 << w for w in every if oracle_eval(every, obs.rows, w, f))
+            for f in (hyp, hyp.child, both, Not(Atom(2)))
+        }
+        entries = dict(kripke._table)
         calls.clear()
-        assert explicit_label(thirst(3), [], hyp) is first
-        assert calls == [hyp]
+        assert explicit_label(obs, [], hyp) is first
+        assert calls == [] and kripke._table == entries
 
     def test_a_negation_that_raises_enters_nothing(self):
         for hyp in (Not(Atom(3)), Not(And((Atom(0), Not(Atom(3)))))):
