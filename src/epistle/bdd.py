@@ -9,10 +9,11 @@ memoized if-then-else.
 A store and every diagram built from it belong to one thread; diagrams from
 different stores must never be mixed.  The symbolic backend keeps one store
 per thread across labels (``epistle.backends``), so nodes and cached results
-outlive the label that made them.  Two more tables, which ``epistle.symbolic``
-fills, map a formula under a matrix the process keeps and a state law to its
-translation and to the state step ``law ∧ ⟦f⟧``; each is emptied past
-``kripke.TABLE_LIMIT`` entries.
+outlive the label that made them.  A store is one of the two algebras that
+the formula interpreter of ``epistle.kripke`` runs over, and it holds two
+tables that interpreter fills: they map a formula under a matrix the process
+keeps and a state law to its translation and to the state step
+``law ∧ ⟦f⟧``; each is emptied past ``kripke.TABLE_LIMIT`` entries.
 """
 
 from __future__ import annotations

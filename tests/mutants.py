@@ -36,102 +36,72 @@ class Mutant(NamedTuple):
     equivalent: str | None = None  # why no test can kill it, if none can
 
 
-KRIPKE_ANNOUNCED = (
-    "kripke.py",
-    "_eval(obs, survivors, f.continuation)",
-    "_eval(obs, live, f.continuation)",
-)
-SYMBOLIC_ANNOUNCED = (
-    "symbolic.py",
-    "translate(store, obs, store.and_(law, made), f.continuation)",
-    "translate(store, obs, law, f.continuation)",
-)
-
 MUTANTS = (
-    Mutant("explicit Announced keeps the old world set", (KRIPKE_ANNOUNCED,)),
-    Mutant("explicit Kw joins its two blurs with | for &", ((
+    Mutant("Announced keeps the old state", ((
         "kripke.py",
-        "_blur(obs, f.agent, live ^ holds) & _blur(obs, f.agent, holds)",
-        "_blur(obs, f.agent, live ^ holds) | _blur(obs, f.agent, holds)",
+        "_eval(alg, obs, alg.and_(law, made), f.continuation)",
+        "_eval(alg, obs, law, f.continuation)",
     ),)),
-    Mutant("evaluation table key without the world set", ((
-        "kripke.py", "key = (obs.key, live, f)", "key = (obs.key, f)",
-    ),)),
-    Mutant("evaluation table key without the matrix", ((
-        "kripke.py", "key = (obs.key, live, f)", "key = (live, f)",
-    ),)),
-    Mutant("explicit Not complements past the world set", ((
+    Mutant("Kw joins its two knowledge sets with and_ for or_", ((
         "kripke.py",
-        "out = live ^ _eval(obs, live, f.child)",
-        "out = ~_eval(obs, live, f.child)",
+        "out = alg.or_(out, alg._forall(hidden, alg.implies(law, alg.not_(body))))",
+        "out = alg.and_(out, alg._forall(hidden, alg.implies(law, alg.not_(body))))",
     ),)),
-    Mutant("symbolic Not returns its child's diagram", ((
-        "symbolic.py",
-        "out = store.not_(translate(store, obs, law, f.child))",
-        "out = translate(store, obs, law, f.child)",
+    Mutant("Kw drops its not-branch", ((
+        "kripke.py",
+        "out = alg.or_(out, alg._forall(hidden, alg.implies(law, alg.not_(body))))",
+        "pass",
     ),)),
-    Mutant("symbolic Announced keeps the old law", (SYMBOLIC_ANNOUNCED,)),
-    Mutant("translation table key without the law", ((
-        "symbolic.py", "key = (key, law, f)", "key = (key, f)",
+    Mutant("Implies with its sides swapped", ((
+        "kripke.py",
+        "alg.implies(_eval(alg, obs, law, f.left), _eval(alg, obs, law, f.right))",
+        "alg.implies(_eval(alg, obs, law, f.right), _eval(alg, obs, law, f.left))",
     ),)),
-    Mutant("step table key without the law", ((
-        "symbolic.py", "key = (key, law, psi)", "key = (key, psi)",
+    Mutant("Not returns its child's set", ((
+        "kripke.py",
+        "out = alg.not_(_eval(alg, obs, law, f.child))",
+        "out = _eval(alg, obs, law, f.child)",
+    ),)),
+    Mutant("translation table key without the state", ((
+        "kripke.py",
+        "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
+        "key = (obs.key, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
+    ),)),
+    Mutant("translation table key without the matrix", ((
+        "kripke.py",
+        "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
+        "key = (law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
+    ),)),
+    Mutant("step table key without the state", ((
+        "kripke.py",
+        "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    out = alg.and_",
+        "key = (obs.key, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    out = alg.and_",
     ),)),
     Mutant("hypothesis holds when law ∧ hyp is not false", ((
-        "symbolic.py",
-        "if step is None else step) is law",
-        "if step is None else step) is not store.false",
+        "kripke.py",
+        "if step is None else step) == law",
+        "if step is None else step) != false",
     ),)),
-    Mutant("explicit label probe keyed without the state", (
-        ("kripke.py", "_table.get((obs.key, live, a))", "_table.get((obs.key, a))"),
-        ("kripke.py", "_table.get((obs.key, live, hyp))", "_table.get((obs.key, hyp))"),
+    Mutant("label probe keyed without the state", (
+        ("kripke.py", "steps.get((key, law, a))", "steps.get((key, a))"),
+        ("kripke.py", "steps.get((key, law, hyp))", "steps.get((key, hyp))"),
     )),
-    Mutant("symbolic label probe keyed without the law", (
-        ("symbolic.py", "steps.get((key, law, a))", "steps.get((key, a))"),
-        ("symbolic.py", "steps.get((key, law, hyp))", "steps.get((key, hyp))"),
-    )),
-    Mutant("a table hit skips the contradiction test", (
-        (
-            "kripke.py",
-            "if step is None else step\n        if not live:",
-            "if step is None else step\n        if step is None and not live:",
-        ),
-        (
-            "symbolic.py",
-            "if step is None else step\n        if law is store.false:",
-            "if step is None else step\n        if step is None and law is store.false:",
-        ),
-    )),
-    Mutant("Announced keeps the old state in both backends", (
-        KRIPKE_ANNOUNCED, SYMBOLIC_ANNOUNCED,
-    )),
-    Mutant("Implies with its sides swapped in both backends", (
-        (
-            "kripke.py",
-            "(live ^ _eval(obs, live, f.left)) | _eval(obs, live, f.right)",
-            "(live ^ _eval(obs, live, f.right)) | _eval(obs, live, f.left)",
-        ),
-        (
-            "symbolic.py",
-            "translate(store, obs, law, f.left), translate(store, obs, law, f.right)",
-            "translate(store, obs, law, f.right), translate(store, obs, law, f.left)",
-        ),
-    )),
-    Mutant("Kw drops its not-branch in both backends", (
-        (
-            "kripke.py",
-            "live & ~(_blur(obs, f.agent, live ^ holds) & _blur(obs, f.agent, holds))",
-            "live & ~_blur(obs, f.agent, live ^ holds)",
-        ),
-        (
-            "symbolic.py",
-            """out = store.or_(
-            _knows(store, obs, f.agent, law, body),
-            _knows(store, obs, f.agent, law, store.not_(body)),
-        )""",
-            "out = _knows(store, obs, f.agent, law, body)",
-        ),
-    )),
+    Mutant("a table hit skips the contradiction test", ((
+        "kripke.py",
+        "if step is None else step\n        if law == false:",
+        "if step is None else step\n        if step is None and law == false:",
+    ),)),
+    Mutant("WorldSets.not_ complements past true", ((
+        "kripke.py", "return self.true ^ x\n", "return ~x\n",
+    ),)),
+    Mutant("WorldSets._forall skips the last hidden variable", ((
+        "kripke.py", "for j in vs:", "for j in vs[:-1]:",
+    ),)),
+    Mutant("WorldSets tables a fourth agent", ((
+        "kripke.py",
+        "tabled = n <= _MAX_TABLED_AGENTS",
+        "tabled = n <= _MAX_TABLED_AGENTS + 1",
+    ),)),
     Mutant("DdStore.ite cache key without the else branch", ((
         "bdd.py", "key = (c, t, e)", "key = (c, t)",
     ),)),
@@ -179,6 +149,31 @@ MUTANTS = (
         "rng.next_u64()) < _NEGATE_KNOWLEDGE",
         "rng.next_u64()) < _NEGATE",
     ),)),
+    Mutant("the explicit matrix read column by column", ((
+        "generator.py",
+        "return ObservabilityMatrix.from_rows(zip(*[coins] * n))",
+        "return ObservabilityMatrix.from_rows(zip(*zip(*[coins] * n)))",
+    ),)),
+    Mutant("a hypothesis's statement drawn before its layers", (
+        (
+            "generator.py",
+            "    layers = []\n    for _ in range(1 + (u % max_order",
+            "    s = pending.pop() if pending else rng.next_u64()\n"
+            "    subject = s % k if s < LIMITS[k] else rng.below(k)\n"
+            "    statement = 2 * subject + ((pending.pop() if pending else rng.next_u64()) < _NEGATE)\n"
+            "    layers = []\n    for _ in range(1 + (u % max_order",
+        ),
+        (
+            "generator.py",
+            "        layers.append(4 * knower + 2 * whether + negated)\n"
+            "    u = pending.pop() if pending else rng.next_u64()\n"
+            "    subject = u % k if u < LIMITS[k] else rng.below(k)\n"
+            "    negated = (pending.pop() if pending else rng.next_u64()) < _NEGATE\n"
+            "    return _expression(n, tuple(layers), 2 * subject + negated)",
+            "        layers.append(4 * knower + 2 * whether + negated)\n"
+            "    return _expression(n, tuple(layers), statement)",
+        ),
+    )),
     Mutant("the parser does not count the right side of -> toward the nesting cap", ((
         "dsl.py",
         "return Implies(left, self.implication(depth + 1))",

@@ -1,7 +1,7 @@
 """The checkers' shared contracts: the symbolic backend's per-thread store
 (kept across labels, dropped past its retention bound, retried once on a
 fresh store when full, its translation table emptied past the tables' bound),
-the explicit backend's one evaluation table, which every thread shares, and
+the explicit backend's one pair of tables, which every thread shares, and
 ``both_label`` comparing the two outcomes."""
 
 import sys
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epistle import backends, kripke, symbolic
+from epistle import backends, kripke
 from epistle.backends import both_label, explicit_label, symbolic_label
 from epistle.bdd import DdStore
 from epistle.dsl import parse_formula, print_formula
@@ -46,6 +46,31 @@ def no_thread_store():
 
 def kept_store():
     return getattr(backends._thread, "store", None)
+
+
+def explicit_tables():
+    """Copies of the explicit translation and step tables."""
+    return dict(kripke._table), dict(kripke._steps)
+
+
+def empty_explicit_tables():
+    kripke._table.clear()
+    kripke._steps.clear()
+
+
+def count_interpreter_calls(monkeypatch):
+    """The formula of every ``kripke._eval`` and ``kripke._step`` call, under
+    ``(algebra, name)``; the algebra is ``"explicit"`` or ``"symbolic"``."""
+    made = {(alg, name): [] for alg in ("explicit", "symbolic") for name in ("_eval", "_step")}
+    for name in ("_eval", "_step"):
+        original = getattr(kripke, name)
+
+        def counting(alg, *args, original=original, name=name):
+            made["symbolic" if isinstance(alg, DdStore) else "explicit", name].append(args[-1])
+            return original(alg, *args)
+
+        monkeypatch.setattr(kripke, name, counting)
+    return made
 
 
 def random_problem(rng, n):
@@ -135,9 +160,9 @@ class KnowsSubclass(Knows):
 
 class TestNotAFormula:
     """A value outside the ``Formula`` union, at the top or nested, is the
-    same ``TypeError`` on every checker, in both interpreters and in the
-    printer, and enters nothing in either table; an instance of a subclass
-    of a node class is such a value, since all three dispatch on the node's
+    same ``TypeError`` on every checker, in the interpreter and in the
+    printer, and enters nothing in any table; an instance of a subclass
+    of a node class is such a value, since both dispatch on the node's
     exact class."""
 
     @pytest.mark.parametrize(
@@ -146,7 +171,7 @@ class TestNotAFormula:
             lambda store, obs, f: explicit_label(obs, [], f),
             lambda store, obs, f: symbolic_label(obs, [], f),
             lambda store, obs, f: both_label(obs, [], f),
-            lambda store, obs, f: kripke._eval(obs, build_initial_model(obs), f),
+            lambda store, obs, f: kripke._eval(kripke.WorldSets(3), obs, build_initial_model(obs), f),
             lambda store, obs, f: translate(store, obs, store.true, f),
             lambda store, obs, f: print_formula(f),
         ],
@@ -166,11 +191,11 @@ class TestNotAFormula:
     def test_is_a_type_error_that_enters_nothing(self, call, f):
         obs = fixed_observability(SetupKind.FOREHEAD_MUD, 3)
         store = backends._thread.store = DdStore()  # symbolic_label's store too
-        entries = dict(kripke._table)
+        entries = explicit_tables()
         with pytest.raises(TypeError, match="not a formula"):
             call(store, obs, f)
-        assert kripke._table == entries
-        assert not store._translate_cache
+        assert explicit_tables() == entries
+        assert not store._translate_cache and not store._step_cache
 
 
 class TestAnnouncementContinuation:
@@ -410,9 +435,9 @@ class TestNegationTables:
 
     @pytest.fixture(autouse=True)
     def empty_table(self):
-        kripke._table.clear()
+        empty_explicit_tables()
         yield
-        kripke._table.clear()
+        empty_explicit_tables()
 
     def test_negations_of_an_atom_and_of_a_compound_enter_both_tables(self):
         obs = fixed_observability(SetupKind.THIRST, 3)
@@ -421,42 +446,34 @@ class TestNegationTables:
             assert (obs.key, 0b11111111, hyp) in kripke._table
             assert (obs.key, kept_store().true, hyp) in kept_store()._translate_cache
 
-    def test_a_warm_label_makes_no_eval_step_or_translation_call(self, monkeypatch):
+    def test_a_warm_label_makes_no_eval_or_step_call(self, monkeypatch):
         obs = fixed_observability(SetupKind.THIRST, 3)
         hyp = Not(KnowsWhether(0, Atom(1)))
-        # what the interpreters enter when called as a label's steps
+        # what the interpreter enters over each algebra when called as a label's steps
         store = backends._thread.store = DdStore()
         law = announce_symbolic(store, obs, store.true, self.ANNOUNCEMENT)
         announce_symbolic(store, obs, law, hyp)
-        live = kripke._eval(obs, build_initial_model(obs), self.ANNOUNCEMENT)
-        kripke._eval(obs, live, hyp)
-        entered = (dict(kripke._table), dict(store._translate_cache), dict(store._step_cache))
-        assert len(entered[0]) == len(entered[1]) == 4 and len(entered[2]) == 2
-        kripke._table.clear()
+        live = announce(obs, build_initial_model(obs), self.ANNOUNCEMENT)
+        announce(obs, live, hyp)
+        entered = (*explicit_tables(), dict(store._translate_cache), dict(store._step_cache))
+        assert [len(table) for table in entered] == [4, 2, 4, 2]
+        empty_explicit_tables()
         store._translate_cache.clear()
         store._step_cache.clear()
 
-        calls = {"_eval": [], "translate": [], "announce_symbolic": []}
-        for module, name in ((kripke, "_eval"), (symbolic, "translate"), (symbolic, "announce_symbolic")):
-            original = getattr(module, name)
-
-            def counting(*args, original=original, name=name):
-                calls[name].append(args[-1])
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counting)
+        calls = count_interpreter_calls(monkeypatch)
         first = both_label(obs, [self.ANNOUNCEMENT], hyp)
-        assert (kripke._table, store._translate_cache, store._step_cache) == entered
+        assert (*explicit_tables(), store._translate_cache, store._step_cache) == entered
         for made in calls.values():
             made.clear()
         assert both_label(obs, [self.ANNOUNCEMENT], hyp) is first
-        assert calls == {"_eval": [], "translate": [], "announce_symbolic": []}
-        assert (kripke._table, store._translate_cache, store._step_cache) == entered
+        assert not any(calls.values())
+        assert (*explicit_tables(), store._translate_cache, store._step_cache) == entered
         # the translation table answers each negation itself in one call
         for _ in range(2):
-            symbolic.translate(store, obs, store.true, self.ANNOUNCEMENT)
-            symbolic.translate(store, obs, law, hyp)
-        assert calls["translate"] == [self.ANNOUNCEMENT, hyp] * 2
+            translate(store, obs, store.true, self.ANNOUNCEMENT)
+            translate(store, obs, law, hyp)
+        assert calls["symbolic", "_eval"] == [self.ANNOUNCEMENT, hyp] * 2
 
     @pytest.mark.parametrize("checker", [explicit_label, symbolic_label])
     def test_a_negation_that_raises_enters_nothing(self, checker):
@@ -483,14 +500,7 @@ class TestStepTable:
     """Announcements and hypotheses share the kept store's step table."""
 
     def test_an_announcement_and_a_hypothesis_share_an_entry(self, monkeypatch):
-        calls = []
-        original = symbolic.translate
-
-        def counting(store, obs, law, f):
-            calls.append(f)
-            return original(store, obs, law, f)
-
-        monkeypatch.setattr(symbolic, "translate", counting)
+        calls = count_interpreter_calls(monkeypatch)
         rng = SplitMix64(0x57E9)
         labels = set()
         for _ in range(40):
@@ -502,12 +512,13 @@ class TestStepTable:
             for problems in ((second, first), (first, second)):
                 backends._thread.store = None
                 for problem in problems:
-                    calls.clear()
+                    for made in calls.values():
+                        made.clear()
                     expected = oracle_label(obs.n, obs.rows, *problem)
                     assert symbolic_label(obs, *problem) is expected
                     labels.add(expected)
             # announced in the first problem, looked up as the second's hypothesis
-            assert calls == []
+            assert not any(calls.values())
         assert labels == {True, False}
 
     def test_a_warm_pass_over_drawn_problems_translates_nothing(self, monkeypatch):
@@ -516,22 +527,22 @@ class TestStepTable:
             for inst in iter_problems(GenConfig(seed=7), 1000)
         ]
         expected = [explicit_label(*problem) for problem in problems]
-        calls = {"translate": 0, "ite": 0}
-        for owner, name in ((symbolic, "translate"), (DdStore, "ite")):
-            original = getattr(owner, name)
+        calls, ite = count_interpreter_calls(monkeypatch), DdStore.ite
+        ites = []
 
-            def counting(*args, original=original, name=name):
-                calls[name] += 1
-                return original(*args)
+        def counting(*args):
+            ites.append(args)
+            return ite(*args)
 
-            monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(DdStore, "ite", counting)
         passes = []
         for _ in range(2):
-            calls.update(translate=0, ite=0)
+            calls["symbolic", "_eval"].clear()
+            ites.clear()
             assert [symbolic_label(*problem) for problem in problems] == expected
-            passes.append(dict(calls))
-        assert passes[0]["translate"] > 0 and passes[0]["ite"] > 0
-        assert passes[1] == {"translate": 0, "ite": 0}
+            passes.append((len(calls["symbolic", "_eval"]), len(ites)))
+        assert passes[0][0] > 0 and passes[0][1] > 0
+        assert passes[1] == (0, 0)
 
 
 def steps_taken(obs, anns, hyp):
@@ -551,23 +562,13 @@ class TestLabelProbe:
 
     @pytest.fixture(autouse=True)
     def empty_table(self):
-        kripke._table.clear()
+        empty_explicit_tables()
         yield
-        kripke._table.clear()
+        empty_explicit_tables()
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The formula of every interpreter call, by interpreter."""
-        made = {"_eval": [], "announce_symbolic": [], "translate": []}
-        for module, name in ((kripke, "_eval"), (symbolic, "announce_symbolic"), (symbolic, "translate")):
-            original = getattr(module, name)
-
-            def counting(*args, original=original, name=name):
-                made[name].append(args[-1])
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counting)
-        return made
+        return count_interpreter_calls(monkeypatch)
 
     def test_cold_and_warm_labels_agree_with_the_oracle(self, calls):
         rng = SplitMix64(0xF01D)
@@ -587,7 +588,7 @@ class TestLabelProbe:
                 anns.insert(rng.below(len(anns) + 1), self.CONTRADICTION)
             hyp = random_formula(rng, n, depth=2)
             expected = oracle_label(n, obs.rows, anns, hyp)
-            kripke._table.clear()
+            empty_explicit_tables()
             backends._thread.store = None
             cold = [outcome(checker, obs, anns, hyp) for checker in (explicit_label, symbolic_label)]
             for made in calls.values():
@@ -595,28 +596,23 @@ class TestLabelProbe:
             warm = [outcome(checker, obs, anns, hyp) for checker in (explicit_label, symbolic_label)]
             assert cold == warm == [expected, expected], (obs.rows, anns, hyp)
             steps = steps_taken(obs, anns, hyp)
-            if n <= 3:  # atoms are never entered
-                assert calls["_eval"] == [f for f in steps if type(f) is Atom]
+            if n <= 3:  # a step table enters atoms too
+                assert calls["explicit", "_step"] == calls["explicit", "_eval"] == []
             else:
-                assert not kripke._table
+                assert calls["explicit", "_step"] == steps
+                assert not kripke._table and not kripke._steps
             store = kept_store()
             if obs.key is None:
-                assert calls["announce_symbolic"] == steps and not store._step_cache
+                assert calls["symbolic", "_step"] == steps and not store._step_cache
             else:
-                assert calls["announce_symbolic"] == calls["translate"] == []
+                assert calls["symbolic", "_step"] == calls["symbolic", "_eval"] == []
             seen.add((n <= 3, obs.key is not None, expected))
         # tabled on both backends, agent-symmetric (symbolic only), drawn (neither)
         assert seen == {(small, keyed, label) for small, keyed in ((True, True), (False, True),
                         (False, False)) for label in (True, False, None)}
 
-    @pytest.mark.parametrize(
-        "checker, message",
-        [
-            (explicit_label, "announcement 2 eliminates every world"),
-            (symbolic_label, "announcement 2 falsifies the state law"),
-        ],
-    )
-    def test_a_contradictory_step_found_in_the_table_raises_as_a_miss(self, checker, message, calls):
+    @pytest.mark.parametrize("checker", [explicit_label, symbolic_label])
+    def test_a_contradictory_step_found_in_the_table_raises_as_a_miss(self, checker, calls):
         obs = fixed_observability(SetupKind.THIRST, 3)
         anns = [Or((Atom(0), Atom(1))), self.CONTRADICTION, Knows(0, Atom(0))]
         for warm in (False, True):
@@ -624,8 +620,8 @@ class TestLabelProbe:
                 made.clear()
             with pytest.raises(ContradictoryPremise) as raised:
                 checker(obs, anns, Atom(2))
-            assert str(raised.value) == message
-            assert (calls["_eval"] + calls["announce_symbolic"] == []) is warm
+            assert str(raised.value) == "announcement 2 eliminates every world"
+            assert (not any(calls.values())) is warm
 
 
 class TestSharedMatrices:

@@ -138,6 +138,7 @@ class TestObservabilityMatrix:
         assert first == again and first is not again
         assert first.key is None and again.key is None and rows not in kripke._SHARED
         kripke._table.clear()
+        kripke._steps.clear()
         problems = [
             (
                 [Or((Atom(0), Atom(1)))],
@@ -147,7 +148,7 @@ class TestObservabilityMatrix:
         ]
         for anns, hyp in problems:
             assert outcome(explicit_label, first, anns, hyp) == oracle_outcome(4, rows, anns, hyp)
-        assert not kripke._table
+        assert not kripke._table and not kripke._steps
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_fixed_matrices_of_any_size_have_a_key(self, n):
@@ -459,15 +460,18 @@ def oracle_outcome(n, rows, anns, hyp):
 
 
 class TestEvaluationTable:
-    """The process's evaluation table changes no outcome and stays bounded."""
+    """The process's explicit translation and step tables change no outcome
+    and stay bounded."""
 
     CONTRADICTION = And((Atom(0), Not(Atom(0))))
 
     @pytest.fixture(autouse=True)
     def empty_table(self):
         kripke._table.clear()
+        kripke._steps.clear()
         yield
         kripke._table.clear()
+        kripke._steps.clear()
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
@@ -493,6 +497,7 @@ class TestEvaluationTable:
             assert outcome(explicit_label, obs, anns, hyp) == expected
         assert len(kripke._table) == entries
         kripke._table.clear()
+        kripke._steps.clear()
         assert outcome(explicit_label, obs, anns, hyp) == expected
         assert outcome(symbolic_label, obs, anns, hyp) == expected
 
@@ -509,9 +514,9 @@ class TestEvaluationTable:
         hyp = KnowsWhether(0, And((Atom(0), Or((Atom(1), Knows(2, Atom(2)))))))
         for n in (4, 6, 7):
             assert explicit_label(forehead(n), [Or((Atom(0), Atom(1)))], hyp) is False
-            assert not kripke._table
+            assert not kripke._table and not kripke._steps
         assert explicit_label(forehead(3), [Or((Atom(0), Atom(1)))], hyp) is False
-        assert kripke._table
+        assert kripke._table and kripke._steps
 
     def test_equal_matrices_built_apart_share_entries(self):
         rng = SplitMix64(0x7AB1E)
@@ -522,35 +527,34 @@ class TestEvaluationTable:
         for _ in range(40):
             anns = [random_formula(rng, 3, depth=2) for _ in range(rng.below(3))]
             problems.append((anns, random_formula(rng, 3, depth=2)))
-        kripke._table.clear()
         labels = [outcome(explicit_label, first, anns, hyp) for anns, hyp in problems]
         assert labels == [oracle_outcome(3, rows, anns, hyp) for anns, hyp in problems]
-        entries = dict(kripke._table)
-        assert {key[0] for key in entries} == {first.key}
+        entries = dict(kripke._table), dict(kripke._steps)
+        assert {key[0] for table in entries for key in table} == {first.key}
         # the second matrix finds every entry of the first and enters none
         assert [outcome(explicit_label, second, anns, hyp) for anns, hyp in problems] == labels
-        assert kripke._table == entries
+        assert (kripke._table, kripke._steps) == entries
 
     def test_negations_of_an_atom_and_of_a_compound_are_entered(self):
-        obs, full = thirst(3), 0b11111111
+        obs, full, worlds = thirst(3), 0b11111111, kripke.WorldSets(3)
         either = Or((Atom(0), Knows(1, Atom(2))))
-        p0, holds = kripke._atom_masks(3)[0], kripke._eval(obs, full, either)
+        p0, holds = worlds.var(0), kripke._eval(worlds, obs, full, either)
         assert explicit_label(obs, [], Not(Atom(0))) is False
         assert explicit_label(obs, [], Not(either)) is False
         assert kripke._table == {
             (obs.key, full, Not(Atom(0))): full ^ p0,
             (obs.key, full, either): holds,
             (obs.key, full, Not(either)): full ^ holds,
-            (obs.key, full, Knows(1, Atom(2))): kripke._eval(obs, full, Knows(1, Atom(2))),
+            (obs.key, full, Knows(1, Atom(2))): kripke._eval(worlds, obs, full, Knows(1, Atom(2))),
         }
 
     def test_a_warm_negated_hypothesis_makes_no_call(self, monkeypatch):
         calls = []
         original = kripke._eval
 
-        def counting(obs, live, f):
+        def counting(worlds, obs, live, f):
             calls.append(f)
-            return original(obs, live, f)
+            return original(worlds, obs, live, f)
 
         # the recursion looks ``_eval`` up on the module, so it counts too
         monkeypatch.setattr(kripke, "_eval", counting)
@@ -564,6 +568,7 @@ class TestEvaluationTable:
             (obs.key, 0b11111111, f): sum(1 << w for w in every if oracle_eval(every, obs.rows, w, f))
             for f in (hyp, hyp.child, both, Not(Atom(2)))
         }
+        assert kripke._steps == {(obs.key, 0b11111111, hyp): 0b11111111 if first else 0}
         entries = dict(kripke._table)
         calls.clear()
         assert explicit_label(obs, [], hyp) is first
@@ -573,7 +578,7 @@ class TestEvaluationTable:
         for hyp in (Not(Atom(3)), Not(And((Atom(0), Not(Atom(3)))))):
             with pytest.raises(ValueError, match="p3 outside vocabulary of 3"):
                 explicit_label(thirst(3), [], hyp)
-            assert not kripke._table
+            assert not kripke._table and not kripke._steps
 
     def test_bound_empties_the_table_on_its_third_entry(self, monkeypatch):
         monkeypatch.setattr(kripke, "TABLE_LIMIT", 2)

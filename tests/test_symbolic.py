@@ -89,14 +89,14 @@ class TestTranslate:
 
     def test_nested_whether_visits_each_node_once(self, monkeypatch):
         visited = []
-        original = symbolic.translate
+        original = kripke._eval
 
         def counting(store, obs, law, f):
             visited.append(f)
             return original(store, obs, law, f)
 
-        # the recursion looks ``translate`` up on the module, so it counts too
-        monkeypatch.setattr(symbolic, "translate", counting)
+        # the recursion looks ``_eval`` up on the module, so it counts too
+        monkeypatch.setattr(kripke, "_eval", counting)
         for depth in range(1, 21):
             f = Atom(0)
             for _ in range(depth):
@@ -156,13 +156,13 @@ class TestTranslate:
 
     def test_a_warm_negated_hypothesis_takes_no_call(self, monkeypatch):
         calls = []
-        original = symbolic.translate
+        original = kripke._eval
 
         def counting(store, obs, law, f):
             calls.append(f)
             return original(store, obs, law, f)
 
-        monkeypatch.setattr(symbolic, "translate", counting)
+        monkeypatch.setattr(kripke, "_eval", counting)
         store, obs = DdStore(), forehead(3)
         hyp = Not(KnowsWhether(0, And((Atom(1), Not(Atom(2))))))
         first = label_symbolic(store, obs, store.true, [], hyp)

@@ -10,9 +10,12 @@ file, so nothing of ``bench/`` is put on ``sys.path``.
 import importlib.util
 from pathlib import Path
 
+import epistle.backends as backends
 import epistle.cli as cli
 import epistle.generator as generator
 import epistle.kripke as kripke
+from epistle.formula import Atom, Knows, Or
+from epistle.setups import SetupKind, fixed_observability
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -45,3 +48,17 @@ def test_puzzle_steps_go_through_the_hooks(capsys):
     assert tracer.counts["kripke.announce_calls"] == 3
     assert tracer.counts["kripke.eval_calls"] > 0
     assert tracer.counts["symbolic.translate_calls"] > 0
+
+
+def test_cold_labels_go_through_the_hooks():
+    obs = fixed_observability(SetupKind.THIRST, 3)
+    anns, hyp = [Or((Atom(0), Atom(2)))], Knows(1, Or((Atom(1), Atom(2))))
+    kripke._table.clear()
+    kripke._steps.clear()
+    backends._thread.store = None
+    tracer = _tracer()
+    with tracer.installed():
+        backends.explicit_label(obs, anns, hyp)
+        backends.symbolic_label(obs, anns, hyp)
+    assert tracer.counts["kripke.eval_calls"] > 0
+    assert tracer.self_s["kripke"] > 0 and tracer.self_s["symbolic"] > 0
