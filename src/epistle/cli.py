@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 2 for usage or formula-syntax errors and for resource limits, 3
+Exit codes: 2 for usage or formula-syntax errors, for resource limits and
+for an output the system fails to write (``OSError``, such as a full disk or
+a file-size limit, but for a closed stdout pipe, which click handles), 3
 when generation stalls, 4 for a contradictory premise (without
 --allow-contradiction), 5 when the two backends disagree.  ``check`` and
 ``generate`` make one call per problem to the checker ``--backend`` names,
@@ -152,6 +154,7 @@ _EXITS = {
     StoreCapacity: (EXIT_USAGE, "resource limit"),
     GenerationStall: (EXIT_STALL, "generation stalled"),
     BackendMismatch: (EXIT_MISMATCH, "backend mismatch"),
+    OSError: (EXIT_USAGE, "cannot write"),
 }
 
 
@@ -179,6 +182,8 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout keeps click's own handling
         except tuple(_EXITS) as exc:
             _exit_with(exc)
 

@@ -213,7 +213,11 @@ _worlds = _BySize()
 
 def _eval(alg, obs: ObservabilityMatrix, law, f: Formula):
     """``⟦f⟧`` in ``alg``: the worlds where ``f`` holds under the state
-    ``law``; found in, or entered into, ``alg``'s translation table."""
+    ``law``; found in, or entered into, ``alg``'s translation table.
+
+    ``symbolic.translate`` is this function, bound at import: a wrapper
+    installed on ``kripke._eval`` later sees every call beneath a
+    ``translate`` call, but not that call itself."""
     kind = type(f)
     if kind is Atom:
         if not 0 <= f.prop < obs.n:

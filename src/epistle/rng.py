@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator
 
 __all__ = ["LIMITS", "SplitMix64", "split_seed", "substreams", "threshold"]
 
@@ -52,8 +52,6 @@ _UNPACK = struct.Struct("<" + "Q8x" * FIRST)
 
 # ``2**64 - 2**64 % n`` for each bound ``n`` under 256, all the generator passes
 LIMITS = (0, *(_TWO64 - _TWO64 % n for n in range(1, 256)))
-
-T = TypeVar("T")
 
 
 def threshold(p: float) -> int:
@@ -113,9 +111,6 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.below(len(seq))]
 
     def chance(self, p: float) -> bool:
         """True with probability ``p``: the output is below ``threshold(p)``."""

@@ -11,44 +11,25 @@ used for every matrix the process keeps, every store's bounded by
 ``kripke.TABLE_LIMIT``, ``puzzle``'s and a library caller's included.  Any
 other matrix, such as a drawn one of four agents or more, serves one
 problem and is translated without them.
+
+Each entry point is the interpreter's own function, called with the store
+as its algebra, bound here under the name its callers use:
+
+- ``translate(store, obs, law, f)`` is ``kripke._eval``: the diagram whose
+  satisfying ``law``-states are exactly the worlds where ``f`` holds;
+- ``announce_symbolic(store, obs, law, psi)`` is ``kripke._step``: the law
+  after announcing ``psi``, ``law ∧ ⟦psi⟧``;
+- ``is_contradictory_symbolic(store, obs, law, anns)`` is
+  ``kripke._contradictory``: true iff the law collapses to false at some
+  announcement step;
+- ``label_symbolic(store, obs, law, anns, hyp)`` is ``kripke._label``.
 """
 
-from __future__ import annotations
-
-from .bdd import DdNode, DdStore
-from .formula import Formula
 from . import kripke
-from .kripke import ObservabilityMatrix
 
-__all__ = [
-    "translate",
-    "announce_symbolic",
-    "is_contradictory_symbolic",
-    "label_symbolic",
-]
+__all__ = ["translate", "announce_symbolic", "is_contradictory_symbolic", "label_symbolic"]
 
-
-def translate(store: DdStore, obs: ObservabilityMatrix, law: DdNode, f: Formula) -> DdNode:
-    """Diagram whose satisfying ``law``-states are exactly the worlds where
-    ``f`` holds."""
-    return kripke._eval(store, obs, law, f)
-
-
-def announce_symbolic(
-    store: DdStore, obs: ObservabilityMatrix, law: DdNode, psi: Formula
-) -> DdNode:
-    """Conjoin the announced formula onto the state law: ``law ∧ ⟦psi⟧``."""
-    return kripke._step(store, obs, law, psi)
-
-
-def is_contradictory_symbolic(
-    store: DdStore, obs: ObservabilityMatrix, law: DdNode, anns: list[Formula]
-) -> bool:
-    """True iff the law collapses to false at some announcement step."""
-    return kripke._contradictory(store, obs, law, anns)
-
-
-# The fold itself rather than a delegation, as a store is the algebra it
-# folds in: a symbolic label is on the hot path of ``check`` and
-# ``crosscheck``, where the extra call cost label-mix about 4%.
+translate = kripke._eval
+announce_symbolic = kripke._step
+is_contradictory_symbolic = kripke._contradictory
 label_symbolic = kripke._label

@@ -72,6 +72,14 @@ MUTANTS = (
         "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
         "key = (law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    if kind",
     ),)),
+    Mutant("K_a quantifies over hidden[a][:3]", ((
+        "kripke.py", "hidden = obs.hidden[f.agent]", "hidden = obs.hidden[f.agent][:3]",
+    ),)),
+    Mutant("step table key without the matrix", ((
+        "kripke.py",
+        "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    out = alg.and_",
+        "key = (law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    out = alg.and_",
+    ),)),
     Mutant("step table key without the state", ((
         "kripke.py",
         "key = (obs.key, law, f)\n        out = table.get(key)\n        if out is not None:\n            return out\n    out = alg.and_",

@@ -23,7 +23,9 @@ from epistle.formula import (
     Or,
     Quantifier,
 )
+from epistle.backends import explicit_label, outcome, symbolic_label
 from epistle.bdd import DdNode, DdStore
+from epistle.errors import ContradictoryPremise
 from epistle.kripke import ObservabilityMatrix, announce, label
 from epistle.names import FEMININE_NAMES, MASCULINE_NAMES
 from epistle.rng import SplitMix64
@@ -214,6 +216,53 @@ def reduced_worlds(live: list[int], obs_rows, f: Formula) -> frozenset[int]:
         return out
 
     return ev(f)
+
+
+def partition_label(n: int, obs_rows, anns, hyp) -> bool | str:
+    """The label of ``hyp`` after ``anns``, or ``"contradictory"`` when an
+    announcement leaves no world, as ``backends.outcome`` gives it.
+
+    The state is the list of surviving worlds.  Each announcement, its own
+    announcements eliminated, keeps the worlds where ``reduced_worlds``
+    finds it true: each agent's classes group the worlds by the int mask of
+    the propositions that agent observes.  The label holds when the
+    hypothesis holds at every survivor.  Nothing here comes from ``kripke``,
+    ``symbolic`` or ``bdd``: it is the check of their one interpreter that
+    does not go through it, at any agent count whose ``2^n`` worlds fit in
+    a list.
+    """
+    live = list(range(1 << n))
+    for a in anns:
+        live = list(reduced_worlds(live, obs_rows, reduce_announcements(a)))
+        if not live:
+            return "contradictory"
+    return len(reduced_worlds(live, obs_rows, reduce_announcements(hyp))) == len(live)
+
+
+class PartitionReplay:
+    """A generator checker that gives each draw's outcome by
+    ``partition_label`` and by both backends and keeps every draw on which
+    they differ.  The explicit outcome accepts or rejects the draw, as it
+    does in ``crosscheck``, so the draws are the ones ``crosscheck`` and
+    ``generate`` compare."""
+
+    def __init__(self):
+        self.draws = self.contradictory = 0
+        self.disagreements: list = []
+
+    def __call__(self, obs: ObservabilityMatrix, anns, hyp):
+        self.draws += 1
+        outcomes = (
+            partition_label(obs.n, obs.rows, anns, hyp),
+            outcome(explicit_label, obs, anns, hyp),
+            outcome(symbolic_label, obs, anns, hyp),
+        )
+        if outcomes.count(outcomes[0]) != len(outcomes):
+            self.disagreements.append((obs.rows, anns, hyp, outcomes))
+        if outcomes[1] == "contradictory":
+            self.contradictory += 1
+            raise ContradictoryPremise("the explicit backend rejects the draw")
+        return outcomes[1]
 
 
 def distinct_nodes(f: Formula) -> int:
@@ -481,7 +530,7 @@ def random_formula(
             choices += ["knows", "knows", "whether"]
         if announce_budget > 0:
             choices += ["announce"]
-    kind = rng.choice(choices)
+    kind = choices[rng.below(len(choices))]
     if kind == "atom" or depth == 0:
         return Atom(rng.below(n_agents))
     if kind == "not":

@@ -4,8 +4,11 @@ Both backends run ``kripke._eval`` over their own algebra, so comparing the
 backends' labels compares the algebras.  This states that comparison
 directly: over random laws and formulas at two to six agents the world set
 equals the diagram's satisfying assignments on all ``2^n`` worlds, and each
-operation agrees on random sets.
+operation agrees on random sets, and at up to three agents on every world
+set, pair of world sets and set of quantified variables.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -70,6 +73,35 @@ def test_each_operation_agrees(n):
         for got, expected in pairs:
             assert 0 <= got <= sets.true
             assert worlds(got) == sat_worlds(store, expected, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_operation_agrees_on_every_world_set(n):
+    sets, store = WorldSets(n), DdStore()
+    every = range(sets.true + 1)  # 2^(2^n) world sets, 256 at n=3
+    tables: dict = {}
+
+    def table(node) -> int:
+        """The world set of a diagram, read from its truth table."""
+        if node not in tables:
+            tables[node] = sum(1 << w for w in range(1 << n) if store.eval(node, w))
+        return tables[node]
+
+    dd = [diagram(store, n, x) for x in every]
+    assert [table(d) for d in dd] == list(every)
+    wrong = [("not_", x) for x in every if table(store.not_(dd[x])) != sets.not_(x)]
+    for name in ("and_", "or_", "implies"):
+        ours, theirs = getattr(sets, name), getattr(store, name)
+        wrong += [
+            (name, x, y) for x in every for y in every
+            if table(theirs(dd[x], dd[y])) != ours(x, y)
+        ]
+    subsets = [vs for k in range(n + 1) for vs in combinations(range(n), k)]
+    wrong += [
+        ("_forall", vs, x) for vs in subsets for x in every
+        if table(store._forall(vs, dd[x])) != sets._forall(vs, x)
+    ]
+    assert wrong == []
 
 
 def test_sizes_past_the_explicit_bound_raise():

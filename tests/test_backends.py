@@ -471,8 +471,8 @@ class TestNegationTables:
         assert (*explicit_tables(), store._translate_cache, store._step_cache) == entered
         # the translation table answers each negation itself in one call
         for _ in range(2):
-            translate(store, obs, store.true, self.ANNOUNCEMENT)
-            translate(store, obs, law, hyp)
+            kripke._eval(store, obs, store.true, self.ANNOUNCEMENT)
+            kripke._eval(store, obs, law, hyp)
         assert calls["symbolic", "_eval"] == [self.ANNOUNCEMENT, hyp] * 2
 
     @pytest.mark.parametrize("checker", [explicit_label, symbolic_label])

@@ -179,7 +179,7 @@ class TestIte:
             for _ in range(2):
                 kind = rng.below(4)
                 if kind == 0:
-                    operands.append(rng.choice(constants))
+                    operands.append(constants[rng.below(len(constants))])
                 elif kind == 1:
                     operands.append(random_boolean_formula(rng, 2, 2))  # above c
                 elif kind == 2:

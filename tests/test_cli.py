@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -51,13 +53,15 @@ SYMBOLIC_DATASETS = [
 ]
 
 
-def run_cli(*args, **env):
-    """Run ``python -m epistle`` in a fresh interpreter; returns the process."""
+def run_cli(*args, stdout=subprocess.PIPE, preexec_fn=None, **env):
+    """Run ``python -m epistle`` in a fresh interpreter; returns the process.
+    ``stdout`` and ``preexec_fn`` go to ``subprocess.run``, so that a limit
+    set in ``preexec_fn`` acts on the child alone."""
     src = os.path.dirname(os.path.dirname(epistle.__file__))
     full_env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run(
-        [sys.executable, "-m", "epistle", *args],
-        env=full_env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "epistle", *args], env=full_env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=preexec_fn,
     )
 
 
@@ -329,7 +333,8 @@ class TestGenerateCommand:
         result = CliRunner().invoke(
             cli.main, ["generate", "--per-setup", "2", "--out", str(out)]
         )
-        assert isinstance(result.exception, OSError)
+        assert result.exit_code == 2
+        assert result.stderr == "cannot write: disk full\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_replaces_existing_file(self, tmp_path):
@@ -392,6 +397,35 @@ class TestGenerateCommand:
             assert result.exit_code == 5
             assert (result.stdout, result.stderr) == ("", "backend mismatch: forced\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteFailures:
+    """An OS error while writing ends in the one ``cannot write`` line that
+    names it, with exit code 2: no traceback, no second line from the flush
+    at exit, and no file left behind.  One child per test."""
+
+    @staticmethod
+    def cannot_write(code: int) -> str:
+        return f"cannot write: [Errno {code}] {os.strerror(code)}\n"
+
+    def test_a_file_size_limit_ends_generate(self, tmp_path):
+        def limit_file_size():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, hard))
+
+        out = tmp_path / "d.jsonl"
+        proc = run_cli("generate", "--seed", "7", "--out", str(out), preexec_fn=limit_file_size)
+        assert_one_line_exit_2(proc, "cannot write")
+        assert proc.stderr == self.cannot_write(errno.EFBIG)
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []  # neither the output nor its .tmp
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_stdout_ends_check(self):
+        with open("/dev/full", "w") as full:
+            proc = run_cli("check", "--n", "2", "--hyp", "p0", stdout=full)
+        assert_one_line_exit_2(proc, "cannot write")
+        assert proc.stderr == self.cannot_write(errno.ENOSPC)
 
 
 class TestCheckCommand:

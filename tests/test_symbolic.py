@@ -49,6 +49,14 @@ from support import (
 forehead = partial(fixed_observability, SetupKind.FOREHEAD_MUD)
 
 
+class TestEntryPoints:
+    def test_each_is_the_interpreters_own_function(self):
+        assert symbolic.translate is kripke._eval
+        assert symbolic.announce_symbolic is kripke._step
+        assert symbolic.is_contradictory_symbolic is kripke._contradictory
+        assert symbolic.label_symbolic is kripke._label
+
+
 class TestTranslate:
     def test_observed_variable_is_known(self):
         store = DdStore()
@@ -103,8 +111,10 @@ class TestTranslate:
                 f = KnowsWhether(1, f)
             store = DdStore()
             visited.clear()
-            # agent 1 observes p0 on foreheads, so every level is known
-            assert symbolic.translate(store, forehead(2), store.true, f) is store.true
+            # agent 1 observes p0 on foreheads, so every level is known; the
+            # top call goes through the module too, as ``symbolic.translate``
+            # was bound to ``_eval`` before the patch
+            assert kripke._eval(store, forehead(2), store.true, f) is store.true
             assert len(visited) == depth + 1
 
     def test_matches_explicit_satisfying_sets(self):
@@ -173,7 +183,7 @@ class TestTranslate:
         assert calls == []
         # the translation table answers the negation itself in one call
         for _ in range(2):
-            symbolic.translate(store, obs, store.true, hyp)
+            kripke._eval(store, obs, store.true, hyp)
         assert calls == [hyp, hyp]
 
     def test_a_negation_that_raises_enters_nothing(self):
