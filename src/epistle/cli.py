@@ -154,6 +154,8 @@ _EXITS = {
     StoreCapacity: (EXIT_USAGE, "resource limit"),
     GenerationStall: (EXIT_STALL, "generation stalled"),
     BackendMismatch: (EXIT_MISMATCH, "backend mismatch"),
+    # a failed write to stdout leaves nothing in its buffer (CPython 3.10-3.13
+    # drop the refused bytes), so the flush at exit adds no second line
     OSError: (EXIT_USAGE, "cannot write"),
 }
 

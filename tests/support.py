@@ -23,7 +23,7 @@ from epistle.formula import (
     Or,
     Quantifier,
 )
-from epistle.backends import explicit_label, outcome, symbolic_label
+from epistle.backends import outcome
 from epistle.bdd import DdNode, DdStore
 from epistle.errors import ContradictoryPremise
 from epistle.kripke import ObservabilityMatrix, announce, label
@@ -239,30 +239,27 @@ def partition_label(n: int, obs_rows, anns, hyp) -> bool | str:
     return len(reduced_worlds(live, obs_rows, reduce_announcements(hyp))) == len(live)
 
 
-class PartitionReplay:
-    """A generator checker that gives each draw's outcome by
-    ``partition_label`` and by both backends and keeps every draw on which
-    they differ.  The explicit outcome accepts or rejects the draw, as it
-    does in ``crosscheck``, so the draws are the ones ``crosscheck`` and
-    ``generate`` compare."""
+class PartitionCheck:
+    """A generator checker that labels each draw with ``checker`` and keeps
+    every draw on which ``partition_label`` gives another outcome.
+    ``checker`` alone accepts or rejects the draw, so the draws are those of
+    the command or test that passes it."""
 
-    def __init__(self):
+    def __init__(self, checker):
+        self.checker = checker
         self.draws = self.contradictory = 0
         self.disagreements: list = []
 
     def __call__(self, obs: ObservabilityMatrix, anns, hyp):
         self.draws += 1
-        outcomes = (
-            partition_label(obs.n, obs.rows, anns, hyp),
-            outcome(explicit_label, obs, anns, hyp),
-            outcome(symbolic_label, obs, anns, hyp),
-        )
-        if outcomes.count(outcomes[0]) != len(outcomes):
-            self.disagreements.append((obs.rows, anns, hyp, outcomes))
-        if outcomes[1] == "contradictory":
+        found = outcome(self.checker, obs, anns, hyp)
+        expected = partition_label(obs.n, obs.rows, anns, hyp)
+        if found != expected:
+            self.disagreements.append((obs.rows, anns, hyp, expected, found))
+        if found == "contradictory":
             self.contradictory += 1
-            raise ContradictoryPremise("the explicit backend rejects the draw")
-        return outcomes[1]
+            raise ContradictoryPremise("the checker rejects the draw")
+        return found
 
 
 def distinct_nodes(f: Formula) -> int:

@@ -4,10 +4,11 @@ of four to eight agents, contradictory draws included."""
 
 import pytest
 
+from epistle.backends import both_label
 from epistle.generator import GenConfig, iter_problems
 from epistle.rng import SplitMix64
 
-from support import PartitionReplay, oracle_label, partition_label, random_formula
+from support import PartitionCheck, oracle_label, partition_label, random_formula
 
 
 def test_it_agrees_with_the_oracle_on_random_problems():
@@ -32,7 +33,7 @@ def test_it_agrees_with_the_oracle_on_random_problems():
     "seed, n_agents, count, draws", [(13, (4, 5, 6), 1000, 2057), (1, (8,), 110, 295)]
 )
 def test_both_backends_agree_with_it_on_every_draw(seed, n_agents, count, draws):
-    replay = PartitionReplay()
+    replay = PartitionCheck(both_label)  # which raises when the backends differ
     cfg = GenConfig(seed=seed, n_agents_choices=n_agents)
     assert sum(1 for _ in iter_problems(cfg, count, replay)) == count
     assert replay.draws == draws and replay.contradictory == draws - count
